@@ -6,11 +6,15 @@ Exit codes: 0 success, 1 runtime failure, 2 usage or configuration error.
 
 Heavy imports happen inside the command handlers so that ``--threads``
 (or the MFSKMODEM_THREADS environment variable) can pin the BLAS thread
-pools before numpy first loads; ``--threads 1`` is the bit-reproducible
-reference mode.
+pools before numpy first loads; when numpy is already loaded (``main``
+called in-process) the loaded OpenBLAS is set directly, and the previous
+count comes back when ``main`` returns.  ``--threads 1`` is the
+bit-reproducible reference mode.
 """
 
 import argparse
+import contextlib
+import ctypes
 import hashlib
 import math
 import os
@@ -403,15 +407,67 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _configure_threads(threads) -> None:
+_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                "NUMEXPR_NUM_THREADS")
+
+
+def _openblas_thread_api():
+    """(get, set) thread-count functions of the OpenBLAS loaded in this
+    process, or None when none is loaded or it cannot be found."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as handle:
+            libs = sorted({line.split()[-1] for line in handle if "openblas" in line.lower()})
+    except OSError:
+        return None
+    for path in libs:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix, suffix in (("scipy_openblas_", "64_"), ("openblas_", "64_"),
+                               ("openblas_", "")):
+            getter = getattr(lib, f"{prefix}get_num_threads{suffix}", None)
+            setter = getattr(lib, f"{prefix}set_num_threads{suffix}", None)
+            if getter is not None and setter is not None:
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                return getter, setter
+    return None
+
+
+@contextlib.contextmanager
+def _pinned_threads(threads):
+    """Run the body with ``threads`` BLAS/OpenMP threads, then restore.
+
+    The environment variables reach a BLAS that numpy has not loaded yet;
+    an OpenBLAS already loaded in this process (in-process ``main`` calls)
+    is set through its own API.  Both are put back on exit.
+    """
+    if threads is None and "MFSKMODEM_THREADS" in os.environ:
+        try:
+            threads = _positive_int(os.environ["MFSKMODEM_THREADS"])
+        except argparse.ArgumentTypeError as exc:
+            raise ConfigError(f"MFSKMODEM_THREADS: {exc}")
     if threads is None:
-        threads = os.environ.get("MFSKMODEM_THREADS")
-    if threads is None:
+        yield
         return
-    value = str(threads)
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                "NUMEXPR_NUM_THREADS"):
-        os.environ[var] = value
+    saved_env = {var: os.environ.get(var) for var in _THREAD_VARS}
+    os.environ.update({var: str(threads) for var in _THREAD_VARS})
+    api = _openblas_thread_api()
+    if api is not None:
+        get_threads, set_threads = api
+        saved_count = get_threads()
+        set_threads(threads)
+    try:
+        yield
+    finally:
+        if api is not None:
+            set_threads(saved_count)
+        for var, value in saved_env.items():
+            if value is None:
+                os.environ.pop(var, None)
+            else:
+                os.environ[var] = value
 
 
 def _join_dash_values(argv):
@@ -435,9 +491,9 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = build_parser().parse_args(_join_dash_values(list(argv)))
-    _configure_threads(args.threads)
     try:
-        return args.func(args)
+        with _pinned_threads(args.threads):
+            return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

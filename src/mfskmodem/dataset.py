@@ -244,6 +244,6 @@ def data_arrays(dataset: Dataset):
     keep = [r for r in dataset.records if r.label != SYNC_LABEL]
     if not keep:
         raise ValueError("dataset has no data-tone records")
-    x = np.stack([r.samples for r in keep]).astype(np.float32)
+    x = np.stack([r.samples for r in keep], dtype=np.float32)
     y = np.array([r.label for r in keep], dtype=np.int64)
     return x, y

@@ -14,7 +14,9 @@ Layer sequence (fixed):
 Batch norm normalizes over the trailing (channel/feature) axis with
 eps = 1e-3 and running-statistic momentum 0.99.  Training mode uses batch
 statistics and refreshes the running ones; inference mode is a pure affine
-map through the stored running statistics.  Cross-entropy clamps
+map through the stored running statistics, folded into the neighbouring
+layers (Jacob et al. 2018, section 3.2).  The conv is one im2col GEMM
+(Chellapilla et al. 2006) in both modes.  Cross-entropy clamps
 probabilities at 1e-12 so the loss stays finite.
 
 Parameters live in a flat name -> array dict (see PARAM_LAYOUT); training
@@ -25,10 +27,14 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 BN_EPS = 1e-3
 BN_MOMENTUM = 0.99
 PROB_FLOOR = 1e-12
+# forward() runs a batch in row blocks whose (rows, N, F) conv activation
+# stays within this many bytes.
+FORWARD_BLOCK_BYTES = 256 * 2**20
 
 
 @dataclass(frozen=True)
@@ -142,33 +148,42 @@ def _fans(name, shape):
 
 # ---------------------------------------------------------------------------
 # Layer primitives.  x is (batch, ..., features); batch norm reduces over all
-# axes except the last.
+# axes except the last, working on the (-1, features) view.
 
 
 def _bn_train(x, gamma, beta):
-    axes = tuple(range(x.ndim - 1))
-    mean = x.mean(axis=axes)
-    var = x.var(axis=axes)
+    x2 = x.reshape(-1, x.shape[-1])
+    count = x2.shape[0]
+    mean = np.einsum("ij->j", x2) / count
+    xhat = x2 - mean
+    var = np.einsum("ij,ij->j", xhat, xhat) / count
     inv_std = 1.0 / np.sqrt(var + np.asarray(BN_EPS, dtype=x.dtype))
-    xhat = (x - mean) * inv_std
-    return gamma * xhat + beta, (xhat, inv_std), mean, var
+    xhat *= inv_std
+    y = xhat * gamma
+    y += beta
+    return y.reshape(x.shape), (xhat, inv_std), mean, var
 
 
-def _bn_infer(x, gamma, beta, mean, var):
-    inv_std = 1.0 / np.sqrt(var + np.asarray(BN_EPS, dtype=x.dtype))
-    return gamma * (x - mean) * inv_std + beta
+def _bn_fold(tensors, prefix):
+    """Inference batch norm ``prefix`` as the affine map x * scale + shift."""
+    var = tensors[prefix + ".var"]
+    scale = tensors[prefix + ".gamma"] / np.sqrt(var + np.asarray(BN_EPS, dtype=var.dtype))
+    return scale, tensors[prefix + ".beta"] - tensors[prefix + ".mean"] * scale
 
 
 def _bn_backward(dy, gamma, cache):
     xhat, inv_std = cache
-    axes = tuple(range(dy.ndim - 1))
-    count = dy.size // dy.shape[-1]
-    dgamma = (dy * xhat).sum(axis=axes)
-    dbeta = dy.sum(axis=axes)
+    dy2 = dy.reshape(xhat.shape)
+    count = xhat.shape[0]
+    dgamma = np.einsum("ij,ij->j", dy2, xhat)
+    dbeta = np.einsum("ij->j", dy2)
     # Batch statistics depend on x, so the normalized-input gradient picks
     # up the mean and mean(dy * xhat) correction terms.
-    dx = (gamma * inv_std / count) * (count * dy - dbeta - xhat * dgamma)
-    return dx, dgamma, dbeta
+    dx = dy2 * count
+    dx -= dbeta
+    dx -= xhat * dgamma
+    dx *= gamma * inv_std / count
+    return dx.reshape(dy.shape), dgamma, dbeta
 
 
 def _conv_pad(config: ModelConfig):
@@ -177,29 +192,43 @@ def _conv_pad(config: ModelConfig):
     return left, config.conv_kernel - 1 - left
 
 
+def _conv_matrix(kernel):
+    """(K, C, F) kernel as the (C*K, F) matrix of the im2col GEMM."""
+    k, c, f = kernel.shape
+    return kernel.transpose(1, 0, 2).reshape(c * k, f)
+
+
 def _conv_forward(x, kernel, bias, config: ModelConfig):
-    """x: (B, N, C) -> (B, N, F); kernel: (K, C, F)."""
+    """x: (B, N, C) -> (B, N, F); kernel: (K, C, F).
+
+    One im2col GEMM: each output position's (C, K) input window becomes a
+    row of a (B*N, C*K) column matrix, which is returned for the kernel
+    gradient.
+    """
     left, right = _conv_pad(config)
     xp = np.pad(x, ((0, 0), (left, right), (0, 0)))
-    n = config.input_len
-    y = np.broadcast_to(bias, (x.shape[0], n, bias.shape[0])).copy()
-    for k in range(config.conv_kernel):
-        y += xp[:, k : k + n, :] @ kernel[k]
-    return y, xp
+    b, n, c = x.shape
+    k, _, f = kernel.shape
+    cols = sliding_window_view(xp, k, axis=1).reshape(b * n, c * k)
+    y = cols @ _conv_matrix(kernel)
+    y += bias
+    return y.reshape(b, n, f), cols
 
 
-def _conv_backward(dy, xp, kernel, config: ModelConfig):
+def _conv_backward(dy, cols, kernel, config: ModelConfig):
+    b, n, f = dy.shape
+    k, c, _ = kernel.shape
     left, _ = _conv_pad(config)
-    n = config.input_len
-    dkernel = np.empty_like(kernel)
-    dxp = np.zeros_like(xp)
-    for k in range(config.conv_kernel):
-        x_slice = xp[:, k : k + n, :]
-        dkernel[k] = np.tensordot(x_slice, dy, axes=((0, 1), (0, 1)))
-        dxp[:, k : k + n, :] += dy @ kernel[k].T
-    dbias = dy.sum(axis=(0, 1))
+    dy2 = dy.reshape(b * n, f)
+    dkernel = (cols.T @ dy2).reshape(c, k, f).transpose(1, 0, 2)
+    dbias = np.einsum("ij->j", dy2)
+    # col2im: scatter-add each tap's column gradient onto the padded input.
+    dcols = (dy2 @ _conv_matrix(kernel).T).reshape(b, n, c, k)
+    dxp = np.zeros((b, n + k - 1, c), dtype=dy.dtype)
+    for j in range(k):
+        dxp[:, j : j + n, :] += dcols[..., j]
     dx = dxp[:, left : left + n, :]
-    return dx, dkernel, dbias
+    return dx, np.ascontiguousarray(dkernel), dbias
 
 
 def _softmax(logits):
@@ -221,23 +250,36 @@ def forward(state: ModelState, batch: np.ndarray) -> np.ndarray:
     """Inference-mode class probabilities, shape (B, classes).
 
     Pure: normalizes through the stored running statistics and never
-    mutates the state.
+    mutates the state.  Each batch norm is folded into an affine map from
+    those statistics on every call: the input norm scales the raw samples
+    before the conv's zero padding, the conv norm is folded into the conv
+    kernel and bias, and the hidden norm is applied as x * scale + shift.
+    Rows run in blocks whose (rows, N, F) conv activation fits in
+    FORWARD_BLOCK_BYTES, so memory stays bounded for any batch size.
     """
     cfg = state.config
     t = state.tensors
-    x = _check_batch(cfg, batch).astype(state.dtype)[:, :, None]
-    x = _bn_infer(x, t["input_norm.gamma"], t["input_norm.beta"],
-                  t["input_norm.mean"], t["input_norm.var"])
-    x, _ = _conv_forward(x, t["conv.kernel"], t["conv.bias"], cfg)
-    x = _bn_infer(x, t["conv_norm.gamma"], t["conv_norm.beta"],
-                  t["conv_norm.mean"], t["conv_norm.var"])
-    x = x.reshape(x.shape[0], cfg.flat_features)
-    x = x @ t["hidden.weight"] + t["hidden.bias"]
-    x = np.maximum(x, 0)
-    x = _bn_infer(x, t["hidden_norm.gamma"], t["hidden_norm.beta"],
-                  t["hidden_norm.mean"], t["hidden_norm.var"])
-    logits = x @ t["output.weight"] + t["output.bias"]
-    return _softmax(logits)
+    batch = _check_batch(cfg, batch)
+    in_scale, in_shift = _bn_fold(t, "input_norm")
+    conv_scale, conv_shift = _bn_fold(t, "conv_norm")
+    kernel = t["conv.kernel"] * conv_scale
+    bias = t["conv.bias"] * conv_scale + conv_shift
+    hidden_scale, hidden_shift = _bn_fold(t, "hidden_norm")
+
+    rows = max(1, FORWARD_BLOCK_BYTES // (cfg.flat_features * state.dtype.itemsize))
+    probs = np.empty((batch.shape[0], cfg.classes), dtype=state.dtype)
+    for lo in range(0, batch.shape[0], rows):
+        x = batch[lo : lo + rows].astype(state.dtype)
+        x *= in_scale
+        x += in_shift
+        x = _conv_forward(x[:, :, None], kernel, bias, cfg)[0]
+        x = x.reshape(x.shape[0], cfg.flat_features) @ t["hidden.weight"]
+        x += t["hidden.bias"]
+        np.maximum(x, 0, out=x)
+        x *= hidden_scale
+        x += hidden_shift
+        probs[lo : lo + rows] = _softmax(x @ t["output.weight"] + t["output.bias"])
+    return probs
 
 
 def forward_train(state: ModelState, batch: np.ndarray, update_running: bool = True):
@@ -254,13 +296,14 @@ def forward_train(state: ModelState, batch: np.ndarray, update_running: bool = T
     cache = {"batch_size": x0.shape[0]}
 
     bn0, cache["bn0"], m0, v0 = _bn_train(x0, t["input_norm.gamma"], t["input_norm.beta"])
-    conv, cache["conv_xp"] = _conv_forward(bn0, t["conv.kernel"], t["conv.bias"], cfg)
+    conv, cache["conv_cols"] = _conv_forward(bn0, t["conv.kernel"], t["conv.bias"], cfg)
     bn1, cache["bn1"], m1, v1 = _bn_train(conv, t["conv_norm.gamma"], t["conv_norm.beta"])
     flat = bn1.reshape(bn1.shape[0], cfg.flat_features)
     cache["flat"] = flat
-    pre_relu = flat @ t["hidden.weight"] + t["hidden.bias"]
-    relu = np.maximum(pre_relu, 0)
+    pre_relu = flat @ t["hidden.weight"]
+    pre_relu += t["hidden.bias"]
     cache["relu_mask"] = pre_relu > 0
+    relu = np.maximum(pre_relu, 0, out=pre_relu)
     bn2, cache["bn2"], m2, v2 = _bn_train(relu, t["hidden_norm.gamma"], t["hidden_norm.beta"])
     cache["bn2_out"] = bn2
     logits = bn2 @ t["output.weight"] + t["output.bias"]
@@ -329,7 +372,7 @@ def backward(state: ModelState, cache: dict, labels) -> dict:
     dconv, grads["conv_norm.gamma"], grads["conv_norm.beta"] = _bn_backward(
         dbn1, t["conv_norm.gamma"], cache["bn1"])
     dbn0, grads["conv.kernel"], grads["conv.bias"] = _conv_backward(
-        dconv, cache["conv_xp"], t["conv.kernel"], cfg)
+        dconv, cache["conv_cols"], t["conv.kernel"], cfg)
     _, grads["input_norm.gamma"], grads["input_norm.beta"] = _bn_backward(
         dbn0, t["input_norm.gamma"], cache["bn0"])
     return grads

@@ -60,7 +60,11 @@ def adam_init(state: ModelState) -> AdamState:
 
 
 def adam_step(state: ModelState, adam: AdamState, grads: dict, cfg: TrainConfig):
-    """One bias-corrected Adam update, applied in place."""
+    """One bias-corrected Adam update, applied in place.
+
+    Works through ``out=`` ufuncs with one scratch array per tensor:
+    p -= lr * (m / c1) / (sqrt(v / c2) + eps).
+    """
     adam.step += 1
     t = adam.step
     correction1 = 1.0 - cfg.beta1**t
@@ -69,13 +73,19 @@ def adam_step(state: ModelState, adam: AdamState, grads: dict, cfg: TrainConfig)
         g = grads[name]
         m = adam.m[name]
         v = adam.v[name]
+        scratch = np.multiply(g, 1.0 - cfg.beta1, dtype=m.dtype)
         m *= cfg.beta1
-        m += (1.0 - cfg.beta1) * g
+        m += scratch
+        np.square(g, out=scratch)
+        scratch *= 1.0 - cfg.beta2
         v *= cfg.beta2
-        v += (1.0 - cfg.beta2) * np.square(g)
-        update = (m / correction1) / (np.sqrt(v / correction2) + cfg.epsilon)
-        state.tensors[name] -= np.asarray(cfg.learning_rate * update,
-                                          dtype=state.dtype)
+        v += scratch
+        np.divide(v, correction2, out=scratch)
+        np.sqrt(scratch, out=scratch)
+        scratch += cfg.epsilon
+        np.divide(m, scratch, out=scratch)
+        scratch *= cfg.learning_rate / correction1
+        state.tensors[name] -= scratch
 
 
 def train_step(state: ModelState, adam: AdamState, batch, labels, cfg: TrainConfig):

@@ -5,6 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from mfskmodem import cli
 from mfskmodem.cli import main
 
 
@@ -257,3 +258,36 @@ class TestProfilesFile:
                            "--out", str(tmp_path / "e.dset"))
         assert code == 2
         assert "missing keys" in err
+
+
+class TestThreads:
+    def test_flag_pins_loaded_blas_for_the_command_only(self, tmp_path, capsys, monkeypatch):
+        # numpy (and its OpenBLAS) is already loaded here, as in every
+        # in-process main() call; the flag must still take effect.
+        api = cli._openblas_thread_api()
+        assert api is not None, "no OpenBLAS found in this process"
+        get, set_ = api
+        original = get()
+        seen = []
+
+        def record(args):
+            seen.append(get())
+            return 0
+
+        monkeypatch.setattr(cli, "_cmd_theory", record)
+        try:
+            set_(2)
+            before = get()
+            code, _, _ = run(capsys, "--threads", "1", "theory", "--ebn0", "0",
+                             "--out", str(tmp_path / "t.csv"))
+            assert code == 0
+            assert seen == [1]
+            assert get() == before
+        finally:
+            set_(original)
+
+    def test_environment_variable_is_validated(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("MFSKMODEM_THREADS", "zero")
+        code, _, err = run(capsys, "theory", "--ebn0", "0", "--out", str(tmp_path / "t.csv"))
+        assert code == 2
+        assert "MFSKMODEM_THREADS" in err

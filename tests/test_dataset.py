@@ -208,3 +208,16 @@ class TestDataArrays:
         x, y = data_arrays(ds)
         assert x.shape == (6, 512)
         assert y.shape == (6,)
+
+    @pytest.mark.parametrize("source", ["generated", "read"])
+    def test_samples_are_the_record_bytes(self, reduced_spec, source, tmp_path):
+        ds = generate(DatasetSpec(reduced_spec.profile, 12, (-12.0, -3.0), seed=6,
+                                  include_sync=True))
+        if source == "read":
+            write(ds, tmp_path / "set.mfskdset")
+            ds = read(tmp_path / "set.mfskdset")
+        x, y = data_arrays(ds)
+        kept = [r for r in ds.records if r.label != SYNC_LABEL]
+        expected = np.stack([r.samples for r in kept]).astype(np.float32)
+        assert x.tobytes() == expected.tobytes()
+        assert y.tolist() == [r.label for r in kept]

@@ -1,10 +1,21 @@
 """Tests for the CNN architecture: parameter counts, forward pass, loss."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from mfskmodem.nn import ModelConfig, build_model, forward, forward_train, loss_ce, parameter_counts
-from mfskmodem.nn.model import _bn_train
+from mfskmodem.nn.model import (
+    BN_EPS,
+    FORWARD_BLOCK_BYTES,
+    _bn_backward,
+    _bn_train,
+    _conv_backward,
+    _conv_forward,
+    _conv_pad,
+)
 
 FULL = ModelConfig(input_len=4096, conv_filters=128, conv_kernel=16,
                    hidden_units=64, classes=64)
@@ -158,3 +169,233 @@ class TestLossCe:
     def test_probability_floor_keeps_loss_finite(self):
         probs = np.array([[1.0, 0.0]])
         assert np.isfinite(loss_ce(probs, np.array([1])))
+
+
+# ---------------------------------------------------------------------------
+# Float64 direct-loop oracles for the vectorized layers.
+
+
+def conv_oracle(x, kernel, bias, left):
+    """Textbook stride-1 "same" correlation: y[b,n,f] = bias[f] +
+    sum_{k,c} x[b, n+k-left, c] * kernel[k,c,f], zero outside the input."""
+    b, n, c = x.shape
+    k, _, f = kernel.shape
+    y = np.zeros((b, n, f))
+    for bi in range(b):
+        for ni in range(n):
+            for fi in range(f):
+                acc = float(bias[fi])
+                for ki in range(k):
+                    src = ni + ki - left
+                    if 0 <= src < n:
+                        for ci in range(c):
+                            acc += float(x[bi, src, ci]) * float(kernel[ki, ci, fi])
+                y[bi, ni, fi] = acc
+    return y
+
+
+def conv_backward_oracle(x, kernel, dy, left):
+    """Loop form of the conv gradients, from y's definition above."""
+    b, n, c = x.shape
+    k, _, f = kernel.shape
+    dx = np.zeros(x.shape)
+    dkernel = np.zeros(kernel.shape)
+    for bi in range(b):
+        for ni in range(n):
+            for ki in range(k):
+                src = ni + ki - left
+                if not 0 <= src < n:
+                    continue
+                for ci in range(c):
+                    for fi in range(f):
+                        dx[bi, src, ci] += dy[bi, ni, fi] * kernel[ki, ci, fi]
+                        dkernel[ki, ci, fi] += x[bi, src, ci] * dy[bi, ni, fi]
+    return dx, dkernel, dy.sum(axis=(0, 1))
+
+
+def bn_train_oracle(x, gamma, beta):
+    """Per-feature textbook batch norm: biased variance, eps inside the root."""
+    flat = x.reshape(-1, x.shape[-1])
+    y = np.empty(flat.shape)
+    for j in range(flat.shape[1]):
+        col = [float(v) for v in flat[:, j]]
+        mean = sum(col) / len(col)
+        var = sum((v - mean) ** 2 for v in col) / len(col)
+        for i, v in enumerate(col):
+            y[i, j] = gamma[j] * (v - mean) / math.sqrt(var + BN_EPS) + beta[j]
+    return y.reshape(x.shape)
+
+
+def bn_backward_oracle(x, gamma, dy):
+    """dx through the full Jacobian dy_i/dx_j = gamma * inv_std *
+    (delta_ij - 1/count - xhat_i * xhat_j / count) (Ioffe & Szegedy 2015)."""
+    flat = x.reshape(-1, x.shape[-1])
+    g = dy.reshape(flat.shape)
+    count = flat.shape[0]
+    dx = np.zeros(flat.shape)
+    dgamma = np.zeros(flat.shape[1])
+    for j in range(flat.shape[1]):
+        mean = flat[:, j].mean()
+        inv_std = 1.0 / math.sqrt(((flat[:, j] - mean) ** 2).mean() + BN_EPS)
+        xhat = (flat[:, j] - mean) * inv_std
+        dgamma[j] = sum(g[i, j] * xhat[i] for i in range(count))
+        for i in range(count):
+            for m in range(count):
+                jac = gamma[j] * inv_std * ((i == m) - 1.0 / count - xhat[i] * xhat[m] / count)
+                dx[m, j] += g[i, j] * jac
+    return dx.reshape(x.shape), dgamma, g.sum(axis=0)
+
+
+class TestLayerOracles:
+    # Float64 throughout: the vectorized layers sum in a different order
+    # from the loops, so they agree to rounding, well inside rtol 1e-10.
+    RTOL = 1e-10
+
+    @pytest.mark.parametrize("kernel_len,channels", [(4, 1), (5, 2)])
+    def test_conv_forward_and_backward(self, rng, kernel_len, channels):
+        cfg = ModelConfig(input_len=11, conv_filters=3, conv_kernel=kernel_len,
+                          hidden_units=2, classes=2)
+        left, _ = _conv_pad(cfg)
+        x = rng.standard_normal((2, 11, channels))
+        kernel = rng.standard_normal((kernel_len, channels, 3))
+        bias = rng.standard_normal(3)
+        dy = rng.standard_normal((2, 11, 3))
+
+        y, cols = _conv_forward(x, kernel, bias, cfg)
+        np.testing.assert_allclose(y, conv_oracle(x, kernel, bias, left), rtol=self.RTOL)
+        dx, dkernel, dbias = _conv_backward(dy, cols, kernel, cfg)
+        want_dx, want_dkernel, want_dbias = conv_backward_oracle(x, kernel, dy, left)
+        np.testing.assert_allclose(dx, want_dx, rtol=self.RTOL, atol=1e-12)
+        np.testing.assert_allclose(dkernel, want_dkernel, rtol=self.RTOL)
+        np.testing.assert_allclose(dbias, want_dbias, rtol=self.RTOL)
+
+    @pytest.mark.parametrize("shape", [(24, 3), (4, 6, 2)])
+    def test_bn_train_and_backward(self, rng, shape):
+        x = 3.0 * rng.standard_normal(shape) + 1.5
+        gamma = rng.uniform(0.5, 2.0, shape[-1])
+        beta = rng.standard_normal(shape[-1])
+        dy = rng.standard_normal(shape)
+
+        y, cache, _, _ = _bn_train(x, gamma, beta)
+        assert y.shape == x.shape
+        np.testing.assert_allclose(y, bn_train_oracle(x, gamma, beta), rtol=self.RTOL)
+        dx, dgamma, dbeta = _bn_backward(dy, gamma, cache)
+        want_dx, want_dgamma, want_dbeta = bn_backward_oracle(x, gamma, dy)
+        # dx sums to zero per feature, so its entries carry cancellation.
+        np.testing.assert_allclose(dx, want_dx, rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(dgamma, want_dgamma, rtol=self.RTOL)
+        np.testing.assert_allclose(dbeta, want_dbeta, rtol=self.RTOL)
+
+
+# ---------------------------------------------------------------------------
+# Inference forward (batch norm folded into its neighbours) against the
+# unfolded float64 graph.
+
+
+@pytest.fixture(scope="module")
+def full_state():
+    return build_model(FULL, seed=0)
+
+
+def with_random_statistics(state, seed):
+    """A copy whose batch norms are far from identity, with logits spread
+    wide enough that the argmax is never a near-tie."""
+    rng = np.random.default_rng(seed)
+    state = state.copy()
+    t = state.tensors
+    for prefix in ("input_norm", "conv_norm", "hidden_norm"):
+        size = t[prefix + ".gamma"].size
+        t[prefix + ".gamma"][:] = rng.uniform(0.5, 1.5, size)
+        t[prefix + ".beta"][:] = rng.normal(0.0, 0.3, size)
+        t[prefix + ".mean"][:] = rng.normal(0.0, 0.5, size)
+        t[prefix + ".var"][:] = rng.uniform(0.5, 2.0, size)
+    t["conv.bias"][:] = rng.normal(0.0, 0.1, t["conv.bias"].size)
+    t["output.weight"] *= 8.0
+    return state
+
+
+def unfolded_forward64(state, batch, rows=16):
+    """The layer sequence as written in the model docstring, in float64,
+    each batch norm applied through its running statistics."""
+    cfg = state.config
+    t = {k: v.astype(np.float64) for k, v in state.tensors.items()}
+    left, _ = _conv_pad(cfg)
+
+    def bn(x, prefix):
+        return (t[prefix + ".gamma"] * (x - t[prefix + ".mean"])
+                / np.sqrt(t[prefix + ".var"] + BN_EPS) + t[prefix + ".beta"])
+
+    out = []
+    for lo in range(0, batch.shape[0], rows):
+        x = bn(np.asarray(batch[lo:lo + rows], dtype=np.float64)[:, :, None], "input_norm")
+        xp = np.pad(x, ((0, 0), (left, cfg.conv_kernel - 1 - left), (0, 0)))
+        conv = np.zeros((x.shape[0], cfg.input_len, cfg.conv_filters)) + t["conv.bias"]
+        for k in range(cfg.conv_kernel):
+            conv += xp[:, k:k + cfg.input_len, :] @ t["conv.kernel"][k]
+        h = bn(conv, "conv_norm").reshape(x.shape[0], -1) @ t["hidden.weight"] + t["hidden.bias"]
+        h = bn(np.maximum(h, 0.0), "hidden_norm")
+        logits = h @ t["output.weight"] + t["output.bias"]
+        e = np.exp(logits - logits.max(axis=1, keepdims=True))
+        out.append(e / e.sum(axis=1, keepdims=True))
+    return np.concatenate(out)
+
+
+def noisy_tones(cfg, count, seed):
+    rng = np.random.default_rng(seed)
+    n = cfg.input_len
+    bins = rng.integers(2, 2 + cfg.classes, count)
+    phases = rng.uniform(0, 2 * np.pi, count)
+    x = np.sin(2 * np.pi / n * bins[:, None] * np.arange(n) + phases[:, None])
+    return x + rng.normal(0.0, 2.0, x.shape)
+
+
+class TestFoldedForward:
+    # Gate: max |dp| <= 1e-5 against the float64 reference (float32 state)
+    # and 100% argmax agreement.
+    ATOL = 1e-5
+
+    def check(self, state, batch):
+        probs = forward(state, batch)
+        ref = unfolded_forward64(state, batch)
+        assert probs.dtype == state.dtype
+        assert np.max(np.abs(probs - ref)) <= self.ATOL
+        assert np.array_equal(np.argmax(probs, axis=1), np.argmax(ref, axis=1))
+        top2 = np.sort(ref, axis=1)[:, -2:]
+        assert np.min(top2[:, 1] - top2[:, 0]) > 10 * self.ATOL  # no near-ties
+
+    def test_reduced_m8_batch_512(self):
+        state = with_random_statistics(build_model(REDUCED, seed=5), seed=6)
+        self.check(state, noisy_tones(REDUCED, 512, seed=7))
+
+    def test_jt65a_full_batch_64(self, full_state):
+        state = with_random_statistics(full_state, seed=8)
+        self.check(state, noisy_tones(FULL, 64, seed=9))
+
+    def test_edges_see_zero_padding_after_the_input_norm(self):
+        # A large input-norm shift makes the padded edge visibly different
+        # from normalizing a zero-padded input; the fold must match the
+        # unfolded order (normalize, then pad).
+        state = with_random_statistics(build_model(TINY, seed=1), seed=2)
+        state.tensors["input_norm.beta"][:] = 3.0
+        batch = noisy_tones(TINY, 8, seed=3)
+        np.testing.assert_allclose(forward(state, batch), unfolded_forward64(state, batch),
+                                   atol=self.ATOL)
+
+
+class TestBlockedForward:
+    def test_block_is_128_rows_on_the_full_profile(self):
+        assert FORWARD_BLOCK_BYTES // (FULL.flat_features * 4) == 128
+
+    def test_oversized_batch_stays_within_one_block_of_memory(self, full_state):
+        batch = noisy_tones(FULL, 300, seed=11).astype(np.float32)
+        tracemalloc.start()
+        try:
+            probs = forward(full_state, batch)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # Unblocked, the (300, 4096, 128) float32 conv activation alone is
+        # 629 MB; one 128-row block's is 256 MB plus its im2col columns.
+        assert peak < FORWARD_BLOCK_BYTES + 64 * 2**20
+        np.testing.assert_allclose(probs[128:256], forward(full_state, batch[128:256]),
+                                   rtol=0, atol=1e-6)

@@ -79,6 +79,33 @@ class TestAdam:
         for name in state.trainable_names:
             assert np.array_equal(state.tensors[name], before[name])
 
+    def test_five_steps_match_textbook_adam(self):
+        # Kingma & Ba 2015, Algorithm 1, one scalar at a time in float64.
+        state = build_model(TINY, seed=3, dtype=np.float64)
+        adam = adam_init(state)
+        cfg = TrainConfig(learning_rate=0.01)
+        rng = np.random.default_rng(4)
+        names = ("conv.kernel", "hidden.weight", "output.bias")
+        theta = {n: state.tensors[n].ravel().tolist() for n in names}
+        m = {n: [0.0] * len(theta[n]) for n in names}
+        v = {n: [0.0] * len(theta[n]) for n in names}
+        for step in range(1, 6):
+            grads = {n: rng.standard_normal(state.tensors[n].shape)
+                     for n in state.trainable_names}
+            adam_step(state, adam, grads, cfg)
+            for n in names:
+                for i, g in enumerate(grads[n].ravel().tolist()):
+                    m[n][i] = cfg.beta1 * m[n][i] + (1 - cfg.beta1) * g
+                    v[n][i] = cfg.beta2 * v[n][i] + (1 - cfg.beta2) * g * g
+                    m_hat = m[n][i] / (1 - cfg.beta1 ** step)
+                    v_hat = v[n][i] / (1 - cfg.beta2 ** step)
+                    theta[n][i] -= cfg.learning_rate * m_hat / (v_hat ** 0.5 + cfg.epsilon)
+        assert adam.step == 5
+        for n in names:
+            np.testing.assert_allclose(state.tensors[n].ravel(), theta[n], rtol=1e-12)
+            np.testing.assert_allclose(adam.m[n].ravel(), m[n], rtol=1e-12)
+            np.testing.assert_allclose(adam.v[n].ravel(), v[n], rtol=1e-12)
+
 
 class TestTrainStep:
     def test_self_labels_give_zero_gradient(self, rng):
