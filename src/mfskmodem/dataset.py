@@ -22,6 +22,10 @@ File layout (all integers little-endian):
 
 Samples are stored as IEEE-754 binary32, matching the network's training
 dtype and halving file size versus float64.
+
+In memory the records keep this layout: ``Dataset.records`` is a numpy
+record array of ``record_dtype(symbol_len)``, so ``read`` and ``write`` move
+the payload in one piece, and ``r.label`` works on one record or on all.
 """
 
 import struct
@@ -39,7 +43,12 @@ VERSION = 1
 SYNC_LABEL = 0xFFFF
 
 _HEADER = struct.Struct("<III HH Q")
-_RECORD_HEAD = struct.Struct("<fHH")
+
+
+def record_dtype(symbol_len: int) -> np.dtype:
+    """One record exactly as the file stores it."""
+    return np.dtype([("snr_db", "<f4"), ("label", "<u2"), ("reserved", "<u2"),
+                     ("samples", "<f4", (symbol_len,))])
 
 
 @dataclass(frozen=True)
@@ -66,15 +75,6 @@ class DatasetSpec:
 
 
 @dataclass
-class Record:
-    """One labeled symbol window."""
-
-    snr_db: float
-    label: int
-    samples: np.ndarray  # float32, length symbol_len
-
-
-@dataclass
 class Dataset:
     """Records plus the header fields the file format preserves."""
 
@@ -82,7 +82,7 @@ class Dataset:
     symbol_len: int
     tone_count: int
     include_sync: bool
-    records: list
+    records: np.recarray  # of record_dtype(symbol_len)
 
     def __len__(self):
         return len(self.records)
@@ -94,22 +94,14 @@ def record_params(spec: DatasetSpec, index: int):
     Exposed so callers can re-derive a record's clean waveform (the stored
     samples are noisy; phase is not written to the file).
     """
-    rng = _record_rng(spec, index)
-    label, phase, snr_db = _draw(spec, rng)
-    return label, phase, snr_db
+    return _draw(spec, _record_rng(spec, index))
 
 
-def generate_record(spec: DatasetSpec, index: int) -> Record:
+def generate_record(spec: DatasetSpec, index: int) -> np.record:
     """Generate record ``index`` alone; identical to its in-bulk twin."""
     if not 0 <= index < spec.count:
         raise ValueError(f"record index {index} out of range [0, {spec.count})")
-    rng = _record_rng(spec, index)
-    label, phase, snr_db = _draw(spec, rng)
-    tone = SYNC if label == SYNC_LABEL else label
-    clean = synthesize_symbol(spec.profile, tone, phase)
-    noisy = apply_awgn(clean, snr_db, spec.profile.ref_bandwidth_hz, rng,
-                       signal_power=0.5)
-    return Record(snr_db, label, noisy.samples.astype(np.float32))
+    return _generate(spec, [index])[0]
 
 
 def clean_waveform(spec: DatasetSpec, index: int) -> Waveform:
@@ -121,9 +113,22 @@ def clean_waveform(spec: DatasetSpec, index: int) -> Waveform:
 
 def generate(spec: DatasetSpec) -> Dataset:
     """Generate the full dataset described by ``spec``, in memory."""
-    records = [generate_record(spec, i) for i in range(spec.count)]
     return Dataset(int(round(spec.profile.sample_rate_hz)), spec.profile.symbol_len,
-                   spec.profile.tone_count, spec.include_sync, records)
+                   spec.profile.tone_count, spec.include_sync,
+                   _generate(spec, range(spec.count)))
+
+
+def _generate(spec: DatasetSpec, indices) -> np.recarray:
+    records = np.recarray(len(indices), record_dtype(spec.profile.symbol_len))
+    for row, index in enumerate(indices):
+        rng = _record_rng(spec, index)
+        label, phase, snr_db = _draw(spec, rng)
+        tone = SYNC if label == SYNC_LABEL else label
+        clean = synthesize_symbol(spec.profile, tone, phase)
+        noisy = apply_awgn(clean, snr_db, spec.profile.ref_bandwidth_hz, rng,
+                           signal_power=0.5)
+        records[row] = (snr_db, label, 0, noisy.samples)
+    return records
 
 
 def _record_rng(spec: DatasetSpec, index: int) -> np.random.Generator:
@@ -156,10 +161,10 @@ def write(dataset: Dataset, destination) -> None:
 
 
 def _write(dataset: Dataset, handle):
+    records = np.ascontiguousarray(dataset.records, dtype=record_dtype(dataset.symbol_len))
     write_header(handle, dataset.sample_rate_hz, dataset.symbol_len,
-                 dataset.tone_count, dataset.include_sync, len(dataset.records))
-    for record in dataset.records:
-        write_record(handle, dataset.symbol_len, record)
+                 dataset.tone_count, dataset.include_sync, len(records))
+    handle.write(records)
 
 
 def write_header(handle, sample_rate_hz: int, symbol_len: int, tone_count: int,
@@ -170,21 +175,19 @@ def write_header(handle, sample_rate_hz: int, symbol_len: int, tone_count: int,
                               tone_count, 1 if include_sync else 0, count))
 
 
-def write_record(handle, symbol_len: int, record: Record) -> None:
-    samples = np.ascontiguousarray(record.samples, dtype=np.float32)
-    if samples.size != symbol_len:
-        raise ValueError(
-            f"record has {samples.size} samples, header says {symbol_len}"
-        )
-    handle.write(_RECORD_HEAD.pack(record.snr_db, record.label, 0))
-    handle.write(samples.tobytes())
+def write_record(handle, symbol_len: int, record: np.record) -> None:
+    """Append one record, as generate_record returns it, after write_header."""
+    if record.dtype != record_dtype(symbol_len):
+        raise ValueError(f"record is not a record_dtype({symbol_len}) record")
+    handle.write(record)
 
 
 def read(source) -> Dataset:
-    """Read a dataset file fully into memory.
+    """Read a dataset file fully into memory; records are a read-only view.
 
     Raises MagicError, VersionError, TruncationError, or InconsistencyError
-    depending on how the file is malformed.
+    depending on how the file is malformed, including a label that is neither
+    a data tone nor a sync record the header allows, and a non-finite sample.
     """
     if hasattr(source, "read"):
         data = source.read()
@@ -202,7 +205,9 @@ def read(source) -> Dataset:
     if version != VERSION:
         raise VersionError(f"unsupported dataset version {version}")
 
-    record_bytes = _RECORD_HEAD.size + 4 * symbol_len
+    record_bytes = 8 + 4 * symbol_len  # record_dtype(symbol_len).itemsize
+    if record_bytes >= 2**31:  # numpy's limit on one record
+        raise InconsistencyError(f"symbol length {symbol_len} is too large")
     expected_end = offset + count * record_bytes
     if len(data) < expected_end:
         raise TruncationError(
@@ -215,24 +220,26 @@ def read(source) -> Dataset:
             f"{count} records"
         )
 
-    records = []
-    for _ in range(count):
-        snr_db, label, _reserved = _RECORD_HEAD.unpack_from(data, offset)
-        offset += _RECORD_HEAD.size
-        samples = np.frombuffer(data, dtype="<f4", count=symbol_len, offset=offset).copy()
-        offset += 4 * symbol_len
-        records.append(Record(snr_db, label, samples))
-    return Dataset(rate, symbol_len, tones, bool(flags & 1), records)
+    records = np.frombuffer(data, record_dtype(symbol_len), count, offset).view(np.recarray)
+    include_sync = bool(flags & 1)
+    allowed = (records.label < tones) | ((records.label == SYNC_LABEL) & include_sync)
+    if not allowed.all():
+        i = np.argmin(allowed)
+        raise InconsistencyError(f"record {i} has label {records.label[i]}, outside [0, {tones})"
+                                 + ("" if include_sync else " and the sync flag is clear"))
+    # A float64 sum of float32 samples is finite unless a sample is NaN or inf.
+    finite = np.isfinite(records.samples.sum(axis=1, dtype=np.float64))
+    if not finite.all():
+        raise InconsistencyError(f"record {np.argmin(finite)} has a non-finite sample")
+    return Dataset(rate, symbol_len, tones, include_sync, records)
 
 
 def label_histogram(dataset: Dataset) -> dict:
     """Exact per-label record counts; sync records keyed by SYNC_LABEL."""
-    if not dataset.records:
+    if len(dataset.records) == 0:
         raise ValueError("dataset is empty")
-    counts = {}
-    for record in dataset.records:
-        counts[record.label] = counts.get(record.label, 0) + 1
-    return counts
+    labels, counts = np.unique(dataset.records.label, return_counts=True)
+    return {int(label): int(n) for label, n in zip(labels, counts)}
 
 
 def data_arrays(dataset: Dataset):
@@ -241,9 +248,8 @@ def data_arrays(dataset: Dataset):
     Sync records are excluded; the network's output alphabet covers the
     data tones only.
     """
-    keep = [r for r in dataset.records if r.label != SYNC_LABEL]
-    if not keep:
+    records = dataset.records
+    keep = records.label != SYNC_LABEL
+    if not keep.any():
         raise ValueError("dataset has no data-tone records")
-    x = np.stack([r.samples for r in keep], dtype=np.float32)
-    y = np.array([r.label for r in keep], dtype=np.int64)
-    return x, y
+    return records.samples[keep], records.label[keep].astype(np.int64)

@@ -1,5 +1,5 @@
-"""Confusion-matrix metrics, SER/BER sweeps with theory overlays, and the
-per-symbol latency benchmark.
+"""Confusion-matrix metrics, the Monte-Carlo SER/BER sweep with its theory
+overlay, and the per-symbol latency benchmark.
 
 Demodulators are callables mapping a (num_symbols, symbol_len) sample
 array to an integer tone-index array; see analysis.classical_demodulator
@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signal import ModemProfile, noise_variance
+from .signal import ModemProfile, noise_variance, tone_windows
 from .theory import ser_noncoherent_mfsk, ser_to_ber, snr_to_ebn0
 
 SER_CSV_HEADER = "snr_db,ser,stderr,n"
@@ -50,11 +50,7 @@ class ConfusionMatrix:
 
 def accumulate(cm: ConfusionMatrix, true: int, predicted: int) -> ConfusionMatrix:
     """Count one (true, predicted) pair; mutates and returns ``cm``."""
-    m = cm.classes
-    if not (0 <= true < m and 0 <= predicted < m):
-        raise ValueError(f"indices must lie in [0, {m})")
-    cm.counts[true, predicted] += 1
-    return cm
+    return accumulate_many(cm, [true], [predicted])
 
 
 def accumulate_many(cm: ConfusionMatrix, true, predicted) -> ConfusionMatrix:
@@ -143,8 +139,7 @@ def metrics(cm: ConfusionMatrix) -> MetricsReport:
 
     k = m.bit_length() - 1
     xor = np.bitwise_xor.outer(np.arange(m), np.arange(m))
-    bit_weight = np.array([int(v).bit_count() for v in range(m)], dtype=np.int64)
-    bit_errors = float((counts * bit_weight[xor]).sum())
+    bit_errors = float((counts * _bit_weights(m)[xor]).sum())
     ber_measured = bit_errors / (k * total)
 
     return MetricsReport(
@@ -168,16 +163,13 @@ def metrics(cm: ConfusionMatrix) -> MetricsReport:
     )
 
 
+def _bit_weights(m: int) -> np.ndarray:
+    """Popcount table: a decision d for true tone t flips _bit_weights(m)[t ^ d] bits."""
+    return np.array([v.bit_count() for v in range(m)], dtype=np.int64)
+
+
 # ---------------------------------------------------------------------------
 # Monte-Carlo sweeps
-
-
-@dataclass
-class SerPoint:
-    snr_db: float
-    ser: float
-    stderr: float
-    n: int
 
 
 @dataclass
@@ -189,17 +181,7 @@ class BerPoint:
     ber_theory: float
     n: int
     ser: float
-
-
-def _synthesize_chunk(profile: ModemProfile, labels, phases, snr_db, rng):
-    """Noisy unit-amplitude symbol windows for the given labels/phases."""
-    n = profile.symbol_len
-    bins = profile.sync_bin + profile.tone_offset + labels
-    angles = (2.0 * np.pi / n) * bins[:, None] * np.arange(n)[None, :] + phases[:, None]
-    x = np.sin(angles)
-    var = noise_variance(0.5, snr_db, profile.sample_rate_hz, profile.ref_bandwidth_hz)
-    x += rng.normal(0.0, np.sqrt(var), x.shape)
-    return x
+    stderr: float  # binomial standard error of ser
 
 
 def _run_point(demod, profile, snr_db, n_symbols, rng):
@@ -207,40 +189,26 @@ def _run_point(demod, profile, snr_db, n_symbols, rng):
     m = profile.tone_count
     labels = rng.integers(0, m, n_symbols)
     phases = rng.uniform(0.0, 2.0 * np.pi, n_symbols)
-    symbol_errors = 0
-    bit_errors = 0
+    bins = profile.sync_bin + profile.tone_offset + labels
+    std = np.sqrt(noise_variance(0.5, snr_db, profile.sample_rate_hz,
+                                 profile.ref_bandwidth_hz))
+    bit_weights = _bit_weights(m)
+    symbol_errors = bit_errors = 0
     for lo in range(0, n_symbols, _CHUNK):
         sel = slice(lo, min(lo + _CHUNK, n_symbols))
-        x = _synthesize_chunk(profile, labels[sel], phases[sel], snr_db, rng)
+        x = tone_windows(profile, bins[sel], phases[sel])
+        x += rng.normal(0.0, std, x.shape)
         predicted = np.asarray(demod(x))
-        mismatch = predicted != labels[sel]
-        symbol_errors += int(mismatch.sum())
-        xor = np.bitwise_xor(predicted, labels[sel])
-        bit_errors += int(sum(int(v).bit_count() for v in xor[mismatch]))
+        symbol_errors += int(np.count_nonzero(predicted != labels[sel]))
+        bit_errors += int(bit_weights[predicted ^ labels[sel]].sum())
     return symbol_errors, bit_errors
 
 
-def sweep_ser(demod, profile: ModemProfile, snr_points, n_per_point: int, seed: int):
-    """Monte-Carlo symbol error rate at each SNR point.
+def sweep_ber(demod, profile: ModemProfile, snr_points, n_per_point: int, seed: int):
+    """Monte-Carlo symbol and bit error rates with the theory column.
 
     Each point runs on its own substream (seed, point index), so points
     are independent and the sweep parallelizes without changing content.
-    """
-    if n_per_point < 1:
-        raise ValueError("n_per_point must be >= 1")
-    rows = []
-    for i, snr_db in enumerate(snr_points):
-        rng = np.random.default_rng([seed, i])
-        errors, _ = _run_point(demod, profile, snr_db, n_per_point, rng)
-        p = errors / n_per_point
-        rows.append(SerPoint(float(snr_db), p,
-                             float(np.sqrt(p * (1.0 - p) / n_per_point)), n_per_point))
-    return rows
-
-
-def sweep_ber(demod, profile: ModemProfile, snr_points, n_per_point: int, seed: int):
-    """Monte-Carlo bit error rate with the SER-converted and theory columns.
-
     Measured BER counts bit mismatches under the natural binary mapping;
     the theory column evaluates the non-coherent orthogonal-MFSK limit at
     the point's Eb/N0.  Every row satisfies BER <= SER <= k*BER exactly
@@ -259,8 +227,9 @@ def sweep_ber(demod, profile: ModemProfile, snr_points, n_per_point: int, seed: 
         ebn0 = snr_to_ebn0(profile, float(snr_db))
         theory = ser_to_ber(m, ser_noncoherent_mfsk(m, ebn0 + 10.0 * np.log10(k)))
         assert ber <= ser + 1e-15 and ser <= k * ber + 1e-15
-        rows.append(BerPoint(float(snr_db), ebn0, ber, ser_to_ber(m, ser),
-                             theory, n_per_point, ser))
+        rows.append(BerPoint(float(snr_db), ebn0, ber, ser_to_ber(m, ser), theory,
+                             n_per_point, ser,
+                             float(np.sqrt(ser * (1.0 - ser) / n_per_point))))
     return rows
 
 
@@ -311,10 +280,8 @@ def bench_latency(demod, profile: ModemProfile, n_symbols: int,
     rng = np.random.default_rng(seed)
     labels = rng.integers(0, profile.tone_count, n_symbols)
     phases = rng.uniform(0.0, 2.0 * np.pi, n_symbols)
-    n = profile.symbol_len
-    bins = profile.sync_bin + profile.tone_offset + labels
-    windows = np.sin((2.0 * np.pi / n) * bins[:, None] * np.arange(n)[None, :]
-                     + phases[:, None])
+    windows = tone_windows(profile, profile.sync_bin + profile.tone_offset + labels,
+                           phases)
 
     for i in range(min(warmup, n_symbols)):
         demod(windows[i % n_symbols][None, :])

@@ -18,6 +18,7 @@ every tensor against it, so a file that disagrees with itself fails with a
 ShapeError naming the offending tensor.
 """
 
+import math
 import struct
 
 import numpy as np
@@ -85,7 +86,10 @@ def _parse(data: bytes) -> ModelState:
     for _ in range(count):
         (name_len,) = _unpack("<H", data, offset)
         offset += 2
-        name = _take(data, offset, name_len).decode("utf-8")
+        try:
+            name = _take(data, offset, name_len).decode("utf-8")
+        except UnicodeDecodeError:
+            raise InconsistencyError(f"tensor name at byte {offset} is not UTF-8") from None
         offset += name_len
         tag, rank = _unpack("<BB", data, offset)
         offset += 2
@@ -93,8 +97,10 @@ def _parse(data: bytes) -> ModelState:
             raise InconsistencyError(f"tensor {name!r} has unknown dtype tag {tag}")
         dims = _unpack(f"<{rank}Q", data, offset)
         offset += 8 * rank
+        if rank > 3 or 0 in dims:
+            raise ShapeError(f"tensor {name!r} has shape {dims}, not 1-3 nonzero axes")
         dtype = _TAG_DTYPES[tag]
-        nbytes = int(np.prod(dims, dtype=np.int64)) * dtype.itemsize
+        nbytes = math.prod(dims) * dtype.itemsize
         raw = _take(data, offset, nbytes)
         offset += nbytes
         if name in tensors:
@@ -148,8 +154,11 @@ def _infer_config(tensors) -> ModelConfig:
         raise ShapeError(
             f"tensor 'output.weight' has shape {output.shape}, expected ({h}, M)"
         )
-    return ModelConfig(input_len=flat // f, conv_filters=f, conv_kernel=k,
-                       hidden_units=h, classes=output.shape[1])
+    try:
+        return ModelConfig(input_len=flat // f, conv_filters=f, conv_kernel=k,
+                           hidden_units=h, classes=output.shape[1])
+    except ValueError as exc:
+        raise ShapeError(f"stored tensor shapes describe no valid model: {exc}") from None
 
 
 def _take(data: bytes, offset: int, size: int) -> bytes:

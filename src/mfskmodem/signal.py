@@ -137,6 +137,16 @@ def tone_frequency(profile: ModemProfile, tone) -> float:
     return tone_bin(profile, tone) * profile.bin_width_hz
 
 
+def tone_windows(profile: ModemProfile, bins, phases) -> np.ndarray:
+    """(B, N) unit windows sin(2*pi*b*n/N + phi), one per bin, the bin-aligned
+    form of sin(2*pi*f*n/fs + phi); ``phases`` is one per bin or one for all."""
+    n = profile.symbol_len
+    # N is a power of two: (2*pi/N)*b*n rounds exactly as 2*pi*b*n/N does.
+    angles = (2.0 * np.pi / n) * np.asarray(bins)[:, None] * np.arange(n)
+    angles += np.asarray(phases)[..., None]
+    return np.sin(angles, out=angles)
+
+
 def synthesize_symbol(profile: ModemProfile, tone, phase: float = 0.0,
                       amplitude: float = 1.0) -> Waveform:
     """One symbol interval of ``tone``: amplitude*sin(2*pi*f*n/fs + phase).
@@ -146,10 +156,7 @@ def synthesize_symbol(profile: ModemProfile, tone, phase: float = 0.0,
     """
     if amplitude < 0:
         raise ValueError("amplitude must be non-negative")
-    b = tone_bin(profile, tone)
-    n = np.arange(profile.symbol_len)
-    # 2*pi*f*n/fs reduces to 2*pi*b*n/N for a bin-aligned tone.
-    x = amplitude * np.sin(2.0 * np.pi * b * n / profile.symbol_len + phase)
+    x = amplitude * tone_windows(profile, [tone_bin(profile, tone)], phase)[0]
     return Waveform(x, profile.sample_rate_hz)
 
 
@@ -162,16 +169,14 @@ def synthesize_frame(profile: ModemProfile, pattern, amplitude: float = 1.0,
     [0, 2*pi); otherwise ``phase`` is used for every interval (phase
     continuity across intervals is not modeled).
     """
-    pattern = list(pattern)
-    if len(pattern) != FRAME_INTERVALS:
-        raise ValueError(
-            f"pattern must have {FRAME_INTERVALS} intervals, got {len(pattern)}"
-        )
-    pieces = []
-    for entry in pattern:
-        p = phase if rng is None else rng.uniform(0.0, 2.0 * np.pi)
-        pieces.append(synthesize_symbol(profile, entry, p, amplitude).samples)
-    return Waveform(np.concatenate(pieces), profile.sample_rate_hz)
+    bins = [tone_bin(profile, entry) for entry in pattern]
+    if len(bins) != FRAME_INTERVALS:
+        raise ValueError(f"pattern must have {FRAME_INTERVALS} intervals, got {len(bins)}")
+    if amplitude < 0:
+        raise ValueError("amplitude must be non-negative")
+    phases = phase if rng is None else rng.uniform(0.0, 2.0 * np.pi, FRAME_INTERVALS)
+    x = amplitude * tone_windows(profile, bins, phases).reshape(-1)
+    return Waveform(x, profile.sample_rate_hz)
 
 
 def noise_variance(signal_power: float, snr_db: float, sample_rate_hz: float,
@@ -186,7 +191,13 @@ def noise_variance(signal_power: float, snr_db: float, sample_rate_hz: float,
         raise ValueError("snr_db must be finite")
     if signal_power <= 0:
         raise ValueError("signal power must be positive")
-    return signal_power * (sample_rate_hz / 2.0) / (ref_bandwidth_hz * 10.0 ** (snr_db / 10.0))
+    try:
+        var = signal_power * (sample_rate_hz / 2.0) / (ref_bandwidth_hz * 10.0 ** (snr_db / 10.0))
+    except (OverflowError, ZeroDivisionError):
+        var = 0.0
+    if not (np.isfinite(var) and var > 0.0):
+        raise ValueError(f"snr_db {snr_db:g} gives no finite positive noise variance")
+    return var
 
 
 def apply_awgn(waveform: Waveform, snr_db: float, ref_bandwidth_hz: float,

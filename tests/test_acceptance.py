@@ -15,7 +15,7 @@ from mfskmodem import dataset as ds
 from mfskmodem.analysis import classical_demodulator
 from mfskmodem.cli import main
 from mfskmodem.errors import MagicError, TruncationError
-from mfskmodem.evaluate import bench_latency, sweep_ber, sweep_ser
+from mfskmodem.evaluate import bench_latency, sweep_ber
 from mfskmodem.nn import (
     ModelConfig,
     TrainConfig,
@@ -70,7 +70,7 @@ def test_02_theory_simulation_triangle():
     ok = True
     for esn0 in (8.0, 10.0, 12.0):
         snr = esn0_to_snr(FULL.modem, esn0)
-        row = sweep_ser(demod, FULL.modem, [snr], 50_000, seed=int(esn0))[0]
+        row = sweep_ber(demod, FULL.modem, [snr], 50_000, seed=int(esn0))[0]
         theory = ser_noncoherent_mfsk(64, esn0)
         stderr = math.sqrt(theory * (1.0 - theory) / row.n)
         z = (row.ser - theory) / stderr
@@ -160,9 +160,9 @@ def test_08_desk_scale_learning(desk_trained_model):
             hi = mid
     snr = esn0_to_snr(REDUCED.modem, (lo + hi) / 2.0)
 
-    classical_row = sweep_ser(classical_demodulator(REDUCED.modem), REDUCED.modem,
+    classical_row = sweep_ber(classical_demodulator(REDUCED.modem), REDUCED.modem,
                               [snr], 50_000, seed=21)[0]
-    model_row = sweep_ser(model_demodulator(state), REDUCED.modem,
+    model_row = sweep_ber(model_demodulator(state), REDUCED.modem,
                           [snr], 4_000, seed=22)[0]
     accuracy_ok = log.accuracy[-1] >= 0.90
     baseline_ok = abs(classical_row.ser - 0.01) < 3 * math.sqrt(0.01 * 0.99 / classical_row.n)

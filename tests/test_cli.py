@@ -188,6 +188,58 @@ class TestSweep:
         assert len(lines) == 4
 
 
+class TestSnrRange:
+    @pytest.mark.parametrize("argv", [
+        ["synth", "--count", "1", "--snr", "4000", "--out"],
+        ["synth", "--count", "1", "--snr", "-1e39", "--out"],
+        ["sweep", "--classical", "--n", "1", "--snr", "4000", "--out"],
+        ["analyze", "--tone", "3", "--snr-db", "4000", "--out-prefix"],
+    ])
+    def test_unrepresentable_snr_is_runtime_error(self, tmp_path, capsys, argv):
+        code, _, err = run(capsys, *argv[:1], "--profile", "reduced-m8", "--seed", "1",
+                           *argv[1:], str(tmp_path / "out"))
+        assert code == 1
+        assert err.startswith("error: ") and "noise variance" in err
+
+
+class TestProfileCrossCheck:
+    @pytest.mark.parametrize("argv", [
+        ["demod", "--classical", "--out-report", "r.txt"],
+        ["train", "--epochs", "1", "--out-weights", "w.bin", "--out-log", "l.csv"],
+    ])
+    def test_dataset_of_another_profile_is_refused(self, workspace, tmp_path, capsys,
+                                                   monkeypatch, argv):
+        _, train_set, _, _ = workspace
+        monkeypatch.chdir(tmp_path)
+        code, _, err = run(capsys, *argv[:1], "--profile", "jt65a-full",
+                           "--dataset", str(train_set), *argv[1:])
+        assert code == 1
+        assert "dataset symbol_len 512 does not match profile 'jt65a-full'" in err
+        assert not list(tmp_path.iterdir())
+
+    def test_weights_of_another_profile_are_refused(self, workspace, tmp_path, capsys):
+        _, _, weights, _ = workspace
+        code, _, err = run(capsys, "sweep", "--profile", "jt65a-full", "--weights",
+                           str(weights), "--snr", "0", "--n", "10", "--seed", "1",
+                           "--out", str(tmp_path / "s.csv"))
+        assert code == 1
+        assert "weights hold ModelConfig(input_len=512" in err
+
+    def test_mismatched_field_is_named(self, workspace, tmp_path, capsys):
+        _, train_set, _, _ = workspace
+        config = tmp_path / "profiles.ini"
+        config.write_text(
+            "[m8-at-8k]\nsample_rate_hz = 8000\nsymbol_len = 512\ntone_count = 8\n"
+            "sync_bin = 59\ntone_offset = 2\nref_bandwidth_hz = 2500\n"
+            "conv_filters = 4\nconv_kernel = 4\nhidden_units = 4\n"
+        )
+        code, _, err = run(capsys, "--profiles-file", str(config), "demod",
+                           "--profile", "m8-at-8k", "--classical", "--dataset",
+                           str(train_set), "--out-report", str(tmp_path / "r.txt"))
+        assert code == 1
+        assert "dataset sample rate 11025 does not match" in err
+
+
 class TestTheory:
     def test_curve_csv_with_chance_row(self, tmp_path, capsys):
         out = tmp_path / "theory.csv"

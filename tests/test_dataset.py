@@ -15,6 +15,7 @@ from mfskmodem.dataset import (
     generate_record,
     label_histogram,
     read,
+    record_dtype,
     record_params,
     write,
 )
@@ -185,6 +186,34 @@ class TestFileFormat:
             DatasetSpec(reduced_spec.profile, 2, (-9.0, -9.0), seed=5)))
         with pytest.raises(InconsistencyError, match="trailing"):
             read(io.BytesIO(blob + b"\x00"))
+
+    @staticmethod
+    def mutated(spec, field, value):
+        """A file of ``spec`` whose record 1 has ``field`` overwritten."""
+        ds = generate(spec)
+        ds.records[field][1] = value
+        return io.BytesIO(written_bytes(ds))
+
+    def test_label_outside_alphabet_inconsistent(self, reduced_spec):
+        spec = DatasetSpec(reduced_spec.profile, 3, (-9.0, -9.0), seed=5)
+        with pytest.raises(InconsistencyError, match="record 1 has label 500"):
+            read(self.mutated(spec, "label", 500))
+
+    def test_sync_record_without_sync_flag_inconsistent(self, reduced_spec):
+        spec = DatasetSpec(reduced_spec.profile, 3, (-9.0, -9.0), seed=5)
+        with pytest.raises(InconsistencyError, match="65535.*sync flag is clear"):
+            read(self.mutated(spec, "label", SYNC_LABEL))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_sample_inconsistent(self, reduced_spec, value):
+        spec = DatasetSpec(reduced_spec.profile, 3, (-9.0, -9.0), seed=5)
+        with pytest.raises(InconsistencyError, match="record 1 has a non-finite sample"):
+            read(self.mutated(spec, "samples", value))
+
+    def test_records_are_the_file_layout(self, reduced_spec):
+        ds = generate(DatasetSpec(reduced_spec.profile, 3, (-9.0, -9.0), seed=5))
+        assert ds.records.dtype == record_dtype(512)
+        assert ds.records.tobytes() == written_bytes(ds)[32:]
 
     def test_sync_flag_round_trips(self, reduced_spec):
         spec = DatasetSpec(reduced_spec.profile, 40, (-9.0, -9.0), seed=3,

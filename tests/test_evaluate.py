@@ -15,7 +15,6 @@ from mfskmodem.evaluate import (
     bench_latency,
     metrics,
     sweep_ber,
-    sweep_ser,
     write_ber_csv,
     write_ser_csv,
 )
@@ -113,20 +112,20 @@ class TestMetrics:
 class TestSweeps:
     def test_single_symbol_point_is_zero_or_one(self, reduced_profile):
         demod = classical_demodulator(reduced_profile)
-        rows = sweep_ser(demod, reduced_profile, [-25.0], 1, seed=3)
+        rows = sweep_ber(demod, reduced_profile, [-25.0], 1, seed=3)
         assert rows[0].ser in (0.0, 1.0)
         assert rows[0].n == 1
 
     def test_high_snr_classical_is_error_free(self, reduced_profile):
         demod = classical_demodulator(reduced_profile)
-        rows = sweep_ser(demod, reduced_profile, [30.0], 1000, seed=4)
+        rows = sweep_ber(demod, reduced_profile, [30.0], 1000, seed=4)
         assert rows[0].ser == 0.0
         assert rows[0].stderr == 0.0
 
     def test_deterministic_given_seed(self, reduced_profile):
         demod = classical_demodulator(reduced_profile)
-        a = sweep_ser(demod, reduced_profile, [-12.0, -10.0], 400, seed=8)
-        b = sweep_ser(demod, reduced_profile, [-12.0, -10.0], 400, seed=8)
+        a = sweep_ber(demod, reduced_profile, [-12.0, -10.0], 400, seed=8)
+        b = sweep_ber(demod, reduced_profile, [-12.0, -10.0], 400, seed=8)
         assert [(r.snr_db, r.ser) for r in a] == [(r.snr_db, r.ser) for r in b]
 
     def test_ser_strictly_decreases_with_snr(self, reduced_profile):
@@ -134,14 +133,14 @@ class TestSweeps:
         # points with SER above 1e-3.
         demod = classical_demodulator(reduced_profile)
         snrs = [esn0_to_snr(reduced_profile, e) for e in (0.0, 5.0, 10.0)]
-        rows = sweep_ser(demod, reduced_profile, snrs, 50_000, seed=12)
+        rows = sweep_ber(demod, reduced_profile, snrs, 50_000, seed=12)
         assert all(r.ser > 1e-3 for r in rows)
         assert rows[0].ser > rows[1].ser > rows[2].ser
 
     def test_classical_tracks_theory(self, reduced_profile):
         demod = classical_demodulator(reduced_profile)
         esn0 = 8.0
-        rows = sweep_ser(demod, reduced_profile, [esn0_to_snr(reduced_profile, esn0)],
+        rows = sweep_ber(demod, reduced_profile, [esn0_to_snr(reduced_profile, esn0)],
                          20_000, seed=5)
         theory = ser_noncoherent_mfsk(8, esn0)
         assert abs(rows[0].ser - theory) < 4 * rows[0].stderr
@@ -177,13 +176,13 @@ class TestSweeps:
     def test_invalid_count_rejected(self, reduced_profile):
         demod = classical_demodulator(reduced_profile)
         with pytest.raises(ValueError, match="n_per_point"):
-            sweep_ser(demod, reduced_profile, [-10.0], 0, seed=1)
+            sweep_ber(demod, reduced_profile, [-10.0], 0, seed=1)
 
 
 class TestCsvOutput:
     def test_ser_schema(self, reduced_profile):
         demod = classical_demodulator(reduced_profile)
-        rows = sweep_ser(demod, reduced_profile, [-12.0], 50, seed=1)
+        rows = sweep_ber(demod, reduced_profile, [-12.0], 50, seed=1)
         buffer = io.StringIO()
         write_ser_csv(rows, buffer)
         lines = buffer.getvalue().strip().split("\n")

@@ -17,6 +17,7 @@ from mfskmodem.signal import (
     synthesize_frame,
     synthesize_symbol,
     tone_frequency,
+    tone_windows,
 )
 
 
@@ -85,6 +86,22 @@ class TestSynthesizeSymbol:
             synthesize_symbol(full_profile, 0, amplitude=-1.0)
 
 
+class TestToneWindows:
+    @pytest.mark.parametrize("profile", ["full_profile", "reduced_profile"])
+    def test_rows_equal_the_formula_bitwise(self, profile, rng, request):
+        # Each row, whatever the batch, is bit for bit sin(2*pi*b*n/N + phi)
+        # evaluated for that window alone.
+        profile = request.getfixturevalue(profile)
+        n = profile.symbol_len
+        bins = profile.sync_bin + profile.tone_offset + rng.integers(0, profile.tone_count, 64)
+        phases = rng.uniform(0.0, 2.0 * np.pi, 64)
+        windows = tone_windows(profile, bins, phases)
+        assert windows.shape == (64, n) and windows.dtype == np.float64
+        for row, b, phase in zip(windows, bins, phases):
+            expected = np.sin(2.0 * np.pi * int(b) * np.arange(n) / n + phase)
+            assert row.tobytes() == expected.tobytes()
+
+
 class TestOrthogonality:
     def test_reduced_profile_exhaustive(self, reduced_profile):
         tones = [SYNC, *range(reduced_profile.tone_count)]
@@ -127,6 +144,12 @@ class TestApplyAwgn:
         w = synthesize_symbol(full_profile, 0)
         with pytest.raises(ValueError, match="finite"):
             apply_awgn(w, float("nan"), 2500.0, rng)
+
+    @pytest.mark.parametrize("snr_db", [4000.0, -1e39])
+    def test_unrepresentable_variance_rejected(self, snr_db):
+        # 10**(snr/10) overflows at +4000 dB and underflows to 0 at -1e39 dB.
+        with pytest.raises(ValueError, match="noise variance"):
+            noise_variance(0.5, snr_db, 11025.0, 2500.0)
 
 
 class TestMeasureSnr:

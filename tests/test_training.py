@@ -210,11 +210,11 @@ class TestPredict:
             assert probs.sum() == pytest.approx(1.0, abs=1e-6)
 
     def test_trained_model_sweeps_clean_at_high_snr(self, overfit_run):
-        from mfskmodem.evaluate import sweep_ser
+        from mfskmodem.evaluate import sweep_ber
         from mfskmodem.nn import model_demodulator
 
         _, _, state, _ = overfit_run
-        rows = sweep_ser(model_demodulator(state), OVERFIT_PROFILE, [30.0],
+        rows = sweep_ber(model_demodulator(state), OVERFIT_PROFILE, [30.0],
                          1000, seed=6)
         assert rows[0].ser <= 0.01
 

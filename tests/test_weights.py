@@ -4,8 +4,11 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mfskmodem.errors import (
+    FileFormatError,
     InconsistencyError,
     MagicError,
     ShapeError,
@@ -22,6 +25,12 @@ def saved_bytes(state) -> bytes:
     buffer = io.BytesIO()
     save_weights(state, buffer)
     return buffer.getvalue()
+
+
+# So small that headers, names and dims are a third of the file's bytes.
+MICRO_BLOB = saved_bytes(build_model(
+    ModelConfig(input_len=4, conv_filters=2, conv_kernel=2, hidden_units=2, classes=2),
+    seed=0))
 
 
 class TestRoundTrip:
@@ -89,3 +98,21 @@ class TestLoadErrors:
         blob = saved_bytes(build_model(TINY, seed=0))
         with pytest.raises(ShapeError, match="output.bias"):
             load_weights(io.BytesIO(blob.replace(b"output.bias", b"outputXbias")))
+
+    @settings(max_examples=400, derandomize=True, database=None, deadline=None)
+    @given(edits=st.lists(st.tuples(st.integers(0, len(MICRO_BLOB) - 1),
+                                    st.integers(0, 255)), max_size=3),
+           keep=st.one_of(st.none(), st.integers(0, len(MICRO_BLOB) - 1)))
+    def test_mutation_fails_cleanly_or_round_trips(self, edits, keep):
+        # Up to three overwritten bytes, optionally truncated: the reader
+        # raises only FileFormatError, or what it loads saves back to the
+        # same bytes.
+        blob = bytearray(MICRO_BLOB)
+        for position, value in edits:
+            blob[position] = value
+        blob = bytes(blob[:keep])
+        try:
+            state = load_weights(io.BytesIO(blob))
+        except FileFormatError:
+            return
+        assert saved_bytes(state) == blob
