@@ -132,19 +132,30 @@ def _sha256(path: str) -> str:
 
 
 def _cmd_synth(args) -> int:
+    import numpy as np
+
     from . import dataset as ds
 
     profile = _profile(args)
     seed = _resolve_seed(args)
     spec = ds.DatasetSpec(profile.modem, args.count, args.snr, seed,
                           include_sync=args.include_sync)
-    with open(args.out, "wb") as handle:
-        ds.write_header(handle, int(round(profile.modem.sample_rate_hz)),
-                        profile.modem.symbol_len, profile.modem.tone_count,
-                        spec.include_sync, spec.count)
-        for i in range(spec.count):
-            ds.write_record(handle, profile.modem.symbol_len,
-                            ds.generate_record(spec, i))
+    handle = open(args.out, "wb")
+    try:
+        with handle, np.errstate(over="ignore"):
+            ds.write_header(handle, int(round(profile.modem.sample_rate_hz)),
+                            profile.modem.symbol_len, profile.modem.tone_count,
+                            spec.include_sync, spec.count)
+            for i in range(spec.count):
+                record = ds.generate_record(spec, i)
+                # Noise beyond float32's range is stored as inf.
+                if not np.isfinite(record.samples).all():
+                    raise ValueError(f"record {i} at SNR {record.snr_db:g} dB has a "
+                                     "sample outside the float32 range")
+                ds.write_record(handle, profile.modem.symbol_len, record)
+    except BaseException:
+        os.remove(args.out)
+        raise
     print(f"records={spec.count} sha256={_sha256(args.out)}")
     return 0
 

@@ -12,7 +12,7 @@ File layout (all integers little-endian):
     sample rate   u32      integer Hz
     symbol len    u32
     tone count    u16
-    flags         u16      bit 0: file may contain sync records
+    flags         u16      bit 0: file may contain sync records; bits 1-15 zero
     record count  u64
     per record:
         snr_db    f32
@@ -186,8 +186,9 @@ def read(source) -> Dataset:
     """Read a dataset file fully into memory; records are a read-only view.
 
     Raises MagicError, VersionError, TruncationError, or InconsistencyError
-    depending on how the file is malformed, including a label that is neither
-    a data tone nor a sync record the header allows, and a non-finite sample.
+    depending on how the file is malformed, including a header flag other
+    than bit 0, a label that is neither a data tone nor a sync record the
+    header allows, and a non-finite sample.
     """
     if hasattr(source, "read"):
         data = source.read()
@@ -204,6 +205,8 @@ def read(source) -> Dataset:
     offset += _HEADER.size
     if version != VERSION:
         raise VersionError(f"unsupported dataset version {version}")
+    if flags & ~1:
+        raise InconsistencyError(f"header flags 0x{flags:04x} set bits other than bit 0")
 
     record_bytes = 8 + 4 * symbol_len  # record_dtype(symbol_len).itemsize
     if record_bytes >= 2**31:  # numpy's limit on one record

@@ -13,11 +13,15 @@ Layer sequence (fixed):
 
 Batch norm normalizes over the trailing (channel/feature) axis with
 eps = 1e-3 and running-statistic momentum 0.99.  Training mode uses batch
-statistics and refreshes the running ones; inference mode is a pure affine
-map through the stored running statistics, folded into the neighbouring
-layers (Jacob et al. 2018, section 3.2).  The conv is one im2col GEMM
-(Chellapilla et al. 2006) in both modes.  Cross-entropy clamps
-probabilities at 1e-12 so the loss stays finite.
+statistics and refreshes the running ones; the conv is one im2col GEMM
+(Chellapilla et al. 2006).  Inference mode normalizes through the stored
+running statistics, so everything before the ReLU (input norm, linear conv,
+conv norm, flatten, dense) is one affine map of the input: batch-norm
+folding (Jacob et al. 2018, section 3.2) carried through the conv and the
+dense layer.  forward() folds that prefix into an (N, H) matrix, and the
+hidden norm into the output layer, once per state: two small GEMMs per
+call.  Cross-entropy clamps probabilities at 1e-12 so the loss stays
+finite.
 
 Parameters live in a flat name -> array dict (see PARAM_LAYOUT); training
 runs in float32, gradient checking rebuilds the same graph in float64.
@@ -32,9 +36,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 BN_EPS = 1e-3
 BN_MOMENTUM = 0.99
 PROB_FLOOR = 1e-12
-# forward() runs a batch in row blocks whose (rows, N, F) conv activation
-# stays within this many bytes.
-FORWARD_BLOCK_BYTES = 256 * 2**20
 
 
 @dataclass(frozen=True)
@@ -92,6 +93,9 @@ class ModelState:
     config: ModelConfig
     dtype: np.dtype
     tensors: dict = field(default_factory=dict)
+    # forward()'s folded maps and the tensors they were folded from; see
+    # _inference_maps.
+    _inference: tuple = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def trainable_names(self):
@@ -165,10 +169,11 @@ def _bn_train(x, gamma, beta):
 
 
 def _bn_fold(tensors, prefix):
-    """Inference batch norm ``prefix`` as the affine map x * scale + shift."""
-    var = tensors[prefix + ".var"]
-    scale = tensors[prefix + ".gamma"] / np.sqrt(var + np.asarray(BN_EPS, dtype=var.dtype))
-    return scale, tensors[prefix + ".beta"] - tensors[prefix + ".mean"] * scale
+    """Inference batch norm ``prefix`` as the float64 affine map x * scale + shift."""
+    gamma, beta, mean, var = (tensors[f"{prefix}.{part}"].astype(np.float64)
+                              for part in ("gamma", "beta", "mean", "var"))
+    scale = gamma / np.sqrt(var + BN_EPS)
+    return scale, beta - mean * scale
 
 
 def _bn_backward(dy, gamma, cache):
@@ -249,37 +254,90 @@ def _check_batch(config: ModelConfig, batch):
 def forward(state: ModelState, batch: np.ndarray) -> np.ndarray:
     """Inference-mode class probabilities, shape (B, classes).
 
-    Pure: normalizes through the stored running statistics and never
-    mutates the state.  Each batch norm is folded into an affine map from
-    those statistics on every call: the input norm scales the raw samples
-    before the conv's zero padding, the conv norm is folded into the conv
-    kernel and bias, and the hidden norm is applied as x * scale + shift.
-    Rows run in blocks whose (rows, N, F) conv activation fits in
-    FORWARD_BLOCK_BYTES, so memory stays bounded for any batch size.
+    Normalizes through the stored running statistics and never changes a
+    tensor's values: the result is softmax(relu(x @ A + a) @ B + c) with the
+    maps of _inference_maps, whose first call on a state folds them and
+    makes the tensors read-only.  Memory is (B, N) + (B, H) for any batch.
     """
-    cfg = state.config
-    t = state.tensors
-    batch = _check_batch(cfg, batch)
+    batch = _check_batch(state.config, batch)
+    in_map, in_bias, out_map, out_bias = _inference_maps(state)
+    hidden = np.asarray(batch, dtype=state.dtype) @ in_map
+    hidden += in_bias
+    np.maximum(hidden, 0, out=hidden)
+    return _softmax(hidden @ out_map + out_bias)
+
+
+def _inference_maps(state: ModelState):
+    """(A, a, B, c) with forward(x) = softmax(relu(x @ A + a) @ B + c).
+
+    Folded on first use and cached on the state.  Folding makes every
+    tensor read-only, and the cache serves only while each
+    ``state.tensors[name]`` is the array it was folded from and is still
+    read-only: an in-place write raises instead of leaving a stale fold,
+    and a replaced array is refolded.  _writable() undoes both.  Two
+    threads that call forward on a fresh state may each fold, with the
+    same result.
+    """
+    cached = state._inference
+    if cached is not None:
+        arrays, maps = cached
+        if all(state.tensors.get(name) is tensor and not tensor.flags.writeable
+               for name, tensor in arrays.items()):
+            return maps
+    _writable(state)
+    arrays = dict(state.tensors)
+    for tensor in arrays.values():
+        tensor.flags.writeable = False
+    maps = _fold(state.config, arrays, state.dtype)
+    state._inference = (arrays, maps)
+    return maps
+
+
+def _writable(state: ModelState):
+    """Drop the inference cache and make the folded tensors writeable again."""
+    if state._inference is None:
+        return
+    arrays, _ = state._inference
+    state._inference = None
+    for tensor in arrays.values():
+        try:
+            tensor.flags.writeable = True
+        except ValueError:  # a view of read-only memory stays read-only
+            pass
+
+
+def _fold(config: ModelConfig, t, dtype):
+    """The inference maps of _inference_maps, accumulated in float64.
+
+    With the conv norm folded into the kernel (K, F) and bias (F,), tap j
+    of the filters meets the dense rows of conv position i in
+    G[i, j] = kernel[j] @ hidden.weight[i*F:(i+1)*F]; input sample m reaches
+    position i = m - j + left, so its dense row is W_eff[m] = sum_j
+    G[m - j + left, j].  The padded zeros come after the input norm, so its
+    shift only meets the rows of real samples.  hidden.weight is read in
+    place, never copied.
+    """
+    n, f, k, h = config.input_len, config.conv_filters, config.conv_kernel, config.hidden_units
+    left, _ = _conv_pad(config)
     in_scale, in_shift = _bn_fold(t, "input_norm")
     conv_scale, conv_shift = _bn_fold(t, "conv_norm")
-    kernel = t["conv.kernel"] * conv_scale
-    bias = t["conv.bias"] * conv_scale + conv_shift
     hidden_scale, hidden_shift = _bn_fold(t, "hidden_norm")
 
-    rows = max(1, FORWARD_BLOCK_BYTES // (cfg.flat_features * state.dtype.itemsize))
-    probs = np.empty((batch.shape[0], cfg.classes), dtype=state.dtype)
-    for lo in range(0, batch.shape[0], rows):
-        x = batch[lo : lo + rows].astype(state.dtype)
-        x *= in_scale
-        x += in_shift
-        x = _conv_forward(x[:, :, None], kernel, bias, cfg)[0]
-        x = x.reshape(x.shape[0], cfg.flat_features) @ t["hidden.weight"]
-        x += t["hidden.bias"]
-        np.maximum(x, 0, out=x)
-        x *= hidden_scale
-        x += hidden_shift
-        probs[lo : lo + rows] = _softmax(x @ t["output.weight"] + t["output.bias"])
-    return probs
+    # The conv bias rides along as tap K: G[:, K] is its push through the dense layer.
+    taps = np.vstack([t["conv.kernel"][:, 0, :] * conv_scale,
+                      t["conv.bias"] * conv_scale + conv_shift])
+    g = np.matmul(taps.astype(dtype), t["hidden.weight"].reshape(n, f, h))
+    w_eff = np.zeros((n, h))
+    for j in range(k):
+        lo, hi = max(0, left - j), min(n, n + left - j)
+        w_eff[lo + j - left : hi + j - left] += g[lo:hi, j]
+    in_map = in_scale * w_eff
+    in_bias = (in_shift * w_eff.sum(axis=0) + g[:, k].sum(axis=0, dtype=np.float64)
+               + t["hidden.bias"])
+    out_weight = t["output.weight"].astype(np.float64)
+    out_map = hidden_scale[:, None] * out_weight
+    out_bias = hidden_shift @ out_weight + t["output.bias"]
+    return tuple(m.astype(dtype) for m in (in_map, in_bias, out_map, out_bias))
 
 
 def forward_train(state: ModelState, batch: np.ndarray, update_running: bool = True):
@@ -290,6 +348,8 @@ def forward_train(state: ModelState, batch: np.ndarray, update_running: bool = T
     BN_MOMENTUM (gradient checking turns this off to keep the probe loss a
     pure function of the parameters).
     """
+    if update_running:
+        _writable(state)
     cfg = state.config
     t = state.tensors
     x0 = _check_batch(cfg, batch).astype(state.dtype)[:, :, None]

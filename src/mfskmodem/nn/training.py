@@ -5,7 +5,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import ModelConfig, ModelState, backward, build_model, forward, forward_train, loss_ce
+from .model import (ModelConfig, ModelState, _writable, backward, build_model, forward,
+                    forward_train, loss_ce)
 
 # Default architecture for gradient checking: small enough that central
 # differences over every layer type run in seconds, in float64.
@@ -65,6 +66,7 @@ def adam_step(state: ModelState, adam: AdamState, grads: dict, cfg: TrainConfig)
     Works through ``out=`` ufuncs with one scratch array per tensor:
     p -= lr * (m / c1) / (sqrt(v / c2) + eps).
     """
+    _writable(state)
     adam.step += 1
     t = adam.step
     correction1 = 1.0 - cfg.beta1**t

@@ -67,6 +67,34 @@ class TestSynth:
         assert "unknown profile" in err
 
 
+    def test_float32_overflow_is_refused_without_a_file(self, tmp_path, capsys):
+        out_file = tmp_path / "inf.dset"
+        code, out, err = run(capsys, "synth", "--profile", "reduced-m8", "--count", "3",
+                             "--snr", "-800", "--seed", "1", "--out", str(out_file))
+        assert code == 1
+        assert out == ""
+        assert err == "error: record 0 at SNR -800 dB has a sample outside the float32 range\n"
+        assert not out_file.exists()
+
+    def test_overflow_late_in_the_range_names_its_record(self, tmp_path, capsys):
+        # Samples pass float32's range near -765 dB; seed 5 draws ten
+        # records above that before one below it.
+        code, _, err = run(capsys, "synth", "--profile", "reduced-m8", "--count", "40",
+                           "--snr", "-770..-740", "--seed", "5", "--out", str(tmp_path / "r.dset"))
+        assert code == 1
+        assert err == ("error: record 10 at SNR -764.681 dB has a sample outside "
+                       "the float32 range\n")
+        assert not (tmp_path / "r.dset").exists()
+
+    def test_failed_run_leaves_no_partial_file(self, tmp_path, capsys):
+        out_file = tmp_path / "partial.dset"
+        code, _, err = run(capsys, "synth", "--profile", "reduced-m8", "--count", "3",
+                           "--snr", "4000", "--seed", "1", "--out", str(out_file))
+        assert code == 1
+        assert "noise variance" in err
+        assert not out_file.exists()
+
+
 class TestAnalyze:
     def test_noiseless_tone_has_single_dominant_bin(self, tmp_path, capsys):
         prefix = str(tmp_path / "tone")

@@ -187,6 +187,14 @@ class TestFileFormat:
         with pytest.raises(InconsistencyError, match="trailing"):
             read(io.BytesIO(blob + b"\x00"))
 
+    @pytest.mark.parametrize("flags", [0x0002, 0x8000, 0xFFFF])
+    def test_flag_bits_beyond_bit_0_inconsistent(self, reduced_spec, flags):
+        blob = bytearray(written_bytes(generate(
+            DatasetSpec(reduced_spec.profile, 2, (-9.0, -9.0), seed=5))))
+        blob[22:24] = flags.to_bytes(2, "little")
+        with pytest.raises(InconsistencyError, match=f"flags 0x{flags:04x}"):
+            read(io.BytesIO(bytes(blob)))
+
     @staticmethod
     def mutated(spec, field, value):
         """A file of ``spec`` whose record 1 has ``field`` overwritten."""

@@ -9,7 +9,6 @@ import pytest
 from mfskmodem.nn import ModelConfig, build_model, forward, forward_train, loss_ce, parameter_counts
 from mfskmodem.nn.model import (
     BN_EPS,
-    FORWARD_BLOCK_BYTES,
     _bn_backward,
     _bn_train,
     _conv_backward,
@@ -382,20 +381,58 @@ class TestFoldedForward:
                                    atol=self.ATOL)
 
 
-class TestBlockedForward:
-    def test_block_is_128_rows_on_the_full_profile(self):
-        assert FORWARD_BLOCK_BYTES // (FULL.flat_features * 4) == 128
-
-    def test_oversized_batch_stays_within_one_block_of_memory(self, full_state):
+class TestForwardMemory:
+    def test_fold_and_oversized_batch_stay_small(self, full_state):
+        # Unfolded, the (300, 4096, 128) float32 conv activation alone is
+        # 629 MB; the fold holds a (4096, 17, 64) float32 array, and the
+        # forward itself only (300, 4096) inputs and (300, 64) activations.
+        state = full_state.copy()
         batch = noisy_tones(FULL, 300, seed=11).astype(np.float32)
         tracemalloc.start()
         try:
-            probs = forward(full_state, batch)
+            probs = forward(state, batch)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # Unblocked, the (300, 4096, 128) float32 conv activation alone is
-        # 629 MB; one 128-row block's is 256 MB plus its im2col columns.
-        assert peak < FORWARD_BLOCK_BYTES + 64 * 2**20
-        np.testing.assert_allclose(probs[128:256], forward(full_state, batch[128:256]),
+        assert peak < 64 * 2**20
+        np.testing.assert_allclose(probs[128:256], forward(state, batch[128:256]),
                                    rtol=0, atol=1e-6)
+
+
+class TestFoldCache:
+    # Training after a forward is covered in test_training.TestFoldCacheAfterTraining.
+
+    def test_running_statistics_update_after_forward_refolds(self, rng):
+        state = build_model(TINY, seed=3)
+        batch = 3.0 * rng.standard_normal((6, 64)) + 1.0
+        before = forward(state, batch)
+        forward_train(state, batch, update_running=True)
+        after = forward(state, batch)
+        assert not np.array_equal(after, before)
+        assert np.array_equal(after, forward(state.copy(), batch))
+
+    def test_in_place_write_to_a_folded_state_raises(self, rng):
+        state = build_model(TINY, seed=3)
+        forward(state, rng.standard_normal((2, 64)))
+        with pytest.raises(ValueError, match="read-only"):
+            state.tensors["hidden.bias"] += 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            state.tensors["conv_norm.var"][0] = 2.0
+
+    def test_replaced_tensor_is_refolded(self, rng):
+        state = build_model(TINY, seed=3)
+        batch = rng.standard_normal((4, 64))
+        before = forward(state, batch)
+        state.tensors["output.bias"] = np.array([0.0, 0.0, 9.0, 0.0], dtype=np.float32)
+        after = forward(state, batch)
+        assert np.all(np.argmax(after, axis=1) == 2)
+        assert not np.array_equal(after, before)
+        assert np.array_equal(after, forward(state.copy(), batch))
+
+    def test_copy_of_a_folded_state_is_writeable_and_unfolded(self, rng):
+        state = build_model(TINY, seed=3)
+        forward(state, rng.standard_normal((2, 64)))
+        clone = state.copy()
+        assert clone._inference is None
+        assert all(tensor.flags.writeable for tensor in clone.tensors.values())
+        clone.tensors["hidden.bias"] += 1.0

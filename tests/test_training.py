@@ -1,5 +1,8 @@
 """Tests for Adam, the training loop, gradient checking, and prediction."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -165,6 +168,57 @@ class TestGradCheck:
                 analytic = grads[name].reshape(-1)[idx]
                 worst = max(worst, abs(analytic - fd) / max(abs(analytic), abs(fd), 1e-6))
         assert worst < 1e-6
+
+
+class TestFoldCacheAfterTraining:
+    # forward() folds and caches inference maps; an update must not leave
+    # a stale fold behind.
+
+    def test_training_after_forward_serves_no_stale_fold(self, rng):
+        state = build_model(TINY, seed=3)
+        batch = rng.standard_normal((6, 64))
+        labels = rng.integers(0, TINY.classes, 6)
+        forward(state, batch)
+        train_step(state, adam_init(state), batch, labels, TrainConfig(learning_rate=0.05))
+        assert np.array_equal(forward(state, batch), forward(state.copy(), batch))
+
+    def test_adam_step_after_forward_refolds(self, rng):
+        state = build_model(TINY, seed=3)
+        batch = rng.standard_normal((6, 64))
+        before = forward(state, batch)
+        grads = {n: np.ones_like(state.tensors[n]) for n in state.trainable_names}
+        adam_step(state, adam_init(state), grads, TrainConfig(learning_rate=0.05))
+        after = forward(state, batch)
+        assert not np.array_equal(after, before)
+        assert np.array_equal(after, forward(state.copy(), batch))
+
+    def test_concurrent_first_forwards_fold_alike_and_leave_a_trainable_state(self, rng):
+        state = build_model(TINY, seed=4)
+        batch = rng.standard_normal((6, 64))
+        want = forward(state.copy(), batch)
+        start = threading.Barrier(8)
+        results = [None] * 8
+
+        def call(i):
+            start.wait(timeout=10)
+            results[i] = forward(state, batch)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=call, args=(i,)) for i in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for probs in results:
+            assert np.array_equal(probs, want)
+        grads = {n: np.ones_like(state.tensors[n]) for n in state.trainable_names}
+        adam_step(state, adam_init(state), grads, TrainConfig())
+        assert np.array_equal(forward(state, batch), forward(state.copy(), batch))
 
 
 class TestTrain:
