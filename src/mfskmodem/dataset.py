@@ -120,14 +120,21 @@ def generate(spec: DatasetSpec) -> Dataset:
 
 def _generate(spec: DatasetSpec, indices) -> np.recarray:
     records = np.recarray(len(indices), record_dtype(spec.profile.symbol_len))
-    for row, index in enumerate(indices):
-        rng = _record_rng(spec, index)
-        label, phase, snr_db = _draw(spec, rng)
-        tone = SYNC if label == SYNC_LABEL else label
-        clean = synthesize_symbol(spec.profile, tone, phase)
-        noisy = apply_awgn(clean, snr_db, spec.profile.ref_bandwidth_hz, rng,
-                           signal_power=0.5)
-        records[row] = (snr_db, label, 0, noisy.samples)
+    with np.errstate(over="ignore", invalid="ignore"):  # ±inf samples are refused below
+        for row, index in enumerate(indices):
+            rng = _record_rng(spec, index)
+            label, phase, snr_db = _draw(spec, rng)
+            tone = SYNC if label == SYNC_LABEL else label
+            clean = synthesize_symbol(spec.profile, tone, phase)
+            noisy = apply_awgn(clean, snr_db, spec.profile.ref_bandwidth_hz, rng,
+                               signal_power=0.5)
+            records[row] = (snr_db, label, 0, noisy.samples)
+        # A float64 sum of float32 samples is finite unless a sample is NaN or inf.
+        finite = np.isfinite(records["samples"].sum(axis=1, dtype=np.float64))
+    if not finite.all():
+        row = np.argmin(finite)
+        raise ValueError(f"record {indices[row]} at SNR {records.snr_db[row]:g} dB has a "
+                         "sample outside the float32 range")
     return records
 
 

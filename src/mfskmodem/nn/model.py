@@ -23,12 +23,15 @@ hidden norm into the output layer, once per state: two small GEMMs per
 call.  Cross-entropy clamps probabilities at 1e-12 so the loss stays
 finite.
 
-Parameters live in a flat name -> array dict (see PARAM_LAYOUT); training
-runs in float32, gradient checking rebuilds the same graph in float64.
+Parameters and running statistics share one arena per state, laid out by
+param_layout (trainables first, then the statistics); state.tensors holds
+read-only name -> array views of it.  Training runs in float32, gradient
+checking rebuilds the same graph in float64.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -86,16 +89,33 @@ def param_layout(config: ModelConfig):
     ]
 
 
-@dataclass
 class ModelState:
-    """Every trainable parameter and batch-norm running statistic."""
+    """Every trainable parameter and batch-norm running statistic, in one arena.
 
-    config: ModelConfig
-    dtype: np.dtype
-    tensors: dict = field(default_factory=dict)
-    # forward()'s folded maps and the tensors they were folded from; see
-    # _inference_maps.
-    _inference: tuple = field(default=None, init=False, repr=False, compare=False)
+    The arena is zeroed at construction and holds the trainable tensors in
+    param_layout order, then the statistics.  ``tensors`` maps each name to
+    a read-only view of it, so an in-place write raises ValueError and
+    assigning ``tensors[name] = x`` raises TypeError.  The library writes
+    only through _mutable(), which also drops forward()'s folded maps.
+    Setting a view's ``writeable`` flag by hand works, because the arena is
+    writeable, but bypasses that and may serve a stale fold.
+    Training and inference on one state at the same time are unsupported.
+    """
+
+    def __init__(self, config: ModelConfig, dtype):
+        self.config = config
+        self.dtype = np.dtype(dtype)
+        layout = sorted(param_layout(config), key=lambda entry: not entry[2])
+        sizes = [math.prod(shape) for _, shape, _ in layout]
+        self._arena = np.zeros(sum(sizes), self.dtype)
+        chunks = np.split(self._arena, np.cumsum(sizes)[:-1])
+        self._views = {name: chunk.reshape(shape)
+                       for (name, shape, _), chunk in zip(layout, chunks)}
+        self.tensors = MappingProxyType({name: view.view() for name, view in self._views.items()})
+        for view in self.tensors.values():
+            view.flags.writeable = False
+        # forward()'s folded maps; see _inference_maps.
+        self._inference = None
 
     @property
     def trainable_names(self):
@@ -106,13 +126,18 @@ class ModelState:
         return [name for name, _, trainable in param_layout(self.config) if not trainable]
 
     def copy(self) -> "ModelState":
-        return ModelState(self.config, self.dtype,
-                          {k: v.copy() for k, v in self.tensors.items()})
+        return self.astype(self.dtype)
 
     def astype(self, dtype) -> "ModelState":
-        dtype = np.dtype(dtype)
-        return ModelState(self.config, dtype,
-                          {k: v.astype(dtype) for k, v in self.tensors.items()})
+        clone = ModelState(self.config, dtype)
+        clone._arena[...] = self._arena
+        return clone
+
+
+def _mutable(state: ModelState):
+    """The state's writeable tensors; drops forward()'s folded maps."""
+    state._inference = None
+    return state._views
 
 
 def parameter_counts(state: ModelState):
@@ -127,19 +152,18 @@ def build_model(config: ModelConfig, seed: int, dtype=np.float32) -> ModelState:
 
     Deterministic for a given seed; tensors are drawn in layout order.
     """
-    dtype = np.dtype(dtype)
+    state = ModelState(config, dtype)
+    tensors = _mutable(state)
     rng = np.random.default_rng(seed)
-    tensors = {}
     for name, shape, _ in param_layout(config):
         if name.endswith(".weight") or name == "conv.kernel":
             fan_in, fan_out = _fans(name, shape)
             limit = math.sqrt(6.0 / (fan_in + fan_out))
-            tensors[name] = rng.uniform(-limit, limit, size=shape).astype(dtype)
-        elif name.endswith(".gamma") or name.endswith(".var"):
-            tensors[name] = np.ones(shape, dtype=dtype)
-        else:  # biases, beta, running means
-            tensors[name] = np.zeros(shape, dtype=dtype)
-    return ModelState(config, dtype, tensors)
+            tensors[name][...] = rng.uniform(-limit, limit, size=shape)
+        elif name.endswith((".gamma", ".var")):
+            tensors[name][...] = 1
+        # biases, beta and running means stay zero
+    return state
 
 
 def _fans(name, shape):
@@ -256,8 +280,8 @@ def forward(state: ModelState, batch: np.ndarray) -> np.ndarray:
 
     Normalizes through the stored running statistics and never changes a
     tensor's values: the result is softmax(relu(x @ A + a) @ B + c) with the
-    maps of _inference_maps, whose first call on a state folds them and
-    makes the tensors read-only.  Memory is (B, N) + (B, H) for any batch.
+    maps of _inference_maps, whose first call on a state folds them.
+    Memory is (B, N) + (B, H) for any batch.
     """
     batch = _check_batch(state.config, batch)
     in_map, in_bias, out_map, out_bias = _inference_maps(state)
@@ -270,40 +294,14 @@ def forward(state: ModelState, batch: np.ndarray) -> np.ndarray:
 def _inference_maps(state: ModelState):
     """(A, a, B, c) with forward(x) = softmax(relu(x @ A + a) @ B + c).
 
-    Folded on first use and cached on the state.  Folding makes every
-    tensor read-only, and the cache serves only while each
-    ``state.tensors[name]`` is the array it was folded from and is still
-    read-only: an in-place write raises instead of leaving a stale fold,
-    and a replaced array is refolded.  _writable() undoes both.  Two
-    threads that call forward on a fresh state may each fold, with the
-    same result.
+    Folded on first use and cached on the state until _mutable() drops the
+    cache.  Two threads that call forward on a fresh state may each fold,
+    with the same result.
     """
-    cached = state._inference
-    if cached is not None:
-        arrays, maps = cached
-        if all(state.tensors.get(name) is tensor and not tensor.flags.writeable
-               for name, tensor in arrays.items()):
-            return maps
-    _writable(state)
-    arrays = dict(state.tensors)
-    for tensor in arrays.values():
-        tensor.flags.writeable = False
-    maps = _fold(state.config, arrays, state.dtype)
-    state._inference = (arrays, maps)
+    maps = state._inference
+    if maps is None:
+        maps = state._inference = _fold(state.config, state.tensors, state.dtype)
     return maps
-
-
-def _writable(state: ModelState):
-    """Drop the inference cache and make the folded tensors writeable again."""
-    if state._inference is None:
-        return
-    arrays, _ = state._inference
-    state._inference = None
-    for tensor in arrays.values():
-        try:
-            tensor.flags.writeable = True
-        except ValueError:  # a view of read-only memory stays read-only
-            pass
 
 
 def _fold(config: ModelConfig, t, dtype):
@@ -348,10 +346,8 @@ def forward_train(state: ModelState, batch: np.ndarray, update_running: bool = T
     BN_MOMENTUM (gradient checking turns this off to keep the probe loss a
     pure function of the parameters).
     """
-    if update_running:
-        _writable(state)
     cfg = state.config
-    t = state.tensors
+    t = _mutable(state) if update_running else state.tensors
     x0 = _check_batch(cfg, batch).astype(state.dtype)[:, :, None]
     cache = {"batch_size": x0.shape[0]}
 

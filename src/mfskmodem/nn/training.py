@@ -5,7 +5,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import (ModelConfig, ModelState, _writable, backward, build_model, forward,
+from .model import (ModelConfig, ModelState, _mutable, backward, build_model, forward,
                     forward_train, loss_ce)
 
 # Default architecture for gradient checking: small enough that central
@@ -66,7 +66,7 @@ def adam_step(state: ModelState, adam: AdamState, grads: dict, cfg: TrainConfig)
     Works through ``out=`` ufuncs with one scratch array per tensor:
     p -= lr * (m / c1) / (sqrt(v / c2) + eps).
     """
-    _writable(state)
+    params = _mutable(state)
     adam.step += 1
     t = adam.step
     correction1 = 1.0 - cfg.beta1**t
@@ -87,7 +87,7 @@ def adam_step(state: ModelState, adam: AdamState, grads: dict, cfg: TrainConfig)
         scratch += cfg.epsilon
         np.divide(m, scratch, out=scratch)
         scratch *= cfg.learning_rate / correction1
-        state.tensors[name] -= scratch
+        params[name] -= scratch
 
 
 def train_step(state: ModelState, adam: AdamState, batch, labels, cfg: TrainConfig):
@@ -191,9 +191,9 @@ def grad_check(config: ModelConfig = GRAD_CHECK_CONFIG, seed: int = 0,
         return loss_ce(p, labels)
 
     worst = 0.0
+    params = _mutable(state)
     for name in state.trainable_names:
-        tensor = state.tensors[name]
-        flat = tensor.reshape(-1)
+        flat = params[name].reshape(-1)
         n_probe = min(n_params_sampled, flat.size)
         for idx in rng.choice(flat.size, size=n_probe, replace=False):
             original = flat[idx]

@@ -24,7 +24,7 @@ import struct
 import numpy as np
 
 from ..errors import InconsistencyError, MagicError, ShapeError, TruncationError, VersionError
-from .model import ModelConfig, ModelState, param_layout
+from .model import ModelConfig, ModelState, _mutable, param_layout
 
 MAGIC = b"MFSKNN01"
 VERSION = 1
@@ -48,7 +48,7 @@ def _write(state, handle):
     handle.write(struct.pack("<II", VERSION, len(names)))
     tag = _DTYPE_TAGS[np.dtype(state.dtype)]
     for name in names:
-        tensor = np.ascontiguousarray(state.tensors[name])
+        tensor = state.tensors[name]
         encoded = name.encode("utf-8")
         handle.write(struct.pack("<H", len(encoded)))
         handle.write(encoded)
@@ -69,10 +69,10 @@ def load_weights(source) -> ModelState:
     else:
         with open(source, "rb") as handle:
             data = handle.read()
-    return _parse(data)
+    return _parse(memoryview(data))
 
 
-def _parse(data: bytes) -> ModelState:
+def _parse(data: memoryview) -> ModelState:
     if len(data) < len(MAGIC) or data[: len(MAGIC)] != MAGIC:
         raise MagicError(f"not a weights file (expected magic {MAGIC!r})")
     offset = len(MAGIC)
@@ -87,7 +87,7 @@ def _parse(data: bytes) -> ModelState:
         (name_len,) = _unpack("<H", data, offset)
         offset += 2
         try:
-            name = _take(data, offset, name_len).decode("utf-8")
+            name = bytes(_take(data, offset, name_len)).decode("utf-8")
         except UnicodeDecodeError:
             raise InconsistencyError(f"tensor name at byte {offset} is not UTF-8") from None
         offset += name_len
@@ -105,7 +105,7 @@ def _parse(data: bytes) -> ModelState:
         offset += nbytes
         if name in tensors:
             raise InconsistencyError(f"duplicate tensor record {name!r}")
-        tensors[name] = np.frombuffer(raw, dtype=dtype).reshape(dims).copy()
+        tensors[name] = np.frombuffer(raw, dtype=dtype).reshape(dims)
         tags.add(tag)
     if offset != len(data):
         raise InconsistencyError(
@@ -128,8 +128,10 @@ def _parse(data: bytes) -> ModelState:
                 f"tensor {name!r} has shape {tensors[name].shape}, "
                 f"expected {shape} for the stored architecture"
             )
-    dtype = _TAG_DTYPES[tags.pop()] if tags else np.dtype(np.float32)
-    return ModelState(config, dtype, tensors)
+    state = ModelState(config, _TAG_DTYPES[tags.pop()])
+    for name, tensor in _mutable(state).items():
+        tensor[...] = tensors[name]
+    return state
 
 
 def _infer_config(tensors) -> ModelConfig:
@@ -161,7 +163,7 @@ def _infer_config(tensors) -> ModelConfig:
         raise ShapeError(f"stored tensor shapes describe no valid model: {exc}") from None
 
 
-def _take(data: bytes, offset: int, size: int) -> bytes:
+def _take(data: memoryview, offset: int, size: int) -> memoryview:
     if offset + size > len(data):
         raise TruncationError(
             f"file ends at byte {len(data)}, needed {offset + size}"
@@ -169,6 +171,6 @@ def _take(data: bytes, offset: int, size: int) -> bytes:
     return data[offset : offset + size]
 
 
-def _unpack(fmt: str, data: bytes, offset: int):
+def _unpack(fmt: str, data: memoryview, offset: int):
     size = struct.calcsize(fmt)
     return struct.unpack(fmt, _take(data, offset, size))

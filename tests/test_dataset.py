@@ -1,6 +1,7 @@
 """Tests for dataset generation determinism and the binary file format."""
 
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -114,6 +115,21 @@ class TestGenerate:
     def test_index_out_of_range(self, reduced_spec):
         with pytest.raises(ValueError, match="out of range"):
             generate_record(reduced_spec, 96)
+
+    def test_float32_overflow_is_refused(self, reduced_spec):
+        pinned = DatasetSpec(reduced_spec.profile, 3, (-800.0, -800.0), seed=1)
+        # Samples pass float32's range near -765 dB; seed 5 draws ten
+        # records above that before one below it.
+        ranged = DatasetSpec(reduced_spec.profile, 40, (-770.0, -740.0), seed=5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's cast warning stays silent
+            with pytest.raises(ValueError, match="^record 0 at SNR -800 dB has a sample "
+                                                 "outside the float32 range$"):
+                generate(pinned)
+            with pytest.raises(ValueError, match="^record 2 at SNR -800 dB"):
+                generate_record(pinned, 2)
+            with pytest.raises(ValueError, match=r"^record 10 at SNR -764\.681 dB"):
+                generate(ranged)
 
 
 class TestLabelHistogram:

@@ -1,12 +1,22 @@
 """Tests for the CNN architecture: parameter counts, forward pass, loss."""
 
+import io
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from mfskmodem.nn import ModelConfig, build_model, forward, forward_train, loss_ce, parameter_counts
+from mfskmodem.nn import (
+    ModelConfig,
+    build_model,
+    forward,
+    forward_train,
+    load_weights,
+    loss_ce,
+    parameter_counts,
+    save_weights,
+)
 from mfskmodem.nn.model import (
     BN_EPS,
     _bn_backward,
@@ -14,6 +24,7 @@ from mfskmodem.nn.model import (
     _conv_backward,
     _conv_forward,
     _conv_pad,
+    _mutable,
 )
 
 FULL = ModelConfig(input_len=4096, conv_filters=128, conv_kernel=16,
@@ -85,6 +96,14 @@ class TestBuildModel:
         assert np.all(state.tensors["conv_norm.var"] == 1)
         assert np.all(state.tensors["hidden.bias"] == 0)
         assert state.tensors["conv.kernel"].dtype == np.float32
+
+    def test_one_arena_trainables_then_statistics(self):
+        state = build_model(TINY, seed=0)
+        names = state.trainable_names + state.statistic_names
+        sizes = [state.tensors[name].nbytes for name in names]
+        offsets = [state.tensors[name].ctypes.data - state._arena.ctypes.data for name in names]
+        assert offsets == np.cumsum([0] + sizes[:-1]).tolist()
+        assert sum(sizes) == state._arena.nbytes
 
 
 class TestForward:
@@ -301,7 +320,7 @@ def with_random_statistics(state, seed):
     wide enough that the argmax is never a near-tie."""
     rng = np.random.default_rng(seed)
     state = state.copy()
-    t = state.tensors
+    t = _mutable(state)
     for prefix in ("input_norm", "conv_norm", "hidden_norm"):
         size = t[prefix + ".gamma"].size
         t[prefix + ".gamma"][:] = rng.uniform(0.5, 1.5, size)
@@ -375,7 +394,7 @@ class TestFoldedForward:
         # from normalizing a zero-padded input; the fold must match the
         # unfolded order (normalize, then pad).
         state = with_random_statistics(build_model(TINY, seed=1), seed=2)
-        state.tensors["input_norm.beta"][:] = 3.0
+        _mutable(state)["input_norm.beta"][:] = 3.0
         batch = noisy_tones(TINY, 8, seed=3)
         np.testing.assert_allclose(forward(state, batch), unfolded_forward64(state, batch),
                                    atol=self.ATOL)
@@ -419,20 +438,44 @@ class TestFoldCache:
         with pytest.raises(ValueError, match="read-only"):
             state.tensors["conv_norm.var"][0] = 2.0
 
-    def test_replaced_tensor_is_refolded(self, rng):
+    def test_replaced_tensor_is_refused(self, rng):
         state = build_model(TINY, seed=3)
         batch = rng.standard_normal((4, 64))
         before = forward(state, batch)
-        state.tensors["output.bias"] = np.array([0.0, 0.0, 9.0, 0.0], dtype=np.float32)
-        after = forward(state, batch)
-        assert np.all(np.argmax(after, axis=1) == 2)
-        assert not np.array_equal(after, before)
-        assert np.array_equal(after, forward(state.copy(), batch))
+        with pytest.raises(TypeError):
+            state.tensors["output.bias"] = np.array([0.0, 0.0, 9.0, 0.0], dtype=np.float32)
+        assert np.array_equal(forward(state, batch), before)
 
-    def test_copy_of_a_folded_state_is_writeable_and_unfolded(self, rng):
+    def test_copy_of_a_folded_state_is_read_only_and_unfolded(self, rng):
         state = build_model(TINY, seed=3)
         forward(state, rng.standard_normal((2, 64)))
         clone = state.copy()
         assert clone._inference is None
-        assert all(tensor.flags.writeable for tensor in clone.tensors.values())
-        clone.tensors["hidden.bias"] += 1.0
+        for name, tensor in clone.tensors.items():
+            assert not tensor.flags.writeable
+            assert not np.shares_memory(tensor, state.tensors[name])
+        with pytest.raises(ValueError, match="read-only"):
+            clone.tensors["hidden.bias"] += 1.0
+
+    def test_view_taken_before_the_first_forward_cannot_serve_a_stale_fold(self, rng):
+        state = build_model(TINY, seed=3)
+        batch = rng.standard_normal((4, 64))
+        view = state.tensors["output.bias"][:]
+        forward(state, batch)
+        with pytest.raises(ValueError, match="read-only"):
+            view += 5.0
+        assert np.array_equal(forward(state, batch), forward(state.copy(), batch))
+
+    @pytest.mark.parametrize("source", ["build_model", "load_weights", "copy"])
+    def test_unfolded_states_are_read_only(self, source):
+        state = build_model(TINY, seed=3)
+        if source == "load_weights":
+            buffer = io.BytesIO()
+            save_weights(state, buffer)
+            state = load_weights(io.BytesIO(buffer.getvalue()))
+        elif source == "copy":
+            state = state.copy()
+        assert state._inference is None
+        for tensor in state.tensors.values():
+            with pytest.raises(ValueError, match="read-only"):
+                tensor += 1.0

@@ -22,6 +22,7 @@ from mfskmodem.nn import (
     train,
     train_step,
 )
+from mfskmodem.nn.model import _mutable
 from mfskmodem.signal import ModemProfile, synthesize_symbol
 
 TINY = GRAD_CHECK_CONFIG  # N=64, F=4, K=8, H=8, M=4
@@ -145,7 +146,7 @@ class TestGradCheck:
         # ReLU kink; central differences then see a smooth function and the
         # mismatch drops to finite-difference truncation level.
         state = build_model(TINY, seed=0, dtype=np.float64)
-        state.tensors["hidden.bias"] += 5.0
+        _mutable(state)["hidden.bias"] += 5.0
         rng = np.random.default_rng(1)
         batch = rng.standard_normal((4, 64))
         labels = rng.integers(0, 4, 4)
@@ -155,7 +156,7 @@ class TestGradCheck:
 
         worst = 0.0
         for name in ("conv.kernel", "hidden.weight", "output.weight", "conv_norm.gamma"):
-            flat = state.tensors[name].reshape(-1)
+            flat = _mutable(state)[name].reshape(-1)
             for idx in rng.choice(flat.size, size=3, replace=False):
                 original = flat[idx]
                 h = 1e-5 * max(1.0, abs(original))

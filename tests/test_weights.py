@@ -1,6 +1,7 @@
 """Tests for the binary weights file: round trips and failure modes."""
 
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,9 +17,12 @@ from mfskmodem.errors import (
     VersionError,
 )
 from mfskmodem.nn import ModelConfig, build_model, load_weights, save_weights
+from mfskmodem.nn.model import _mutable
 
 TINY = ModelConfig(input_len=64, conv_filters=4, conv_kernel=8,
                    hidden_units=8, classes=4)
+REDUCED = ModelConfig(input_len=512, conv_filters=32, conv_kernel=16,
+                      hidden_units=32, classes=8)
 
 
 def saved_bytes(state) -> bytes:
@@ -55,10 +59,24 @@ class TestRoundTrip:
 
     def test_trained_values_survive(self, rng):
         state = build_model(TINY, seed=4)
-        state.tensors["conv.kernel"] += rng.standard_normal(
+        _mutable(state)["conv.kernel"] += rng.standard_normal(
             state.tensors["conv.kernel"].shape).astype(np.float32)
         loaded = load_weights(io.BytesIO(saved_bytes(state)))
         assert np.array_equal(loaded.tensors["conv.kernel"], state.tensors["conv.kernel"])
+
+
+class TestLoadMemory:
+    def test_peak_is_the_file_and_the_state(self, tmp_path):
+        # The file's bytes and the state's arena; parsing holds no third copy.
+        path = tmp_path / "reduced.weights"
+        save_weights(build_model(REDUCED, seed=0), path)
+        tracemalloc.start()
+        try:
+            load_weights(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.25 * path.stat().st_size
 
 
 class TestLoadErrors:
@@ -89,10 +107,13 @@ class TestLoadErrors:
             load_weights(io.BytesIO(blob + b"junk"))
 
     def test_mismatched_shape_names_the_tensor(self):
-        state = build_model(TINY, seed=0)
-        state.tensors["conv.bias"] = np.zeros(5, dtype=np.float32)  # F is 4
+        blob = saved_bytes(build_model(TINY, seed=0))
+        # conv.bias's dims follow its name, dtype tag and rank; F is 4.
+        dims = blob.index(b"conv.bias") + len(b"conv.bias") + 2
+        assert blob[dims : dims + 8] == (4).to_bytes(8, "little")
+        blob = blob[:dims] + (5).to_bytes(8, "little") + bytes(4) + blob[dims + 8 :]
         with pytest.raises(ShapeError, match="conv.bias"):
-            load_weights(io.BytesIO(saved_bytes(state)))
+            load_weights(io.BytesIO(blob))
 
     def test_renamed_record_reported_missing(self):
         blob = saved_bytes(build_model(TINY, seed=0))
