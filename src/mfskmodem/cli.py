@@ -16,7 +16,6 @@ import argparse
 import contextlib
 import ctypes
 import hashlib
-import math
 import os
 import sys
 
@@ -158,7 +157,8 @@ def _cmd_analyze(args) -> int:
 
     from . import dataset as ds
     from .analysis import autocorrelation, energy_spectrum
-    from .signal import SYNC, Waveform, apply_awgn, lowpass, synthesize_symbol
+    from .evaluate import write_lines
+    from .signal import SYNC, Waveform, lowpass, noisy_windows, tone_bin, tone_windows
 
     profile = _profile(args)
     if args.dataset is not None:
@@ -171,38 +171,27 @@ def _cmd_analyze(args) -> int:
         waveform = Waveform(record.samples.astype(np.float64), loaded.sample_rate_hz)
         print(f"record={args.index} label={record.label} snr_db={record.snr_db:.2f}")
     else:
-        seed = _resolve_seed(args)
-        tone = SYNC if args.sync else args.tone
-        rng = np.random.default_rng(seed)
-        clean = synthesize_symbol(profile.modem, tone,
-                                  phase=rng.uniform(0.0, 2.0 * np.pi))
-        if args.snr_db is None:
-            waveform = clean
-        else:
-            waveform = apply_awgn(clean, args.snr_db,
-                                  profile.modem.ref_bandwidth_hz, rng,
-                                  signal_power=0.5)
+        rng = np.random.default_rng(_resolve_seed(args))
+        phase = rng.uniform(0.0, 2.0 * np.pi)
+        bins = [tone_bin(profile.modem, SYNC if args.sync else args.tone)]
+        x = (tone_windows(profile.modem, bins, phase) if args.snr_db is None
+             else noisy_windows(profile.modem, bins, phase, args.snr_db, rng))
+        waveform = Waveform(x[0], profile.modem.sample_rate_hz)
     if args.lowpass:
         waveform = lowpass(waveform, profile.modem.ref_bandwidth_hz)
 
     excerpt = waveform.samples if args.excerpt is None else waveform.samples[: args.excerpt]
-    with open(f"{args.out_prefix}_waveform.csv", "w", encoding="utf-8") as handle:
-        handle.write("sample,value\n")
-        for i, value in enumerate(excerpt):
-            handle.write(f"{i},{value:.10g}\n")
+    write_lines(f"{args.out_prefix}_waveform.csv",
+                ["sample,value"] + [f"{i},{value:.10g}" for i, value in enumerate(excerpt)])
 
     spectrum = energy_spectrum(waveform)
-    with open(f"{args.out_prefix}_esd.csv", "w", encoding="utf-8") as handle:
-        handle.write("bin,frequency_hz,energy\n")
-        for i, energy in enumerate(spectrum.bin_energies):
-            handle.write(f"{i},{i * spectrum.bin_width_hz:.6f},{energy:.10g}\n")
+    write_lines(f"{args.out_prefix}_esd.csv", ["bin,frequency_hz,energy"] + [
+        f"{i},{i * spectrum.bin_width_hz:.6f},{energy:.10g}"
+        for i, energy in enumerate(spectrum.bin_energies)])
 
-    max_lag = min(args.max_lag, len(waveform) - 1)
-    acf = autocorrelation(waveform, max_lag)
-    with open(f"{args.out_prefix}_autocorr.csv", "w", encoding="utf-8") as handle:
-        handle.write("lag,value\n")
-        for lag, value in enumerate(acf):
-            handle.write(f"{lag},{value:.10g}\n")
+    acf = autocorrelation(waveform, min(args.max_lag, len(waveform) - 1))
+    write_lines(f"{args.out_prefix}_autocorr.csv",
+                ["lag,value"] + [f"{lag},{value:.10g}" for lag, value in enumerate(acf)])
 
     print(f"esd_peak_bin={spectrum.peak_bin()}")
     return 0
@@ -210,6 +199,7 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_train(args) -> int:
     from . import dataset as ds
+    from .evaluate import write_lines
     from .nn import TrainConfig, save_weights, train
 
     profile = _profile(args)
@@ -221,11 +211,9 @@ def _cmd_train(args) -> int:
                       epochs=args.epochs, seed=seed)
     state, log = train(profile.model, cfg, x, y)
     save_weights(state, args.out_weights)
-    with open(args.out_log, "w", encoding="utf-8") as handle:
-        handle.write("epoch,loss,accuracy,seconds\n")
-        for epoch, (loss, acc, sec) in enumerate(
-                zip(log.loss, log.accuracy, log.seconds), start=1):
-            handle.write(f"{epoch},{loss:.10g},{acc:.10g},{sec:.6g}\n")
+    write_lines(args.out_log, ["epoch,loss,accuracy,seconds"] + [
+        f"{epoch},{loss:.10g},{acc:.10g},{sec:.6g}"
+        for epoch, (loss, acc, sec) in enumerate(zip(log.loss, log.accuracy, log.seconds), 1)])
     print(f"final_accuracy={log.accuracy[-1]:.4f} weights={args.out_weights} "
           f"sha256={_sha256(args.out_weights)}")
     return 0
@@ -248,7 +236,7 @@ def _cmd_demod(args) -> int:
     import numpy as np
 
     from . import dataset as ds
-    from .evaluate import ConfusionMatrix, accumulate_many, metrics
+    from .evaluate import ConfusionMatrix, accumulate_many, metrics, write_lines
 
     profile = _profile(args)
     demod = _build_demod(args, profile)
@@ -264,12 +252,9 @@ def _cmd_demod(args) -> int:
         sel = slice(lo, lo + 1024)
         accumulate_many(cm, y[sel], np.asarray(demod(x[sel])))
     report = metrics(cm)
-    with open(args.out_report, "w", encoding="utf-8") as handle:
-        handle.write(report.to_text())
+    write_lines(args.out_report, report.to_text().splitlines())
     if args.out_confusion:
-        with open(args.out_confusion, "w", encoding="utf-8") as handle:
-            for row in cm.counts:
-                handle.write(",".join(str(v) for v in row) + "\n")
+        write_lines(args.out_confusion, [",".join(str(v) for v in row) for row in cm.counts])
     print(f"symbols={cm.total} accuracy={report.accuracy:.4f} ser={report.ser:.4g}")
     return 0
 
@@ -294,20 +279,19 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_theory(args) -> int:
-    from .theory import ser_noncoherent_mfsk, ser_noncoherent_mfsk_linear, ser_to_ber
+    from .evaluate import write_lines
+    from .theory import (ebn0_to_esn0, ser_noncoherent_mfsk, ser_noncoherent_mfsk_linear,
+                         ser_to_ber)
 
     m = args.m
-    with open(args.out, "w", encoding="utf-8") as handle:
-        handle.write("ebn0_db,ser,ber\n")
-        for point in args.ebn0:
-            if point == "chance":
-                ser = ser_noncoherent_mfsk_linear(m, 0.0)
-                label = "chance"
-            else:
-                k = m.bit_length() - 1
-                ser = ser_noncoherent_mfsk(m, point + 10.0 * math.log10(k))
-                label = f"{point:.6g}"
-            handle.write(f"{label},{ser:.12g},{ser_to_ber(m, ser):.12g}\n")
+    lines = ["ebn0_db,ser,ber"]
+    for point in args.ebn0:
+        if point == "chance":
+            ser, label = ser_noncoherent_mfsk_linear(m, 0.0), "chance"
+        else:
+            ser, label = ser_noncoherent_mfsk(m, ebn0_to_esn0(m, point)), f"{point:.6g}"
+        lines.append(f"{label},{ser:.12g},{ser_to_ber(m, ser):.12g}")
+    write_lines(args.out, lines)
     print(f"wrote {len(args.ebn0)} points to {args.out}")
     return 0
 

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InconsistencyError, MagicError, TruncationError, VersionError
-from .signal import ModemProfile, SYNC, Waveform, apply_awgn, synthesize_symbol
+from .signal import ModemProfile, SYNC, Waveform, noisy_windows, synthesize_symbol, tone_bin
 
 MAGIC = b"MFSKDSET"
 VERSION = 1
@@ -119,23 +119,28 @@ def generate(spec: DatasetSpec) -> Dataset:
 
 
 def _generate(spec: DatasetSpec, indices) -> np.recarray:
-    records = np.recarray(len(indices), record_dtype(spec.profile.symbol_len))
-    with np.errstate(over="ignore", invalid="ignore"):  # ±inf samples are refused below
+    profile = spec.profile
+    records = np.recarray(len(indices), record_dtype(profile.symbol_len))
+    with np.errstate(over="ignore"):  # ±inf samples are refused below
         for row, index in enumerate(indices):
             rng = _record_rng(spec, index)
             label, phase, snr_db = _draw(spec, rng)
-            tone = SYNC if label == SYNC_LABEL else label
-            clean = synthesize_symbol(spec.profile, tone, phase)
-            noisy = apply_awgn(clean, snr_db, spec.profile.ref_bandwidth_hz, rng,
-                               signal_power=0.5)
-            records[row] = (snr_db, label, 0, noisy.samples)
-        # A float64 sum of float32 samples is finite unless a sample is NaN or inf.
-        finite = np.isfinite(records["samples"].sum(axis=1, dtype=np.float64))
-    if not finite.all():
-        row = np.argmin(finite)
+            bins = [tone_bin(profile, SYNC if label == SYNC_LABEL else label)]
+            records[row] = (snr_db, label, 0, noisy_windows(profile, bins, phase, snr_db, rng)[0])
+    row = _first_nonfinite(records.samples)
+    if row is not None:
         raise ValueError(f"record {indices[row]} at SNR {records.snr_db[row]:g} dB has a "
                          "sample outside the float32 range")
     return records
+
+
+def _first_nonfinite(samples):
+    """Index of the first row holding a NaN or inf sample, or None."""
+    # A float64 sum of float32 samples is finite unless a sample is NaN or inf
+    # (+inf plus -inf is a NaN, not a warning).
+    with np.errstate(invalid="ignore"):
+        finite = np.isfinite(samples.sum(axis=1, dtype=np.float64))
+    return None if finite.all() else int(np.argmin(finite))
 
 
 def _record_rng(spec: DatasetSpec, index: int) -> np.random.Generator:
@@ -237,10 +242,9 @@ def read(source) -> Dataset:
         i = np.argmin(allowed)
         raise InconsistencyError(f"record {i} has label {records.label[i]}, outside [0, {tones})"
                                  + ("" if include_sync else " and the sync flag is clear"))
-    # A float64 sum of float32 samples is finite unless a sample is NaN or inf.
-    finite = np.isfinite(records.samples.sum(axis=1, dtype=np.float64))
-    if not finite.all():
-        raise InconsistencyError(f"record {np.argmin(finite)} has a non-finite sample")
+    row = _first_nonfinite(records.samples)
+    if row is not None:
+        raise InconsistencyError(f"record {row} has a non-finite sample")
     return Dataset(rate, symbol_len, tones, include_sync, records)
 
 

@@ -11,8 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signal import ModemProfile, noise_variance, tone_windows
-from .theory import ser_noncoherent_mfsk, ser_to_ber, snr_to_ebn0
+from .signal import ModemProfile, noisy_windows, tone_windows
+from .theory import (bits_per_symbol, ebn0_to_esn0, ser_noncoherent_mfsk, ser_to_ber,
+                     snr_to_ebn0)
 
 SER_CSV_HEADER = "snr_db,ser,stderr,n"
 BER_CSV_HEADER = "snr_db,ebn0_db,ber_measured,ber_from_ser,ber_theory,n"
@@ -119,8 +120,7 @@ def metrics(cm: ConfusionMatrix) -> MetricsReport:
     if total == 0:
         raise ValueError("confusion matrix is empty")
     m = cm.classes
-    if m < 2 or m & (m - 1):
-        raise ValueError("class count must be a power of two (tone alphabet)")
+    k = bits_per_symbol(m)
     counts = cm.counts
     diag = np.diag(counts).astype(np.float64)
     row = counts.sum(axis=1).astype(np.float64)
@@ -137,7 +137,6 @@ def metrics(cm: ConfusionMatrix) -> MetricsReport:
     accuracy = float(diag.sum() / total)
     ser = 1.0 - accuracy
 
-    k = m.bit_length() - 1
     xor = np.bitwise_xor.outer(np.arange(m), np.arange(m))
     bit_errors = float((counts * _bit_weights(m)[xor]).sum())
     ber_measured = bit_errors / (k * total)
@@ -190,14 +189,11 @@ def _run_point(demod, profile, snr_db, n_symbols, rng):
     labels = rng.integers(0, m, n_symbols)
     phases = rng.uniform(0.0, 2.0 * np.pi, n_symbols)
     bins = profile.sync_bin + profile.tone_offset + labels
-    std = np.sqrt(noise_variance(0.5, snr_db, profile.sample_rate_hz,
-                                 profile.ref_bandwidth_hz))
     bit_weights = _bit_weights(m)
     symbol_errors = bit_errors = 0
     for lo in range(0, n_symbols, _CHUNK):
         sel = slice(lo, min(lo + _CHUNK, n_symbols))
-        x = tone_windows(profile, bins[sel], phases[sel])
-        x += rng.normal(0.0, std, x.shape)
+        x = noisy_windows(profile, bins[sel], phases[sel], snr_db, rng)
         predicted = np.asarray(demod(x))
         symbol_errors += int(np.count_nonzero(predicted != labels[sel]))
         bit_errors += int(bit_weights[predicted ^ labels[sel]].sum())
@@ -225,7 +221,7 @@ def sweep_ber(demod, profile: ModemProfile, snr_points, n_per_point: int, seed: 
         ser = symbol_errors / n_per_point
         ber = bit_errors / (k * n_per_point)
         ebn0 = snr_to_ebn0(profile, float(snr_db))
-        theory = ser_to_ber(m, ser_noncoherent_mfsk(m, ebn0 + 10.0 * np.log10(k)))
+        theory = ser_to_ber(m, ser_noncoherent_mfsk(m, ebn0_to_esn0(m, ebn0)))
         assert ber <= ser + 1e-15 and ser <= k * ber + 1e-15
         rows.append(BerPoint(float(snr_db), ebn0, ber, ser_to_ber(m, ser), theory,
                              n_per_point, ser,
@@ -234,18 +230,19 @@ def sweep_ber(demod, profile: ModemProfile, snr_points, n_per_point: int, seed: 
 
 
 def write_ser_csv(rows, destination) -> None:
-    _write_csv(destination, SER_CSV_HEADER,
-               (f"{r.snr_db:.6g},{r.ser:.10g},{r.stderr:.10g},{r.n}" for r in rows))
+    write_lines(destination, [SER_CSV_HEADER] + [
+        f"{r.snr_db:.6g},{r.ser:.10g},{r.stderr:.10g},{r.n}" for r in rows])
 
 
 def write_ber_csv(rows, destination) -> None:
-    _write_csv(destination, BER_CSV_HEADER,
-               (f"{r.snr_db:.6g},{r.ebn0_db:.6g},{r.ber_measured:.10g},"
-                f"{r.ber_from_ser:.10g},{r.ber_theory:.10g},{r.n}" for r in rows))
+    write_lines(destination, [BER_CSV_HEADER] + [
+        f"{r.snr_db:.6g},{r.ebn0_db:.6g},{r.ber_measured:.10g},"
+        f"{r.ber_from_ser:.10g},{r.ber_theory:.10g},{r.n}" for r in rows])
 
 
-def _write_csv(destination, header, lines):
-    text = header + "\n" + "\n".join(lines) + "\n"
+def write_lines(destination, lines) -> None:
+    """Write each line plus "\\n" to a path or an open text file (every CSV)."""
+    text = "".join(f"{line}\n" for line in lines)
     if hasattr(destination, "write"):
         destination.write(text)
     else:

@@ -40,6 +40,9 @@ BN_EPS = 1e-3
 BN_MOMENTUM = 0.99
 PROB_FLOOR = 1e-12
 
+# build_model draws each weight this many rows at a time.
+_INIT_ROWS = 4096
+
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -159,7 +162,10 @@ def build_model(config: ModelConfig, seed: int, dtype=np.float32) -> ModelState:
         if name.endswith(".weight") or name == "conv.kernel":
             fan_in, fan_out = _fans(name, shape)
             limit = math.sqrt(6.0 / (fan_in + fan_out))
-            tensors[name][...] = rng.uniform(-limit, limit, size=shape)
+            # Row blocks bound the float64 draws; the stream is the one-shot draw's.
+            for lo in range(0, shape[0], _INIT_ROWS):
+                block = tensors[name][lo:lo + _INIT_ROWS]
+                block[...] = rng.uniform(-limit, limit, size=block.shape)
         elif name.endswith((".gamma", ".var")):
             tensors[name][...] = 1
         # biases, beta and running means stay zero

@@ -54,7 +54,7 @@ def _write(state, handle):
         handle.write(encoded)
         handle.write(struct.pack("<BB", tag, tensor.ndim))
         handle.write(struct.pack(f"<{tensor.ndim}Q", *tensor.shape))
-        handle.write(tensor.tobytes())
+        handle.write(tensor)  # the contiguous view itself, not a copy
 
 
 def load_weights(source) -> ModelState:

@@ -200,6 +200,17 @@ def noise_variance(signal_power: float, snr_db: float, sample_rate_hz: float,
     return var
 
 
+def noisy_windows(profile: ModemProfile, bins, phases, snr_db: float,
+                  rng: np.random.Generator) -> np.ndarray:
+    """The AWGN channel: tone_windows (unit tones, power 0.5) plus full-band
+    white noise calibrated to ``snr_db``, drawn from ``rng`` after the caller's
+    own draws.  Datasets, sweeps and ``analyze`` all go through here."""
+    x = tone_windows(profile, bins, phases)
+    var = noise_variance(0.5, snr_db, profile.sample_rate_hz, profile.ref_bandwidth_hz)
+    x += rng.normal(0.0, np.sqrt(var), x.shape)
+    return x
+
+
 def apply_awgn(waveform: Waveform, snr_db: float, ref_bandwidth_hz: float,
                rng: np.random.Generator, signal_power: float | None = None) -> Waveform:
     """Add white Gaussian noise calibrated to ``snr_db`` in the reference band.

@@ -55,18 +55,23 @@ def ser_noncoherent_mfsk(tone_count: int, es_n0_db: float) -> float:
     return ser_noncoherent_mfsk_linear(tone_count, 10.0 ** (es_n0_db / 10.0))
 
 
+def bits_per_symbol(tone_count: int) -> int:
+    """k = log2(M), the bits one tone of an M-ary alphabet carries."""
+    m = int(tone_count)
+    if m < 2 or m & (m - 1):
+        raise ValueError("tone_count must be a power of two >= 2")
+    return m.bit_length() - 1
+
+
 def ser_to_ber(tone_count: int, p_symbol: float) -> float:
     """Bit error probability implied by a symbol error probability.
 
     For orthogonal signaling every wrong symbol is equally likely, giving
     P_b = P_s * 2**(k-1) / (2**k - 1) with k = log2(M).
     """
-    m = int(tone_count)
-    if m < 2 or m & (m - 1):
-        raise ValueError("tone_count must be a power of two >= 2")
+    k = bits_per_symbol(tone_count)
     if not 0.0 <= p_symbol <= 1.0:
         raise ValueError("p_symbol must be a probability")
-    k = m.bit_length() - 1
     return p_symbol * (1 << (k - 1)) / ((1 << k) - 1)
 
 
@@ -104,17 +109,9 @@ def ebn0_to_snr(profile, eb_n0_db: float) -> float:
 
 def ebn0_to_esn0(tone_count: int, eb_n0_db: float) -> float:
     """Es/N0 = Eb/N0 + 10*log10(k), linking per-bit and per-symbol domains."""
-    m = int(tone_count)
-    if m < 2 or m & (m - 1):
-        raise ValueError("tone_count must be a power of two >= 2")
-    k = m.bit_length() - 1
-    return eb_n0_db + 10.0 * math.log10(k)
+    return eb_n0_db + 10.0 * math.log10(bits_per_symbol(tone_count))
 
 
 def esn0_to_ebn0(tone_count: int, es_n0_db: float) -> float:
     """Inverse of ebn0_to_esn0."""
-    m = int(tone_count)
-    if m < 2 or m & (m - 1):
-        raise ValueError("tone_count must be a power of two >= 2")
-    k = m.bit_length() - 1
-    return es_n0_db - 10.0 * math.log10(k)
+    return es_n0_db - 10.0 * math.log10(bits_per_symbol(tone_count))

@@ -294,6 +294,13 @@ class TestTheory:
             assert ser == pytest.approx(0.5 * np.exp(-gamma / 2), rel=1e-9)
             assert ber == pytest.approx(ser, rel=1e-12)
 
+    def test_one_tone_says_the_alphabet_is_wrong(self, tmp_path, capsys):
+        out = tmp_path / "m1.csv"
+        code, _, err = run(capsys, "theory", "--m", "1", "--ebn0", "0", "--out", str(out))
+        assert code == 1
+        assert err == "error: tone_count must be a power of two >= 2\n"
+        assert not out.exists()
+
 
 class TestBench:
     def test_minimum_count_is_usage_error(self):

@@ -20,8 +20,9 @@ from mfskmodem.dataset import (
     record_params,
     write,
 )
+from mfskmodem.dataset import _draw, _record_rng
 from mfskmodem.errors import InconsistencyError, MagicError, TruncationError, VersionError
-from mfskmodem.signal import Waveform, measure_snr
+from mfskmodem.signal import SYNC, Waveform, apply_awgn, measure_snr, synthesize_symbol
 
 
 @pytest.fixture(scope="module")
@@ -44,6 +45,22 @@ class TestGenerate:
         b = generate_record(reduced_spec, 5)
         assert a.snr_db == b.snr_db and a.label == b.label
         assert np.array_equal(a.samples, b.samples)
+
+    def test_record_is_the_channel_composition_in_float32(self, reduced_spec):
+        # Per record: label, phase and SNR from the (seed, index) substream,
+        # then apply_awgn on the unit symbol, stored as float32.
+        spec = DatasetSpec(reduced_spec.profile, 40, (-20.0, -5.0), seed=8, include_sync=True)
+        labels = set()
+        for index in range(spec.count):
+            rng = _record_rng(spec, index)
+            label, phase, snr_db = _draw(spec, rng)
+            labels.add(label)
+            tone = SYNC if label == SYNC_LABEL else label
+            noisy = apply_awgn(synthesize_symbol(spec.profile, tone, phase), snr_db,
+                               spec.profile.ref_bandwidth_hz, rng, signal_power=0.5)
+            assert np.array_equal(generate_record(spec, index).samples,
+                                  noisy.samples.astype(np.float32))
+        assert SYNC_LABEL in labels and len(labels) > 2
 
     def test_record_is_order_independent(self, reduced_spec):
         bulk = generate(reduced_spec)
@@ -233,6 +250,14 @@ class TestFileFormat:
         spec = DatasetSpec(reduced_spec.profile, 3, (-9.0, -9.0), seed=5)
         with pytest.raises(InconsistencyError, match="record 1 has a non-finite sample"):
             read(self.mutated(spec, "samples", value))
+
+    def test_opposite_infinities_raise_without_a_warning(self, reduced_spec):
+        ds = generate(DatasetSpec(reduced_spec.profile, 3, (-9.0, -9.0), seed=5))
+        ds.records.samples[1, :2] = np.inf, -np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InconsistencyError, match="record 1 has a non-finite sample"):
+                read(io.BytesIO(written_bytes(ds)))
 
     def test_records_are_the_file_layout(self, reduced_spec):
         ds = generate(DatasetSpec(reduced_spec.profile, 3, (-9.0, -9.0), seed=5))

@@ -16,6 +16,7 @@ from mfskmodem.evaluate import (
     metrics,
     sweep_ber,
     write_ber_csv,
+    write_lines,
     write_ser_csv,
 )
 from mfskmodem.theory import esn0_to_snr, ser_noncoherent_mfsk
@@ -97,6 +98,10 @@ class TestMetrics:
     def test_empty_matrix_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             metrics(ConfusionMatrix.empty(4))
+
+    def test_non_power_of_two_classes_rejected(self):
+        with pytest.raises(ValueError, match="power of two"):
+            metrics(ConfusionMatrix(np.eye(3, dtype=np.int64)))
 
     def test_report_text_has_documented_keys(self, rng):
         cm = ConfusionMatrix.empty(4)
@@ -199,6 +204,18 @@ class TestCsvOutput:
         assert lines[0] == BER_CSV_HEADER == (
             "snr_db,ebn0_db,ber_measured,ber_from_ser,ber_theory,n")
         assert len(lines) == 3
+
+    def test_write_lines_to_a_path_or_an_open_file(self, tmp_path):
+        path = tmp_path / "lines.csv"
+        write_lines(path, ["a,b", "1,2"])
+        buffer = io.StringIO()
+        write_lines(buffer, (line for line in ["a,b", "1,2"]))
+        assert path.read_text(encoding="utf-8") == buffer.getvalue() == "a,b\n1,2\n"
+
+    def test_no_rows_is_the_header_alone(self):
+        buffer = io.StringIO()
+        write_ser_csv([], buffer)
+        assert buffer.getvalue() == SER_CSV_HEADER + "\n"
 
 
 class TestBenchLatency:

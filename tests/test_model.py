@@ -97,6 +97,27 @@ class TestBuildModel:
         assert np.all(state.tensors["hidden.bias"] == 0)
         assert state.tensors["conv.kernel"].dtype == np.float32
 
+    def test_blocked_draws_are_the_one_shot_stream(self):
+        # build_model draws weights in row blocks; the Generator's stream is
+        # the same as one rng.uniform call per tensor.
+        state = build_model(REDUCED, seed=3)
+        rng = np.random.default_rng(3)
+        for name in ("conv.kernel", "hidden.weight", "output.weight"):
+            shape = state.tensors[name].shape
+            fans = (16, 16 * 32) if name == "conv.kernel" else shape
+            limit = math.sqrt(6.0 / sum(fans))
+            reference = rng.uniform(-limit, limit, size=shape).astype(np.float32)
+            assert np.array_equal(state.tensors[name], reference)
+
+    def test_peak_is_under_two_arenas(self):
+        tracemalloc.start()
+        try:
+            state = build_model(REDUCED, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * state._arena.nbytes
+
     def test_one_arena_trainables_then_statistics(self):
         state = build_model(TINY, seed=0)
         names = state.trainable_names + state.statistic_names

@@ -13,9 +13,11 @@ from mfskmodem.signal import (
     bits_to_symbols,
     measure_snr,
     noise_variance,
+    noisy_windows,
     symbols_to_bits,
     synthesize_frame,
     synthesize_symbol,
+    tone_bin,
     tone_frequency,
     tone_windows,
 )
@@ -150,6 +152,26 @@ class TestApplyAwgn:
         # 10**(snr/10) overflows at +4000 dB and underflows to 0 at -1e39 dB.
         with pytest.raises(ValueError, match="noise variance"):
             noise_variance(0.5, snr_db, 11025.0, 2500.0)
+
+
+class TestNoisyWindows:
+    @pytest.mark.parametrize("profile", ["full_profile", "reduced_profile"])
+    @pytest.mark.parametrize("tone", [3, SYNC])
+    def test_is_apply_awgn_on_the_unit_symbol_bitwise(self, profile, tone, request):
+        # The one channel of datasets, sweeps and analyze, pinned to the
+        # public composition it replaces.
+        profile = request.getfixturevalue(profile)
+        channel = noisy_windows(profile, [tone_bin(profile, tone)], 0.7, -18.0,
+                                np.random.default_rng(5))
+        reference = apply_awgn(synthesize_symbol(profile, tone, 0.7), -18.0,
+                               profile.ref_bandwidth_hz, np.random.default_rng(5),
+                               signal_power=0.5)
+        assert channel.shape == (1, profile.symbol_len)
+        assert np.array_equal(channel[0], reference.samples)
+
+    def test_unrepresentable_variance_rejected(self, reduced_profile, rng):
+        with pytest.raises(ValueError, match="noise variance"):
+            noisy_windows(reduced_profile, [60], 0.0, 4000.0, rng)
 
 
 class TestMeasureSnr:

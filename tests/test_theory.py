@@ -18,6 +18,7 @@ from scipy.special import i0e
 
 from mfskmodem.signal import ModemProfile
 from mfskmodem.theory import (
+    bits_per_symbol,
     ebn0_to_esn0,
     ebn0_to_snr,
     esn0_to_ebn0,
@@ -126,6 +127,20 @@ class TestSerToBer:
     def test_non_power_of_two_rejected(self):
         with pytest.raises(ValueError, match="power of two"):
             ser_to_ber(12, 0.1)
+
+
+class TestBitsPerSymbol:
+    def test_log2_of_the_alphabet(self):
+        assert [bits_per_symbol(2 ** k) for k in range(1, 11)] == list(range(1, 11))
+
+    @pytest.mark.parametrize("m", [0, 1, 3, 12, -4])
+    def test_non_power_of_two_rejected(self, m):
+        with pytest.raises(ValueError, match="power of two >= 2"):
+            bits_per_symbol(m)
+        with pytest.raises(ValueError, match="power of two >= 2"):
+            ebn0_to_esn0(m, 0.0)
+        with pytest.raises(ValueError, match="power of two >= 2"):
+            esn0_to_ebn0(m, 0.0)
 
 
 class TestSnrConversions:

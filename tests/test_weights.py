@@ -1,6 +1,7 @@
 """Tests for the binary weights file: round trips and failure modes."""
 
 import io
+import os
 import tracemalloc
 
 import numpy as np
@@ -77,6 +78,19 @@ class TestLoadMemory:
         finally:
             tracemalloc.stop()
         assert peak < 2.25 * path.stat().st_size
+
+
+class TestSaveMemory:
+    def test_tensors_are_written_without_a_copy(self):
+        state = build_model(REDUCED, seed=0)
+        size = len(saved_bytes(state))
+        tracemalloc.start()
+        try:
+            save_weights(state, os.devnull)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * size
 
 
 class TestLoadErrors:

@@ -1,0 +1,109 @@
+"""Hash every seeded artifact of the mfskmodem CLI, for byte-identity checks.
+
+Runs the CLI from the source directory ``--src`` (the one holding the
+``mfskmodem`` package) at ``--threads 1``, inside the empty or new
+directory ``--out``, and prints one ``sha256  name`` line per file written
+and per command's standard output (``<run>.stdout``).  Two source trees
+that print the same lines wrote the same bytes:
+
+    python3 tools/seeded_artifacts.py --src old/src --out /tmp/old > old.txt
+    python3 tools/seeded_artifacts.py --src src --out /tmp/new > new.txt
+    diff old.txt new.txt
+
+The training log is hashed without its wall-clock ``seconds`` column.
+Compare hashes made on one machine: ``sin`` may round differently on
+another CPU's SIMD path.
+"""
+
+import argparse
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SWEEP_M8 = ["sweep", "--profile", "reduced-m8", "--classical", "--snr", "-15:0:3",
+            "--n", "3000", "--seed", "5"]
+SWEEP_FULL = ["sweep", "--profile", "jt65a-full", "--classical", "--snr", "-30:-15:5",
+              "--n", "2500", "--seed", "5"]
+
+# (run name, CLI arguments); later runs read the files earlier runs wrote.
+RUNS = [
+    ("synth-m8", ["synth", "--profile", "reduced-m8", "--count", "600", "--snr", "-12..0",
+                  "--seed", "9", "--out", "m8.mfskdset"]),
+    ("synth-full", ["synth", "--profile", "jt65a-full", "--count", "200", "--snr", "-30..0",
+                    "--include-sync", "--seed", "1", "--out", "full.mfskdset"]),
+    ("sweep-m8-ser", SWEEP_M8 + ["--mode", "ser", "--out", "sweep-m8-ser.csv"]),
+    ("sweep-m8-ber", SWEEP_M8 + ["--mode", "ber", "--out", "sweep-m8-ber.csv"]),
+    ("sweep-full-ser", SWEEP_FULL + ["--mode", "ser", "--out", "sweep-full-ser.csv"]),
+    ("sweep-full-ber", SWEEP_FULL + ["--mode", "ber", "--out", "sweep-full-ber.csv"]),
+    ("train-m8", ["train", "--profile", "reduced-m8", "--dataset", "m8.mfskdset",
+                  "--epochs", "2", "--seed", "2", "--out-weights", "m8.weights",
+                  "--out-log", "train-m8-log.csv"]),
+    ("demod-m8-classical", ["demod", "--profile", "reduced-m8", "--classical",
+                            "--dataset", "m8.mfskdset",
+                            "--out-report", "demod-m8-classical.report",
+                            "--out-confusion", "demod-m8-classical.csv"]),
+    ("demod-m8-cnn", ["demod", "--profile", "reduced-m8", "--weights", "m8.weights",
+                      "--dataset", "m8.mfskdset", "--out-report", "demod-m8-cnn.report",
+                      "--out-confusion", "demod-m8-cnn.csv"]),
+    ("demod-full-classical", ["demod", "--profile", "jt65a-full", "--classical",
+                              "--dataset", "full.mfskdset",
+                              "--out-report", "demod-full-classical.report",
+                              "--out-confusion", "demod-full-classical.csv"]),
+    ("sweep-m8-cnn-ber", ["sweep", "--profile", "reduced-m8", "--weights", "m8.weights",
+                          "--mode", "ber", "--snr", "-10,-5", "--n", "1000", "--seed", "4",
+                          "--out", "sweep-m8-cnn-ber.csv"]),
+    ("analyze-full", ["analyze", "--profile", "jt65a-full", "--tone", "3", "--snr-db", "-20",
+                      "--seed", "3", "--out-prefix", "analyze-full"]),
+    ("analyze-m8", ["analyze", "--profile", "reduced-m8", "--tone", "3", "--snr-db", "-20",
+                    "--seed", "3", "--out-prefix", "analyze-m8"]),
+    ("analyze-full-dataset", ["analyze", "--profile", "jt65a-full", "--dataset",
+                              "full.mfskdset", "--index", "5",
+                              "--out-prefix", "analyze-full-dataset"]),
+    ("analyze-full-clean", ["analyze", "--profile", "jt65a-full", "--tone", "3",
+                            "--seed", "3", "--out-prefix", "analyze-full-clean"]),
+    ("analyze-full-sync-lowpass", ["analyze", "--profile", "jt65a-full", "--sync",
+                                   "--snr-db", "-20", "--lowpass", "--seed", "3",
+                                   "--out-prefix", "analyze-full-sync-lowpass"]),
+    ("theory-m64", ["theory", "--m", "64", "--ebn0", "chance,-2:12:1",
+                    "--out", "theory-m64.csv"]),
+]
+
+
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _without_seconds(log: bytes) -> bytes:
+    """The training log minus its last (wall-clock) column."""
+    return b"".join(line.rsplit(b",", 1)[0] + b"\n" for line in log.splitlines())
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--src", required=True, help="directory holding the mfskmodem package")
+    parser.add_argument("--out", required=True, help="empty or new directory for the artifacts")
+    args = parser.parse_args(argv)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    if any(out.iterdir()):
+        parser.error(f"{out} is not empty")
+    env = dict(os.environ, PYTHONPATH=str(Path(args.src).resolve()))
+    for name, cli_args in RUNS:
+        run = subprocess.run([sys.executable, "-m", "mfskmodem.cli", "--threads", "1", *cli_args],
+                             cwd=out, env=env, capture_output=True)
+        if run.returncode != 0:
+            sys.stderr.write(f"{name} exited {run.returncode}:\n{run.stderr.decode()}")
+            return 1
+        print(f"{_digest(run.stdout)}  {name}.stdout")
+    for path in sorted(out.iterdir()):
+        data = path.read_bytes()
+        if path.name == "train-m8-log.csv":
+            data = _without_seconds(data)
+        print(f"{_digest(data)}  {path.name}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
