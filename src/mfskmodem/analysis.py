@@ -61,44 +61,19 @@ def autocorrelation(waveform: Waveform, max_lag: int) -> np.ndarray:
     return r / r[0]
 
 
-def data_bin_magnitudes(profile: ModemProfile, batch: np.ndarray) -> np.ndarray:
-    """DFT magnitudes at the M data-tone bins for a batch of symbol windows.
-
-    ``batch`` has shape (num_symbols, symbol_len); returns (num_symbols, M).
-    """
-    batch = np.atleast_2d(np.asarray(batch))
-    if batch.shape[-1] != profile.symbol_len:
-        raise ValueError(
-            f"window length {batch.shape[-1]} != symbol_len {profile.symbol_len}"
-        )
-    lo = profile.sync_bin + profile.tone_offset
-    spectrum = np.fft.rfft(batch, axis=-1)
-    return np.abs(spectrum[:, lo : lo + profile.tone_count])
-
-
-def classical_demod(profile: ModemProfile, waveform: Waveform) -> int:
-    """Most-likely data tone of one symbol window, non-coherently detected.
-
-    Argmax over the data-bin magnitudes; ties break toward the lowest tone
-    index (so an all-zero input decodes as tone 0).
-    """
-    if len(waveform) != profile.symbol_len:
-        raise ValueError(
-            f"waveform length {len(waveform)} != symbol_len {profile.symbol_len}"
-        )
-    magnitudes = data_bin_magnitudes(profile, waveform.samples[None, :])
-    return int(np.argmax(magnitudes[0]))
-
-
-def classical_demod_batch(profile: ModemProfile, batch: np.ndarray) -> np.ndarray:
-    """Vectorized classical_demod over (num_symbols, symbol_len) windows."""
-    return np.argmax(data_bin_magnitudes(profile, batch), axis=-1)
-
-
 def classical_demodulator(profile: ModemProfile):
-    """Batch demodulation callable for the sweep/benchmark harness."""
+    """The classical detector: ``demod(batch)`` maps (B, symbol_len) windows, or
+    one window, to the (B,) argmax of the M data-bin DFT magnitudes; ties break
+    toward the lowest tone (an all-zero window decodes as tone 0)."""
+    lo = profile.sync_bin + profile.tone_offset
 
     def demod(batch: np.ndarray) -> np.ndarray:
-        return classical_demod_batch(profile, batch)
+        batch = np.atleast_2d(np.asarray(batch))
+        if batch.shape[-1] != profile.symbol_len:
+            raise ValueError(
+                f"window length {batch.shape[-1]} != symbol_len {profile.symbol_len}"
+            )
+        spectrum = np.fft.rfft(batch, axis=-1)
+        return np.argmax(np.abs(spectrum[:, lo : lo + profile.tone_count]), axis=-1)
 
     return demod

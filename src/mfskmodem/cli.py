@@ -16,6 +16,7 @@ import argparse
 import contextlib
 import ctypes
 import hashlib
+import math
 import os
 import sys
 
@@ -23,7 +24,7 @@ from .errors import FileFormatError
 
 
 class ConfigError(Exception):
-    """Bad profile name or profile file: a usage-level failure (exit 2)."""
+    """Bad profile name, profile file or training setting: a usage-level failure (exit 2)."""
 
 
 def _positive_int(text: str) -> int:
@@ -63,7 +64,7 @@ def _grid(text: str):
     try:
         if ":" in text:
             lo, hi, step = (float(v) for v in text.split(":"))
-            if step <= 0 or hi < lo:
+            if not all(map(math.isfinite, (lo, hi, step))) or step <= 0 or hi < lo:
                 raise ValueError
             points = []
             value = lo
@@ -204,11 +205,14 @@ def _cmd_train(args) -> int:
 
     profile = _profile(args)
     seed = _resolve_seed(args)
+    try:
+        cfg = TrainConfig(learning_rate=args.lr, batch_size=args.batch_size,
+                          epochs=args.epochs, seed=seed)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     loaded = ds.read(args.dataset)
     _check_dataset_profile(loaded, profile)
     x, y = ds.data_arrays(loaded)
-    cfg = TrainConfig(learning_rate=args.lr, batch_size=args.batch_size,
-                      epochs=args.epochs, seed=seed)
     state, log = train(profile.model, cfg, x, y)
     save_weights(state, args.out_weights)
     write_lines(args.out_log, ["epoch,loss,accuracy,seconds"] + [

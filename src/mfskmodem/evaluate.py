@@ -49,12 +49,8 @@ class ConfusionMatrix:
         return int(self.counts.sum())
 
 
-def accumulate(cm: ConfusionMatrix, true: int, predicted: int) -> ConfusionMatrix:
-    """Count one (true, predicted) pair; mutates and returns ``cm``."""
-    return accumulate_many(cm, [true], [predicted])
-
-
 def accumulate_many(cm: ConfusionMatrix, true, predicted) -> ConfusionMatrix:
+    """Count each (true, predicted) pair; mutates and returns ``cm``."""
     true = np.asarray(true)
     predicted = np.asarray(predicted)
     m = cm.classes

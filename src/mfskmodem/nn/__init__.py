@@ -19,7 +19,6 @@ from .training import (
     adam_step,
     grad_check,
     model_demodulator,
-    predict,
     train,
     train_step,
 )
@@ -43,7 +42,6 @@ __all__ = [
     "loss_ce",
     "model_demodulator",
     "parameter_counts",
-    "predict",
     "save_weights",
     "train",
     "train_step",

@@ -1,4 +1,4 @@
-"""Adam optimizer, training loop, prediction, and finite-difference checking."""
+"""Adam optimizer, training loop, the CNN demodulator, and finite-difference checking."""
 
 import time
 from dataclasses import dataclass, field
@@ -27,6 +27,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError("learning_rate must be finite and > 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.epochs < 1:
@@ -142,24 +144,9 @@ def train(config: ModelConfig, cfg: TrainConfig, x: np.ndarray, y: np.ndarray):
     return state, log
 
 
-def predict(state: ModelState, samples):
-    """Decode one symbol window: (tone index, probability vector).
-
-    Accepts a Waveform or a plain 1-D array of input_len samples; ties in
-    the argmax break toward the lowest index.
-    """
-    values = getattr(samples, "samples", samples)
-    values = np.asarray(values)
-    if values.ndim != 1 or values.size != state.config.input_len:
-        raise ValueError(
-            f"expected {state.config.input_len} samples, got shape {values.shape}"
-        )
-    probs = forward(state, values[None, :])[0]
-    return int(np.argmax(probs)), probs
-
-
 def model_demodulator(state: ModelState):
-    """Batch demodulation callable for the sweep/benchmark harness."""
+    """The CNN detector: ``demod(batch)`` maps (B, input_len) windows, or one
+    window, to the (B,) argmax of ``forward``; ties break toward the lowest index."""
 
     def demod(batch: np.ndarray) -> np.ndarray:
         return np.argmax(forward(state, batch), axis=1)

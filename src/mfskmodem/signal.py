@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .theory import bits_per_symbol
+
 # A transmission frame is this many symbol intervals (sync + data mixed
 # per the caller's pattern; the schedule itself is accepted as input).
 FRAME_INTERVALS = 126
@@ -41,7 +43,7 @@ class ModemProfile:
     Attributes:
         sample_rate_hz: sampling rate fs.
         symbol_len: samples per symbol window (power of two).
-        tone_count: size M of the data-tone alphabet (power of two).
+        tone_count: size M of the data-tone alphabet (power of two >= 2).
         sync_bin: DFT bin index of the synchronizing tone.
         tone_offset: bin offset of data tone 0 above the sync bin.
         ref_bandwidth_hz: reference bandwidth B for the SNR convention.
@@ -55,14 +57,14 @@ class ModemProfile:
     ref_bandwidth_hz: float
 
     def __post_init__(self):
-        if self.sample_rate_hz <= 0:
-            raise ValueError("sample_rate_hz must be positive")
-        if self.ref_bandwidth_hz <= 0:
-            raise ValueError("ref_bandwidth_hz must be positive")
+        if not (np.isfinite(self.sample_rate_hz) and self.sample_rate_hz > 0):
+            raise ValueError("sample_rate_hz must be finite and positive")
+        if not (np.isfinite(self.ref_bandwidth_hz) and self.ref_bandwidth_hz > 0):
+            raise ValueError("ref_bandwidth_hz must be finite and positive")
         if not _is_pow2(self.symbol_len):
             raise ValueError(f"symbol_len must be a power of two, got {self.symbol_len}")
-        if not _is_pow2(self.tone_count):
-            raise ValueError(f"tone_count must be a power of two, got {self.tone_count}")
+        if self.tone_count < 2 or not _is_pow2(self.tone_count):
+            raise ValueError(f"tone_count must be a power of two >= 2, got {self.tone_count}")
         if self.sync_bin < 0 or self.tone_offset < 0:
             raise ValueError("sync_bin and tone_offset must be non-negative")
         top_bin = self.sync_bin + self.tone_offset + self.tone_count - 1
@@ -75,7 +77,7 @@ class ModemProfile:
     @property
     def bits_per_symbol(self) -> int:
         """Information bits per data tone, log2(tone_count)."""
-        return self.tone_count.bit_length() - 1
+        return bits_per_symbol(self.tone_count)
 
     @property
     def bin_width_hz(self) -> float:
@@ -100,8 +102,8 @@ class Waveform:
             raise ValueError("samples must be a non-empty 1-D sequence")
         if not np.all(np.isfinite(self.samples)):
             raise ValueError("samples must all be finite")
-        if self.sample_rate_hz <= 0:
-            raise ValueError("sample_rate_hz must be positive")
+        if not (np.isfinite(self.sample_rate_hz) and self.sample_rate_hz > 0):
+            raise ValueError("sample_rate_hz must be finite and positive")
 
     def __len__(self) -> int:
         return self.samples.size

@@ -5,8 +5,6 @@ import pytest
 
 from mfskmodem.analysis import (
     autocorrelation,
-    classical_demod,
-    classical_demod_batch,
     classical_demodulator,
     energy_spectrum,
 )
@@ -100,17 +98,17 @@ class TestClassicalDemod:
                 synthesize_symbol(full_profile, s, phase=phase).samples
                 for s in range(full_profile.tone_count)
             ])
-            assert np.array_equal(classical_demod_batch(full_profile, batch),
+            assert np.array_equal(classical_demodulator(full_profile)(batch),
                                   np.arange(full_profile.tone_count))
 
     def test_all_zero_input_breaks_ties_low(self, full_profile):
         w = Waveform(np.zeros(full_profile.symbol_len) + 0.0, 11025.0)
         # Waveform requires non-empty; zeros are fine.
-        assert classical_demod(full_profile, w) == 0
+        assert classical_demodulator(full_profile)(w.samples[None, :]).tolist() == [0]
 
     def test_length_mismatch_rejected(self, full_profile):
         with pytest.raises(ValueError, match="symbol_len"):
-            classical_demod(full_profile, Waveform(np.ones(100), 11025.0))
+            classical_demodulator(full_profile)(Waveform(np.ones(100), 11025.0).samples)
 
     def test_monte_carlo_tracks_theory(self, full_profile):
         # Fast sanity version of the theory/simulation triangle (the

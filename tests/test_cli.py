@@ -1,6 +1,11 @@
 """End-to-end tests of the command-line interface (in-process main())."""
 
 import hashlib
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -157,6 +162,16 @@ class TestTrainAndDemod:
         assert len(lines) == 4  # header + 3 epochs
         assert lines[1].startswith("1,")
 
+    @pytest.mark.parametrize("lr", ["-0.001", "0", "nan", "inf"])
+    def test_learning_rate_is_refused_before_the_dataset_is_read(self, tmp_path, capsys, lr):
+        code, _, err = run(capsys, "train", "--profile", "reduced-m8",
+                           "--dataset", str(tmp_path / "absent.dset"), f"--lr={lr}",
+                           "--seed", "1", "--out-weights", str(tmp_path / "w.bin"),
+                           "--out-log", str(tmp_path / "log.csv"))
+        assert code == 2
+        assert err == "error: learning_rate must be finite and > 0\n"
+        assert not list(tmp_path.iterdir())
+
     def test_classical_demod_noiseless_is_perfect(self, workspace, tmp_path, capsys):
         _, train_set, _, _ = workspace
         report = tmp_path / "classical.report"
@@ -214,6 +229,35 @@ class TestSweep:
         lines = out.read_text().strip().split("\n")
         assert lines[0] == "snr_db,ebn0_db,ber_measured,ber_from_ser,ber_theory,n"
         assert len(lines) == 4
+
+
+class TestGrid:
+    def test_nan_bound_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "theory.csv"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["theory", "--ebn0", "nan:0:1", "--out", str(out)])
+        assert excinfo.value.code == 2
+        assert "bad grid 'nan:0:1'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--profile", "reduced-m8", "--classical", "--n", "1", "--seed", "1",
+         "--snr", "0:inf:1", "--out", "sweep.csv"],
+        ["theory", "--ebn0", "-inf:0:1", "--out", "theory.csv"],
+    ])
+    def test_infinite_bound_is_usage_error(self, tmp_path, argv):
+        # A child process capped at 10 s and 1 GiB of address space: a grid
+        # loop that never ends fails the test instead of hanging it or
+        # exhausting memory.
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+        run = subprocess.run(
+            [sys.executable, "-m", "mfskmodem.cli", *argv], cwd=tmp_path, env=env,
+            capture_output=True, text=True, timeout=10,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)))
+        assert run.returncode == 2
+        assert "bad grid" in run.stderr
+        assert not list(tmp_path.iterdir())
 
 
 class TestSnrRange:
@@ -315,6 +359,11 @@ class TestBench:
         assert "real_time=true" in out
 
 
+DESK_M4 = {"sample_rate_hz": 8000, "symbol_len": 256, "tone_count": 4, "sync_bin": 20,
+           "tone_offset": 2, "ref_bandwidth_hz": 1000, "conv_filters": 8,
+           "conv_kernel": 8, "hidden_units": 8}
+
+
 class TestProfilesFile:
     def test_custom_profile_loads(self, tmp_path, capsys):
         config = tmp_path / "profiles.ini"
@@ -336,6 +385,22 @@ class TestProfilesFile:
                            "--seed", "2", "--out", str(out_file))
         assert code == 0
         assert "records=3" in out
+
+    @pytest.mark.parametrize("line", ["sample_rate_hz = nan", "sample_rate_hz = inf",
+                                      "ref_bandwidth_hz = inf", "tone_count = 1"])
+    def test_unrunnable_value_is_config_error(self, tmp_path, capsys, line):
+        key = line.split(" = ")[0]
+        config = tmp_path / "profiles.ini"
+        config.write_text("[bad]\n" + "".join(
+            f"{line}\n" if name == key else f"{name} = {value}\n"
+            for name, value in DESK_M4.items()))
+        out_file = tmp_path / "e.dset"
+        code, _, err = run(capsys, "--profiles-file", str(config), "synth",
+                           "--profile", "bad", "--count", "1", "--snr", "-5",
+                           "--seed", "1", "--out", str(out_file))
+        assert code == 2
+        assert err.startswith("error: ") and key in err
+        assert not out_file.exists()
 
     def test_missing_keys_rejected(self, tmp_path, capsys):
         config = tmp_path / "profiles.ini"

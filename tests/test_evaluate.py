@@ -10,7 +10,6 @@ from mfskmodem.evaluate import (
     BER_CSV_HEADER,
     SER_CSV_HEADER,
     ConfusionMatrix,
-    accumulate,
     accumulate_many,
     bench_latency,
     metrics,
@@ -19,13 +18,33 @@ from mfskmodem.evaluate import (
     write_lines,
     write_ser_csv,
 )
+from mfskmodem.nn import ModelConfig, build_model, model_demodulator
 from mfskmodem.theory import esn0_to_snr, ser_noncoherent_mfsk
+
+
+@pytest.mark.parametrize("detector", ["classical", "cnn"])
+def test_both_detectors_keep_one_batch_contract(reduced_profile, rng, detector):
+    """demod(batch) -> labels: what sweep_ber, bench_latency and the CLI call."""
+    if detector == "classical":
+        demod = classical_demodulator(reduced_profile)
+    else:
+        config = ModelConfig(input_len=reduced_profile.symbol_len, conv_filters=4,
+                             conv_kernel=8, hidden_units=8,
+                             classes=reduced_profile.tone_count)
+        demod = model_demodulator(build_model(config, seed=0))
+    for batch_size in (1, 3):
+        labels = demod(rng.standard_normal((batch_size, reduced_profile.symbol_len)))
+        assert labels.shape == (batch_size,)
+        assert np.issubdtype(labels.dtype, np.integer)
+        assert np.all((labels >= 0) & (labels < reduced_profile.tone_count))
+    with pytest.raises(ValueError):
+        demod(rng.standard_normal((3, reduced_profile.symbol_len - 1)))
 
 
 class TestConfusionMatrix:
     def test_single_accumulate(self):
         cm = ConfusionMatrix.empty(4)
-        accumulate(cm, 0, 0)
+        accumulate_many(cm, [0], [0])
         assert cm.counts[0, 0] == 1
         assert cm.total == 1
         assert np.trace(cm.counts) == 1
@@ -39,13 +58,13 @@ class TestConfusionMatrix:
     def test_total_tracks_accumulations(self, rng):
         cm = ConfusionMatrix.empty(8)
         for _ in range(25):
-            accumulate(cm, int(rng.integers(0, 8)), int(rng.integers(0, 8)))
+            accumulate_many(cm, [int(rng.integers(0, 8))], [int(rng.integers(0, 8))])
         assert cm.total == 25
 
     def test_out_of_range_rejected(self):
         cm = ConfusionMatrix.empty(4)
         with pytest.raises(ValueError):
-            accumulate(cm, 4, 0)
+            accumulate_many(cm, [4], [0])
         with pytest.raises(ValueError):
             accumulate_many(cm, [0], [-1])
 

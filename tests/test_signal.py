@@ -1,5 +1,7 @@
 """Tests for the tone plan, symbol synthesis, and the AWGN channel."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,22 @@ class TestModemProfile:
     def test_tones_must_stay_below_nyquist(self):
         with pytest.raises(ValueError, match="Nyquist"):
             ModemProfile(11025.0, 256, 64, 100, 2, 2500.0)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("sample_rate_hz", float("nan"), "sample_rate_hz must be finite"),
+        ("sample_rate_hz", float("inf"), "sample_rate_hz must be finite"),
+        ("ref_bandwidth_hz", float("nan"), "ref_bandwidth_hz must be finite"),
+        ("ref_bandwidth_hz", float("inf"), "ref_bandwidth_hz must be finite"),
+        ("tone_count", 1, "power of two >= 2"),
+    ])
+    def test_unrunnable_value_rejected(self, full_profile, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(full_profile, **{field: value})
+
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf")])
+    def test_waveform_rate_must_be_finite(self, rate):
+        with pytest.raises(ValueError, match="sample_rate_hz must be finite"):
+            Waveform(np.ones(8), rate)
 
 
 class TestToneFrequency:

@@ -1,4 +1,4 @@
-"""Tests for Adam, the training loop, gradient checking, and prediction."""
+"""Tests for Adam, the training loop, gradient checking, and the CNN demodulator."""
 
 import sys
 import threading
@@ -18,7 +18,7 @@ from mfskmodem.nn import (
     forward_train,
     grad_check,
     loss_ce,
-    predict,
+    model_demodulator,
     train,
     train_step,
 )
@@ -130,6 +130,13 @@ class TestTrainStep:
             with pytest.raises(RuntimeError, match="diverged"):
                 train(OVERFIT_MODEL, TrainConfig(learning_rate=1e12, epochs=2, seed=2),
                       x, labels)
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize("lr", [-0.001, 0.0, float("nan"), float("inf")])
+    def test_learning_rate_must_be_finite_and_positive(self, lr):
+        with pytest.raises(ValueError, match="learning_rate must be finite and > 0"):
+            TrainConfig(learning_rate=lr)
 
 
 class TestGradCheck:
@@ -260,13 +267,13 @@ class TestPredict:
         _, _, state, _ = overfit_run
         for s in range(4):
             w = synthesize_symbol(OVERFIT_PROFILE, s, phase=2.2)
-            decoded, probs = predict(state, w)
-            assert decoded == s
+            decoded = model_demodulator(state)(w.samples[None, :])
+            probs = forward(state, w.samples[None, :])[0]
+            assert decoded.tolist() == [s]
             assert probs.sum() == pytest.approx(1.0, abs=1e-6)
 
     def test_trained_model_sweeps_clean_at_high_snr(self, overfit_run):
         from mfskmodem.evaluate import sweep_ber
-        from mfskmodem.nn import model_demodulator
 
         _, _, state, _ = overfit_run
         rows = sweep_ber(model_demodulator(state), OVERFIT_PROFILE, [30.0],
@@ -275,12 +282,14 @@ class TestPredict:
 
     def test_untrained_model_returns_valid_symbol(self, rng):
         state = build_model(TINY, seed=0)
-        decoded, probs = predict(state, rng.standard_normal(64))
-        assert 0 <= decoded < 4
+        x = rng.standard_normal(64)
+        decoded = model_demodulator(state)(x[None, :])
+        probs = forward(state, x[None, :])[0]
+        assert 0 <= decoded[0] < 4
         assert probs.shape == (4,)
         assert probs.sum() == pytest.approx(1.0, abs=1e-6)
 
     def test_length_mismatch_rejected(self, rng):
         state = build_model(TINY, seed=0)
-        with pytest.raises(ValueError, match="samples"):
-            predict(state, rng.standard_normal(65))
+        with pytest.raises(ValueError, match=r"batch must be \(B, 64\)"):
+            model_demodulator(state)(rng.standard_normal(65))

@@ -3,8 +3,9 @@
 Runs the CLI from the source directory ``--src`` (the one holding the
 ``mfskmodem`` package) at ``--threads 1``, inside the empty or new
 directory ``--out``, and prints one ``sha256  name`` line per file written
-and per command's standard output (``<run>.stdout``).  Two source trees
-that print the same lines wrote the same bytes:
+and per command's standard output (``<run>.stdout``), then the exit code
+and standard-error hash of each run the CLI must refuse.  Two source trees
+that print the same lines wrote the same bytes and refused alike:
 
     python3 tools/seeded_artifacts.py --src old/src --out /tmp/old > old.txt
     python3 tools/seeded_artifacts.py --src src --out /tmp/new > new.txt
@@ -70,6 +71,22 @@ RUNS = [
                     "--out", "theory-m64.csv"]),
 ]
 
+# Runs the CLI must refuse; they run after RUNS, whose files they read.  Each
+# prints its exit code and the hash of its standard error, and a file one of
+# them left behind would show up in the hashed listing of --out.
+REFUSALS = [
+    ("refuse-synth-snr", ["synth", "--profile", "reduced-m8", "--count", "3", "--snr", "4000",
+                          "--seed", "1", "--out", "refused-synth.mfskdset"]),
+    ("refuse-theory-m1", ["theory", "--m", "1", "--ebn0", "0", "--out", "refused-theory.csv"]),
+    ("refuse-demod-profile", ["demod", "--profile", "jt65a-full", "--classical",
+                              "--dataset", "m8.mfskdset", "--out-report", "refused-demod.report"]),
+    ("refuse-profile-name", ["synth", "--profile", "nope", "--count", "1", "--snr", "0",
+                             "--seed", "1", "--out", "refused-nope.mfskdset"]),
+    ("refuse-train-epochs", ["train", "--profile", "reduced-m8", "--dataset", "m8.mfskdset",
+                             "--epochs", "0", "--seed", "2", "--out-weights", "refused-train.weights",
+                             "--out-log", "refused-train.csv"]),
+]
+
 
 def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -90,13 +107,20 @@ def main(argv=None) -> int:
     if any(out.iterdir()):
         parser.error(f"{out} is not empty")
     env = dict(os.environ, PYTHONPATH=str(Path(args.src).resolve()))
+
+    def cli(cli_args):
+        return subprocess.run([sys.executable, "-m", "mfskmodem.cli", "--threads", "1",
+                               *cli_args], cwd=out, env=env, capture_output=True)
+
     for name, cli_args in RUNS:
-        run = subprocess.run([sys.executable, "-m", "mfskmodem.cli", "--threads", "1", *cli_args],
-                             cwd=out, env=env, capture_output=True)
+        run = cli(cli_args)
         if run.returncode != 0:
             sys.stderr.write(f"{name} exited {run.returncode}:\n{run.stderr.decode()}")
             return 1
         print(f"{_digest(run.stdout)}  {name}.stdout")
+    for name, cli_args in REFUSALS:
+        run = cli(cli_args)
+        print(f"{_digest(run.stderr)}  {name}.stderr exit={run.returncode}")
     for path in sorted(out.iterdir()):
         data = path.read_bytes()
         if path.name == "train-m8-log.csv":
