@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signal import ModemProfile, Waveform, _is_pow2
+from .signal import ModemProfile, Waveform, _is_pow2, tone_bin
 
 
 @dataclass
@@ -20,10 +20,6 @@ class Spectrum:
 
     bin_energies: np.ndarray
     bin_width_hz: float
-
-    @property
-    def frequencies_hz(self) -> np.ndarray:
-        return np.arange(self.bin_energies.size) * self.bin_width_hz
 
     def peak_bin(self) -> int:
         return int(np.argmax(self.bin_energies))
@@ -65,7 +61,7 @@ def classical_demodulator(profile: ModemProfile):
     """The classical detector: ``demod(batch)`` maps (B, symbol_len) windows, or
     one window, to the (B,) argmax of the M data-bin DFT magnitudes; ties break
     toward the lowest tone (an all-zero window decodes as tone 0)."""
-    lo = profile.sync_bin + profile.tone_offset
+    lo = tone_bin(profile, 0)
 
     def demod(batch: np.ndarray) -> np.ndarray:
         batch = np.atleast_2d(np.asarray(batch))

@@ -44,16 +44,21 @@ def _bench_count(text: str) -> int:
     return value
 
 
+def _finite_db(text: str) -> float:
+    """One finite dB value; argparse turns the ValueError into its usage error."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not finite")
+    return value
+
+
 def _snr_spec(text: str):
     """Either a fixed SNR ("-25") or a uniform range ("-30..0"), in dB."""
     try:
-        if ".." in text:
-            lo, hi = text.split("..", 1)
-            lo, hi = float(lo), float(hi)
-        else:
-            lo = hi = float(text)
+        bounds = [_finite_db(v) for v in text.split("..", 1)]
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad SNR spec {text!r} (use e.g. -25 or -30..0)")
+    lo, hi = bounds[0], bounds[-1]
     if lo > hi:
         raise argparse.ArgumentTypeError("SNR range must have lo <= hi")
     return lo, hi
@@ -63,8 +68,8 @@ def _grid(text: str):
     """Comma-separated dB values, or lo:hi:step (inclusive of hi within 1e-9)."""
     try:
         if ":" in text:
-            lo, hi, step = (float(v) for v in text.split(":"))
-            if not all(map(math.isfinite, (lo, hi, step))) or step <= 0 or hi < lo:
+            lo, hi, step = map(_finite_db, text.split(":"))
+            if step <= 0 or hi < lo:
                 raise ValueError
             points = []
             value = lo
@@ -72,7 +77,7 @@ def _grid(text: str):
                 points.append(round(value, 12))
                 value += step
             return points
-        return [float(v) for v in text.split(",")]
+        return [_finite_db(v) for v in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"bad grid {text!r} (use e.g. -25,-20,-15 or -30:0:5)"
@@ -348,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--tone", type=int, help="synthesize this data tone")
     source.add_argument("--sync", action="store_true", help="synthesize the sync tone")
     p.add_argument("--index", type=int, default=0, help="record index within --dataset")
-    p.add_argument("--snr-db", type=float, default=None,
+    p.add_argument("--snr-db", type=_finite_db, default=None,
                    help="add noise at this SNR (synthesis path; omit for noiseless)")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--lowpass", action="store_true",

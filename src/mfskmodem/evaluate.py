@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signal import ModemProfile, noisy_windows, tone_windows
+from .signal import ModemProfile, noisy_windows, tone_bin, tone_windows
 from .theory import (bits_per_symbol, ebn0_to_esn0, ser_noncoherent_mfsk, ser_to_ber,
                      snr_to_ebn0)
 
@@ -184,7 +184,7 @@ def _run_point(demod, profile, snr_db, n_symbols, rng):
     m = profile.tone_count
     labels = rng.integers(0, m, n_symbols)
     phases = rng.uniform(0.0, 2.0 * np.pi, n_symbols)
-    bins = profile.sync_bin + profile.tone_offset + labels
+    bins = tone_bin(profile, 0) + labels
     bit_weights = _bit_weights(m)
     symbol_errors = bit_errors = 0
     for lo in range(0, n_symbols, _CHUNK):
@@ -225,25 +225,21 @@ def sweep_ber(demod, profile: ModemProfile, snr_points, n_per_point: int, seed: 
     return rows
 
 
-def write_ser_csv(rows, destination) -> None:
-    write_lines(destination, [SER_CSV_HEADER] + [
+def write_ser_csv(rows, path) -> None:
+    write_lines(path, [SER_CSV_HEADER] + [
         f"{r.snr_db:.6g},{r.ser:.10g},{r.stderr:.10g},{r.n}" for r in rows])
 
 
-def write_ber_csv(rows, destination) -> None:
-    write_lines(destination, [BER_CSV_HEADER] + [
+def write_ber_csv(rows, path) -> None:
+    write_lines(path, [BER_CSV_HEADER] + [
         f"{r.snr_db:.6g},{r.ebn0_db:.6g},{r.ber_measured:.10g},"
         f"{r.ber_from_ser:.10g},{r.ber_theory:.10g},{r.n}" for r in rows])
 
 
-def write_lines(destination, lines) -> None:
-    """Write each line plus "\\n" to a path or an open text file (every CSV)."""
-    text = "".join(f"{line}\n" for line in lines)
-    if hasattr(destination, "write"):
-        destination.write(text)
-    else:
-        with open(destination, "w", encoding="utf-8") as handle:
-            handle.write(text)
+def write_lines(path, lines) -> None:
+    """Write each line plus "\\n" to the file at ``path`` (every CSV and report)."""
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write("".join(f"{line}\n" for line in lines))
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +257,7 @@ class LatencyReport:
 
 
 def bench_latency(demod, profile: ModemProfile, n_symbols: int,
-                  warmup: int = 100, seed: int = 0) -> LatencyReport:
+                  warmup: int = 100) -> LatencyReport:
     """Wall-clock per single-symbol demodulation, batch size 1.
 
     ``real_time`` compares the mean against the symbol interval N/fs
@@ -270,11 +266,10 @@ def bench_latency(demod, profile: ModemProfile, n_symbols: int,
     """
     if n_symbols < 100:
         raise ValueError("n_symbols must be >= 100 for stable percentiles")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     labels = rng.integers(0, profile.tone_count, n_symbols)
     phases = rng.uniform(0.0, 2.0 * np.pi, n_symbols)
-    windows = tone_windows(profile, profile.sync_bin + profile.tone_offset + labels,
-                           phases)
+    windows = tone_windows(profile, tone_bin(profile, 0) + labels, phases)
 
     for i in range(min(warmup, n_symbols)):
         demod(windows[i % n_symbols][None, :])

@@ -129,10 +129,7 @@ class ModelState:
         return [name for name, _, trainable in param_layout(self.config) if not trainable]
 
     def copy(self) -> "ModelState":
-        return self.astype(self.dtype)
-
-    def astype(self, dtype) -> "ModelState":
-        clone = ModelState(self.config, dtype)
+        clone = ModelState(self.config, self.dtype)
         clone._arena[...] = self._arena
         return clone
 

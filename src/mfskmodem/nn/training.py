@@ -13,15 +13,17 @@ from .model import (ModelConfig, ModelState, _mutable, backward, build_model, fo
 GRAD_CHECK_CONFIG = ModelConfig(input_len=64, conv_filters=4, conv_kernel=8,
                                 hidden_units=8, classes=4)
 
+# Adam's decay rates are Kingma & Ba 2015's; the 1e-7 denominator floor is Keras's.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-7
+
 
 @dataclass(frozen=True)
 class TrainConfig:
     """Optimizer and loop hyper-parameters."""
 
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-7
     batch_size: int = 32
     epochs: int = 6
     seed: int = 0
@@ -71,22 +73,22 @@ def adam_step(state: ModelState, adam: AdamState, grads: dict, cfg: TrainConfig)
     params = _mutable(state)
     adam.step += 1
     t = adam.step
-    correction1 = 1.0 - cfg.beta1**t
-    correction2 = 1.0 - cfg.beta2**t
+    correction1 = 1.0 - ADAM_BETA1**t
+    correction2 = 1.0 - ADAM_BETA2**t
     for name in state.trainable_names:
         g = grads[name]
         m = adam.m[name]
         v = adam.v[name]
-        scratch = np.multiply(g, 1.0 - cfg.beta1, dtype=m.dtype)
-        m *= cfg.beta1
+        scratch = np.multiply(g, 1.0 - ADAM_BETA1, dtype=m.dtype)
+        m *= ADAM_BETA1
         m += scratch
         np.square(g, out=scratch)
-        scratch *= 1.0 - cfg.beta2
-        v *= cfg.beta2
+        scratch *= 1.0 - ADAM_BETA2
+        v *= ADAM_BETA2
         v += scratch
         np.divide(v, correction2, out=scratch)
         np.sqrt(scratch, out=scratch)
-        scratch += cfg.epsilon
+        scratch += ADAM_EPSILON
         np.divide(m, scratch, out=scratch)
         scratch *= cfg.learning_rate / correction1
         params[name] -= scratch

@@ -13,9 +13,10 @@ Layout (all integers little-endian):
         dims          u64 * rank
         data          raw row-major tensor bytes
 
-Loading rebuilds the ModelConfig from the stored shapes and cross-checks
-every tensor against it, so a file that disagrees with itself fails with a
-ShapeError naming the offending tensor.
+Loading reads the ModelConfig off the first and last axes of conv.kernel,
+hidden.weight and output.weight; param_layout alone then judges every
+tensor's shape, those three included, so a file that disagrees with itself
+fails with a ShapeError naming the offending tensor.
 """
 
 import math
@@ -97,7 +98,7 @@ def _parse(data: memoryview) -> ModelState:
             raise InconsistencyError(f"tensor {name!r} has unknown dtype tag {tag}")
         dims = _unpack(f"<{rank}Q", data, offset)
         offset += 8 * rank
-        if rank > 3 or 0 in dims:
+        if not 1 <= rank <= 3 or 0 in dims:
             raise ShapeError(f"tensor {name!r} has shape {dims}, not 1-3 nonzero axes")
         dtype = _TAG_DTYPES[tag]
         nbytes = math.prod(dims) * dtype.itemsize
@@ -138,27 +139,11 @@ def _infer_config(tensors) -> ModelConfig:
     for required in ("conv.kernel", "hidden.weight", "output.weight"):
         if required not in tensors:
             raise ShapeError(f"missing tensor record {required!r}")
-    kernel = tensors["conv.kernel"]
-    hidden = tensors["hidden.weight"]
-    output = tensors["output.weight"]
-    if kernel.ndim != 3 or kernel.shape[1] != 1:
-        raise ShapeError(f"tensor 'conv.kernel' has shape {kernel.shape}, expected (K, 1, F)")
-    if hidden.ndim != 2 or output.ndim != 2:
-        raise ShapeError("dense weight tensors must be rank 2")
-    k, _, f = kernel.shape
-    flat, h = hidden.shape
-    if flat % f != 0:
-        raise ShapeError(
-            f"tensor 'hidden.weight' input size {flat} is not a multiple of "
-            f"the {f} convolution filters"
-        )
-    if output.shape[0] != h:
-        raise ShapeError(
-            f"tensor 'output.weight' has shape {output.shape}, expected ({h}, M)"
-        )
+    k, f = (tensors["conv.kernel"].shape[i] for i in (0, -1))
+    flat, h = (tensors["hidden.weight"].shape[i] for i in (0, -1))
     try:
         return ModelConfig(input_len=flat // f, conv_filters=f, conv_kernel=k,
-                           hidden_units=h, classes=output.shape[1])
+                           hidden_units=h, classes=tensors["output.weight"].shape[-1])
     except ValueError as exc:
         raise ShapeError(f"stored tensor shapes describe no valid model: {exc}") from None
 

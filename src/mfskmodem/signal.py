@@ -67,7 +67,7 @@ class ModemProfile:
             raise ValueError(f"tone_count must be a power of two >= 2, got {self.tone_count}")
         if self.sync_bin < 0 or self.tone_offset < 0:
             raise ValueError("sync_bin and tone_offset must be non-negative")
-        top_bin = self.sync_bin + self.tone_offset + self.tone_count - 1
+        top_bin = tone_bin(self, self.tone_count - 1)
         if top_bin >= self.symbol_len / 2:
             raise ValueError(
                 f"highest data tone (bin {top_bin}) is at or above Nyquist "

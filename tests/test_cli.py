@@ -274,6 +274,21 @@ class TestSnrRange:
         assert err.startswith("error: ") and "noise variance" in err
 
 
+    @pytest.mark.parametrize("flag, argv", [
+        ("--snr", ["synth", "--count", "1", "--snr", "nan", "--out"]),
+        ("--snr", ["synth", "--count", "1", "--snr=-inf..0", "--out"]),
+        ("--snr", ["sweep", "--classical", "--n", "1", "--snr", "nan", "--out"]),
+        ("--ebn0", ["theory", "--ebn0", "inf,nan", "--out"]),
+        ("--snr-db", ["analyze", "--tone", "3", "--snr-db", "nan", "--out-prefix"]),
+    ])
+    def test_non_finite_snr_is_usage_error(self, tmp_path, capsys, flag, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, str(tmp_path / "out")])
+        assert excinfo.value.code == 2
+        assert f"argument {flag}:" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+
 class TestProfileCrossCheck:
     @pytest.mark.parametrize("argv", [
         ["demod", "--classical", "--out-report", "r.txt"],

@@ -1,7 +1,5 @@
 """Tests for confusion-matrix metrics, Monte-Carlo sweeps, and the benchmark."""
 
-import io
-
 import numpy as np
 import pytest
 
@@ -19,6 +17,8 @@ from mfskmodem.evaluate import (
     write_ser_csv,
 )
 from mfskmodem.nn import ModelConfig, build_model, model_demodulator
+from mfskmodem.profiles import get_profile
+from mfskmodem.signal import synthesize_symbol
 from mfskmodem.theory import esn0_to_snr, ser_noncoherent_mfsk
 
 
@@ -39,6 +39,24 @@ def test_both_detectors_keep_one_batch_contract(reduced_profile, rng, detector):
         assert np.all((labels >= 0) & (labels < reduced_profile.tone_count))
     with pytest.raises(ValueError):
         demod(rng.standard_normal((3, reduced_profile.symbol_len - 1)))
+
+
+def test_a_shifted_tone_plan_reaches_detector_sweep_and_bench(tmp_path):
+    """sync_bin 31 and tone_offset 5, unlike both builtins: the classical
+    detector and the sweep must place data tone 0 on bin 36."""
+    config = tmp_path / "profiles.ini"
+    config.write_text(
+        "[shifted]\nsample_rate_hz = 8000\nsymbol_len = 256\ntone_count = 8\n"
+        "sync_bin = 31\ntone_offset = 5\nref_bandwidth_hz = 2500\n"
+        "conv_filters = 4\nconv_kernel = 8\nhidden_units = 8\n")
+    profile = get_profile("shifted", config).modem
+    demod = classical_demodulator(profile)
+    clean = np.stack([synthesize_symbol(profile, tone, phase=0.4 * tone).samples
+                      for tone in range(profile.tone_count)])
+    assert demod(clean).tolist() == list(range(profile.tone_count))
+    row = sweep_ber(demod, profile, [30.0], 500, seed=3)[0]
+    assert row.ser == row.ber_measured == 0.0
+    assert bench_latency(demod, profile, 100, warmup=0).n == 100
 
 
 class TestConfusionMatrix:
@@ -204,37 +222,32 @@ class TestSweeps:
 
 
 class TestCsvOutput:
-    def test_ser_schema(self, reduced_profile):
+    def test_ser_schema(self, reduced_profile, tmp_path):
         demod = classical_demodulator(reduced_profile)
         rows = sweep_ber(demod, reduced_profile, [-12.0], 50, seed=1)
-        buffer = io.StringIO()
-        write_ser_csv(rows, buffer)
-        lines = buffer.getvalue().strip().split("\n")
+        write_ser_csv(rows, tmp_path / "ser.csv")
+        lines = (tmp_path / "ser.csv").read_text(encoding="utf-8").strip().split("\n")
         assert lines[0] == SER_CSV_HEADER == "snr_db,ser,stderr,n"
         assert len(lines) == 2
         assert lines[1].endswith(",50")
 
-    def test_ber_schema(self, reduced_profile):
+    def test_ber_schema(self, reduced_profile, tmp_path):
         demod = classical_demodulator(reduced_profile)
         rows = sweep_ber(demod, reduced_profile, [-12.0, -10.0], 50, seed=1)
-        buffer = io.StringIO()
-        write_ber_csv(rows, buffer)
-        lines = buffer.getvalue().strip().split("\n")
+        write_ber_csv(rows, tmp_path / "ber.csv")
+        lines = (tmp_path / "ber.csv").read_text(encoding="utf-8").strip().split("\n")
         assert lines[0] == BER_CSV_HEADER == (
             "snr_db,ebn0_db,ber_measured,ber_from_ser,ber_theory,n")
         assert len(lines) == 3
 
-    def test_write_lines_to_a_path_or_an_open_file(self, tmp_path):
+    def test_write_lines_to_a_path(self, tmp_path):
         path = tmp_path / "lines.csv"
-        write_lines(path, ["a,b", "1,2"])
-        buffer = io.StringIO()
-        write_lines(buffer, (line for line in ["a,b", "1,2"]))
-        assert path.read_text(encoding="utf-8") == buffer.getvalue() == "a,b\n1,2\n"
+        write_lines(path, (line for line in ["a,b", "1,2"]))
+        assert path.read_text(encoding="utf-8") == "a,b\n1,2\n"
 
-    def test_no_rows_is_the_header_alone(self):
-        buffer = io.StringIO()
-        write_ser_csv([], buffer)
-        assert buffer.getvalue() == SER_CSV_HEADER + "\n"
+    def test_no_rows_is_the_header_alone(self, tmp_path):
+        write_ser_csv([], tmp_path / "ser.csv")
+        assert (tmp_path / "ser.csv").read_text(encoding="utf-8") == SER_CSV_HEADER + "\n"
 
 
 class TestBenchLatency:

@@ -23,6 +23,7 @@ from mfskmodem.nn import (
     train_step,
 )
 from mfskmodem.nn.model import _mutable
+from mfskmodem.nn.training import ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON
 from mfskmodem.signal import ModemProfile, synthesize_symbol
 
 TINY = GRAD_CHECK_CONFIG  # N=64, F=4, K=8, H=8, M=4
@@ -67,7 +68,7 @@ class TestAdam:
         adam_step(state, adam, grads, cfg)
 
         delta = state.tensors["hidden.bias"] - before["hidden.bias"]
-        expected = -cfg.learning_rate * g / (abs(g) + cfg.epsilon)
+        expected = -cfg.learning_rate * g / (abs(g) + ADAM_EPSILON)
         np.testing.assert_allclose(delta, expected, rtol=1e-5)
         np.testing.assert_allclose(delta, -cfg.learning_rate, rtol=1e-4)
         for name in state.trainable_names:
@@ -99,11 +100,11 @@ class TestAdam:
             adam_step(state, adam, grads, cfg)
             for n in names:
                 for i, g in enumerate(grads[n].ravel().tolist()):
-                    m[n][i] = cfg.beta1 * m[n][i] + (1 - cfg.beta1) * g
-                    v[n][i] = cfg.beta2 * v[n][i] + (1 - cfg.beta2) * g * g
-                    m_hat = m[n][i] / (1 - cfg.beta1 ** step)
-                    v_hat = v[n][i] / (1 - cfg.beta2 ** step)
-                    theta[n][i] -= cfg.learning_rate * m_hat / (v_hat ** 0.5 + cfg.epsilon)
+                    m[n][i] = ADAM_BETA1 * m[n][i] + (1 - ADAM_BETA1) * g
+                    v[n][i] = ADAM_BETA2 * v[n][i] + (1 - ADAM_BETA2) * g * g
+                    m_hat = m[n][i] / (1 - ADAM_BETA1 ** step)
+                    v_hat = v[n][i] / (1 - ADAM_BETA2 ** step)
+                    theta[n][i] -= cfg.learning_rate * m_hat / (v_hat ** 0.5 + ADAM_EPSILON)
         assert adam.step == 5
         for n in names:
             np.testing.assert_allclose(state.tensors[n].ravel(), theta[n], rtol=1e-12)

@@ -2,6 +2,7 @@
 
 import io
 import os
+import struct
 import tracemalloc
 
 import numpy as np
@@ -18,7 +19,7 @@ from mfskmodem.errors import (
     VersionError,
 )
 from mfskmodem.nn import ModelConfig, build_model, load_weights, save_weights
-from mfskmodem.nn.model import _mutable
+from mfskmodem.nn.model import _mutable, param_layout
 
 TINY = ModelConfig(input_len=64, conv_filters=4, conv_kernel=8,
                    hidden_units=8, classes=4)
@@ -30,6 +31,17 @@ def saved_bytes(state) -> bytes:
     buffer = io.BytesIO()
     save_weights(state, buffer)
     return buffer.getvalue()
+
+
+def encoded(tensors) -> bytes:
+    """A weights file holding exactly these float32 records, in this order."""
+    parts = [b"MFSKNN01", struct.pack("<II", 1, len(tensors))]
+    for name, tensor in tensors.items():
+        tensor = np.asarray(tensor, dtype=np.float32)
+        parts += [struct.pack("<H", len(name)), name.encode("utf-8"),
+                  struct.pack(f"<BB{tensor.ndim}Q", 0, tensor.ndim, *tensor.shape),
+                  tensor.tobytes()]
+    return b"".join(parts)
 
 
 # So small that headers, names and dims are a third of the file's bytes.
@@ -133,6 +145,28 @@ class TestLoadErrors:
         blob = saved_bytes(build_model(TINY, seed=0))
         with pytest.raises(ShapeError, match="output.bias"):
             load_weights(io.BytesIO(blob.replace(b"output.bias", b"outputXbias")))
+
+    # TINY: N = 64, F = 4, K = 8, H = 8, M = 4.
+    @pytest.mark.parametrize("name, shape", [
+        pytest.param("conv.kernel", (8, 2, 4), id="kernel-two-input-channels"),
+        pytest.param("conv.kernel", (8, 4), id="kernel-rank-2"),
+        pytest.param("conv.kernel", (), id="kernel-rank-0"),
+        pytest.param("hidden.weight", (257, 8), id="hidden-rows-not-multiple-of-F"),
+        pytest.param("output.weight", (9, 4), id="output-rows-not-H"),
+        pytest.param("hidden.weight", (256, 1, 8), id="hidden-rank-3"),
+        pytest.param("conv.kernel", None, id="no-kernel-record"),
+        pytest.param("conv.kernel", (65, 1, 4), id="kernel-longer-than-input"),
+    ])
+    def test_inconsistent_shape_is_refused(self, name, shape):
+        state = build_model(TINY, seed=0)
+        tensors = {n: state.tensors[n] for n, _, _ in param_layout(TINY)}
+        assert encoded(tensors) == saved_bytes(state)
+        if shape is None:
+            del tensors[name]
+        else:
+            tensors[name] = np.zeros(shape, np.float32)
+        with pytest.raises(ShapeError):
+            load_weights(io.BytesIO(encoded(tensors)))
 
     @settings(max_examples=400, derandomize=True, database=None, deadline=None)
     @given(edits=st.lists(st.tuples(st.integers(0, len(MICRO_BLOB) - 1),
