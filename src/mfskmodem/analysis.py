@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signal import ModemProfile, Waveform, _is_pow2, tone_bin
+from .signal import ModemProfile, Waveform, _is_pow2, tone_bin, window_batch
 
 
 @dataclass
@@ -64,12 +64,7 @@ def classical_demodulator(profile: ModemProfile):
     lo = tone_bin(profile, 0)
 
     def demod(batch: np.ndarray) -> np.ndarray:
-        batch = np.atleast_2d(np.asarray(batch))
-        if batch.shape[-1] != profile.symbol_len:
-            raise ValueError(
-                f"window length {batch.shape[-1]} != symbol_len {profile.symbol_len}"
-            )
-        spectrum = np.fft.rfft(batch, axis=-1)
+        spectrum = np.fft.rfft(window_batch(batch, profile.symbol_len), axis=-1)
         return np.argmax(np.abs(spectrum[:, lo : lo + profile.tone_count]), axis=-1)
 
     return demod

@@ -121,16 +121,19 @@ def generate(spec: DatasetSpec) -> Dataset:
 def _generate(spec: DatasetSpec, indices) -> np.recarray:
     profile = spec.profile
     records = np.recarray(len(indices), record_dtype(profile.symbol_len))
-    with np.errstate(over="ignore"):  # ±inf samples are refused below
+    # An np.float64 SNR's 10**(snr/10) may overflow; noise_variance refuses it.
+    with np.errstate(over="ignore"):
         for row, index in enumerate(indices):
             rng = _record_rng(spec, index)
             label, phase, snr_db = _draw(spec, rng)
             bins = [tone_bin(profile, SYNC if label == SYNC_LABEL else label)]
-            records[row] = (snr_db, label, 0, noisy_windows(profile, bins, phase, snr_db, rng)[0])
-    row = _first_nonfinite(records.samples)
-    if row is not None:
-        raise ValueError(f"record {indices[row]} at SNR {records.snr_db[row]:g} dB has a "
-                         "sample outside the float32 range")
+            samples = noisy_windows(profile, bins, phase, snr_db, rng)[0]
+            try:
+                with np.errstate(over="raise"):  # the float32 cast
+                    records[row] = (snr_db, label, 0, samples)
+            except FloatingPointError:
+                raise ValueError(f"record {index} at SNR {np.float32(snr_db):g} dB has a "
+                                 "sample outside the float32 range") from None
     return records
 
 

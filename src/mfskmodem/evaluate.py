@@ -53,6 +53,8 @@ def accumulate_many(cm: ConfusionMatrix, true, predicted) -> ConfusionMatrix:
     """Count each (true, predicted) pair; mutates and returns ``cm``."""
     true = np.asarray(true)
     predicted = np.asarray(predicted)
+    if true.shape != predicted.shape:
+        raise ValueError(f"true shape {true.shape} != predicted shape {predicted.shape}")
     m = cm.classes
     if np.any((true < 0) | (true >= m)) or np.any((predicted < 0) | (predicted >= m)):
         raise ValueError(f"indices must lie in [0, {m})")

@@ -4,7 +4,8 @@ Layer sequence (fixed):
 
     input (N) -> reshape (N, 1)
     -> batch-norm over the single channel
-    -> 1-D convolution (F filters, kernel K, stride 1, same padding, linear)
+    -> 1-D convolution of that one channel (F filters, kernel K, stride 1,
+       same padding, linear; conv.kernel is stored as (K, 1, F))
     -> batch-norm over the F channels
     -> flatten (N*F)
     -> dense (H) with ReLU
@@ -35,6 +36,8 @@ from types import MappingProxyType
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+
+from ..signal import window_batch
 
 BN_EPS = 1e-3
 BN_MOMENTUM = 0.99
@@ -224,58 +227,44 @@ def _conv_pad(config: ModelConfig):
     return left, config.conv_kernel - 1 - left
 
 
-def _conv_matrix(kernel):
-    """(K, C, F) kernel as the (C*K, F) matrix of the im2col GEMM."""
-    k, c, f = kernel.shape
-    return kernel.transpose(1, 0, 2).reshape(c * k, f)
-
-
 def _conv_forward(x, kernel, bias, config: ModelConfig):
-    """x: (B, N, C) -> (B, N, F); kernel: (K, C, F).
+    """x: (B, N) -> (B, N, F); kernel: (K, F).
 
-    One im2col GEMM: each output position's (C, K) input window becomes a
-    row of a (B*N, C*K) column matrix, which is returned for the kernel
+    One im2col GEMM: each output position's K-sample input window becomes a
+    row of a (B*N, K) column matrix, which is returned for the kernel
     gradient.
     """
     left, right = _conv_pad(config)
-    xp = np.pad(x, ((0, 0), (left, right), (0, 0)))
-    b, n, c = x.shape
-    k, _, f = kernel.shape
-    cols = sliding_window_view(xp, k, axis=1).reshape(b * n, c * k)
-    y = cols @ _conv_matrix(kernel)
+    xp = np.pad(x, ((0, 0), (left, right)))
+    b, n = x.shape
+    k, f = kernel.shape
+    cols = sliding_window_view(xp, k, axis=1).reshape(b * n, k)
+    y = cols @ kernel
     y += bias
     return y.reshape(b, n, f), cols
 
 
 def _conv_backward(dy, cols, kernel, config: ModelConfig):
+    """dx (B, N), dkernel (K, F) and dbias (F,) of _conv_forward."""
     b, n, f = dy.shape
-    k, c, _ = kernel.shape
+    k, _ = kernel.shape
     left, _ = _conv_pad(config)
     dy2 = dy.reshape(b * n, f)
-    dkernel = (cols.T @ dy2).reshape(c, k, f).transpose(1, 0, 2)
+    dkernel = cols.T @ dy2
     dbias = np.einsum("ij->j", dy2)
     # col2im: scatter-add each tap's column gradient onto the padded input.
-    dcols = (dy2 @ _conv_matrix(kernel).T).reshape(b, n, c, k)
-    dxp = np.zeros((b, n + k - 1, c), dtype=dy.dtype)
+    dcols = (dy2 @ kernel.T).reshape(b, n, k)
+    dxp = np.zeros((b, n + k - 1), dtype=dy.dtype)
     for j in range(k):
-        dxp[:, j : j + n, :] += dcols[..., j]
-    dx = dxp[:, left : left + n, :]
-    return dx, np.ascontiguousarray(dkernel), dbias
+        dxp[:, j : j + n] += dcols[..., j]
+    dx = dxp[:, left : left + n]
+    return dx, dkernel, dbias
 
 
 def _softmax(logits):
     shifted = logits - logits.max(axis=-1, keepdims=True)
     exp = np.exp(shifted)
     return exp / exp.sum(axis=-1, keepdims=True)
-
-
-def _check_batch(config: ModelConfig, batch):
-    batch = np.atleast_2d(np.asarray(batch))
-    if batch.ndim != 2 or batch.shape[1] != config.input_len:
-        raise ValueError(
-            f"batch must be (B, {config.input_len}), got {batch.shape}"
-        )
-    return batch
 
 
 def forward(state: ModelState, batch: np.ndarray) -> np.ndarray:
@@ -286,7 +275,7 @@ def forward(state: ModelState, batch: np.ndarray) -> np.ndarray:
     maps of _inference_maps, whose first call on a state folds them.
     Memory is (B, N) + (B, H) for any batch.
     """
-    batch = _check_batch(state.config, batch)
+    batch = window_batch(batch, state.config.input_len)
     in_map, in_bias, out_map, out_bias = _inference_maps(state)
     hidden = np.asarray(batch, dtype=state.dtype) @ in_map
     hidden += in_bias
@@ -351,11 +340,12 @@ def forward_train(state: ModelState, batch: np.ndarray, update_running: bool = T
     """
     cfg = state.config
     t = _mutable(state) if update_running else state.tensors
-    x0 = _check_batch(cfg, batch).astype(state.dtype)[:, :, None]
+    x0 = window_batch(batch, cfg.input_len).astype(state.dtype)[:, :, None]
     cache = {"batch_size": x0.shape[0]}
 
     bn0, cache["bn0"], m0, v0 = _bn_train(x0, t["input_norm.gamma"], t["input_norm.beta"])
-    conv, cache["conv_cols"] = _conv_forward(bn0, t["conv.kernel"], t["conv.bias"], cfg)
+    conv, cache["conv_cols"] = _conv_forward(bn0[..., 0], t["conv.kernel"][:, 0], t["conv.bias"],
+                                             cfg)
     bn1, cache["bn1"], m1, v1 = _bn_train(conv, t["conv_norm.gamma"], t["conv_norm.beta"])
     flat = bn1.reshape(bn1.shape[0], cfg.flat_features)
     cache["flat"] = flat
@@ -430,8 +420,9 @@ def backward(state: ModelState, cache: dict, labels) -> dict:
     dbn1 = dflat.reshape(b, cfg.input_len, cfg.conv_filters)
     dconv, grads["conv_norm.gamma"], grads["conv_norm.beta"] = _bn_backward(
         dbn1, t["conv_norm.gamma"], cache["bn1"])
-    dbn0, grads["conv.kernel"], grads["conv.bias"] = _conv_backward(
-        dconv, cache["conv_cols"], t["conv.kernel"], cfg)
+    dbn0, dkernel, grads["conv.bias"] = _conv_backward(
+        dconv, cache["conv_cols"], t["conv.kernel"][:, 0], cfg)
+    grads["conv.kernel"] = dkernel[:, None, :]
     _, grads["input_norm.gamma"], grads["input_norm.beta"] = _bn_backward(
         dbn0, t["input_norm.gamma"], cache["bn0"])
     return grads

@@ -15,22 +15,19 @@ same name.
 """
 
 import configparser
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .nn.model import ModelConfig
 from .signal import ModemProfile
 
-PROFILE_KEYS = (
-    "sample_rate_hz",
-    "symbol_len",
-    "tone_count",
-    "sync_bin",
-    "tone_offset",
-    "ref_bandwidth_hz",
-    "conv_filters",
-    "conv_kernel",
-    "hidden_units",
-)
+PROFILE_KEYS = tuple(field.name for field in fields(ModemProfile)) + (
+    "conv_filters", "conv_kernel", "hidden_units")
+
+# Each builtin's PROFILE_KEYS values, in order.
+_BUILTINS = {
+    "jt65a-full": (11025.0, 4096, 64, 472, 2, 2500.0, 128, 16, 64),
+    "reduced-m8": (11025.0, 512, 8, 59, 2, 2500.0, 32, 16, 32),
+}
 
 
 @dataclass(frozen=True)
@@ -42,32 +39,25 @@ class Profile:
     model: ModelConfig
 
 
-def _builtin_profiles():
-    full = ModemProfile(sample_rate_hz=11025.0, symbol_len=4096, tone_count=64,
-                        sync_bin=472, tone_offset=2, ref_bandwidth_hz=2500.0)
-    reduced = ModemProfile(sample_rate_hz=11025.0, symbol_len=512, tone_count=8,
-                           sync_bin=59, tone_offset=2, ref_bandwidth_hz=2500.0)
-    return {
-        "jt65a-full": Profile(
-            "jt65a-full", full,
-            ModelConfig(input_len=4096, conv_filters=128, conv_kernel=16,
-                        hidden_units=64, classes=64)),
-        "reduced-m8": Profile(
-            "reduced-m8", reduced,
-            ModelConfig(input_len=512, conv_filters=32, conv_kernel=16,
-                        hidden_units=32, classes=8)),
-    }
+def _profile(name, values) -> Profile:
+    """The profile of PROFILE_KEYS ``values``; the CNN reads one symbol window
+    and has one class per data tone."""
+    *modem_values, filters, kernel, hidden = values
+    modem = ModemProfile(*modem_values)
+    return Profile(name, modem, ModelConfig(modem.symbol_len, filters, kernel, hidden,
+                                            modem.tone_count))
 
 
 def load_profiles(path=None) -> dict:
     """Builtin profiles, optionally merged with an INI profile file."""
-    profiles = _builtin_profiles()
+    profiles = {name: _profile(name, values) for name, values in _BUILTINS.items()}
     if path is None:
         return profiles
     parser = configparser.ConfigParser()
     read = parser.read(path)
     if not read:
         raise ValueError(f"cannot read profile file {path}")
+    floats = {field.name for field in fields(ModemProfile) if field.type is float}
     for name in parser.sections():
         section = parser[name]
         missing = [key for key in PROFILE_KEYS if key not in section]
@@ -75,22 +65,8 @@ def load_profiles(path=None) -> dict:
             raise ValueError(
                 f"profile [{name}] is missing keys: {', '.join(missing)}"
             )
-        modem = ModemProfile(
-            sample_rate_hz=section.getfloat("sample_rate_hz"),
-            symbol_len=section.getint("symbol_len"),
-            tone_count=section.getint("tone_count"),
-            sync_bin=section.getint("sync_bin"),
-            tone_offset=section.getint("tone_offset"),
-            ref_bandwidth_hz=section.getfloat("ref_bandwidth_hz"),
-        )
-        model = ModelConfig(
-            input_len=modem.symbol_len,
-            conv_filters=section.getint("conv_filters"),
-            conv_kernel=section.getint("conv_kernel"),
-            hidden_units=section.getint("hidden_units"),
-            classes=modem.tone_count,
-        )
-        profiles[name] = Profile(name, modem, model)
+        profiles[name] = _profile(name, [section.getfloat(key) if key in floats
+                                         else section.getint(key) for key in PROFILE_KEYS])
     return profiles
 
 

@@ -149,6 +149,16 @@ def tone_windows(profile: ModemProfile, bins, phases) -> np.ndarray:
     return np.sin(angles, out=angles)
 
 
+def window_batch(batch, symbol_len: int) -> np.ndarray:
+    """``batch`` as (B, symbol_len) windows, one per row; a single window
+    becomes a batch of one.  The input rule of both detectors."""
+    batch = np.atleast_2d(np.asarray(batch))
+    if batch.ndim != 2 or batch.shape[1] != symbol_len:
+        raise ValueError(f"batch must be (B, {symbol_len}), one symbol_len window per row, "
+                         f"got {batch.shape}")
+    return batch
+
+
 def synthesize_symbol(profile: ModemProfile, tone, phase: float = 0.0,
                       amplitude: float = 1.0) -> Waveform:
     """One symbol interval of ``tone``: amplitude*sin(2*pi*f*n/fs + phase).

@@ -148,6 +148,15 @@ class TestGenerate:
             with pytest.raises(ValueError, match=r"^record 10 at SNR -764\.681 dB"):
                 generate(ranged)
 
+    def test_overflowing_noise_power_is_refused_as_a_variance(self, reduced_spec):
+        # 10**(4000/10) overflows in numpy float64 before any float32 cast.
+        huge = DatasetSpec(reduced_spec.profile, 3, (np.float64(4000),) * 2, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^snr_db 4000 gives no finite positive "
+                                                 "noise variance$"):
+                generate(huge)
+
 
 class TestLabelHistogram:
     def test_uniform_class_balance(self, reduced_spec):

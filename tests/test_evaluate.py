@@ -39,11 +39,13 @@ def test_both_detectors_keep_one_batch_contract(reduced_profile, rng, detector):
         assert np.all((labels >= 0) & (labels < reduced_profile.tone_count))
     with pytest.raises(ValueError):
         demod(rng.standard_normal((3, reduced_profile.symbol_len - 1)))
+    with pytest.raises(ValueError, match="batch must be"):
+        demod(rng.standard_normal((2, 3, reduced_profile.symbol_len)))
 
 
 def test_a_shifted_tone_plan_reaches_detector_sweep_and_bench(tmp_path):
     """sync_bin 31 and tone_offset 5, unlike both builtins: the classical
-    detector and the sweep must place data tone 0 on bin 36."""
+    detector, the sweep and the latency bench must place data tone 0 on bin 36."""
     config = tmp_path / "profiles.ini"
     config.write_text(
         "[shifted]\nsample_rate_hz = 8000\nsymbol_len = 256\ntone_count = 8\n"
@@ -56,7 +58,17 @@ def test_a_shifted_tone_plan_reaches_detector_sweep_and_bench(tmp_path):
     assert demod(clean).tolist() == list(range(profile.tone_count))
     row = sweep_ber(demod, profile, [30.0], 500, seed=3)[0]
     assert row.ser == row.ber_measured == 0.0
-    assert bench_latency(demod, profile, 100, warmup=0).n == 100
+    # bench_latency must time clean data tones: peaks in the bins [36, 44).
+    windows = []
+
+    def spy(batch):
+        windows.append(np.array(batch))
+        return demod(batch)
+
+    assert bench_latency(spy, profile, 200, warmup=0).n == 200
+    peaks = np.argmax(np.abs(np.fft.rfft(np.concatenate(windows), axis=-1)), axis=-1)
+    assert len(peaks) == 200
+    assert set(peaks.tolist()) == set(range(36, 44))
 
 
 class TestConfusionMatrix:
@@ -85,6 +97,15 @@ class TestConfusionMatrix:
             accumulate_many(cm, [4], [0])
         with pytest.raises(ValueError):
             accumulate_many(cm, [0], [-1])
+
+    def test_mismatched_shapes_rejected(self):
+        # np.add.at would broadcast [0] against [0, 1, 2] and count 3 pairs.
+        cm = ConfusionMatrix.empty(4)
+        with pytest.raises(ValueError, match="shape"):
+            accumulate_many(cm, [0, 1, 2], [0])
+        with pytest.raises(ValueError, match="shape"):
+            accumulate_many(cm, [[0, 1]], [0, 1])
+        assert cm.total == 0
 
 
 class TestMetrics:

@@ -215,10 +215,11 @@ class TestLossCe:
 
 
 def conv_oracle(x, kernel, bias, left):
-    """Textbook stride-1 "same" correlation: y[b,n,f] = bias[f] +
-    sum_{k,c} x[b, n+k-left, c] * kernel[k,c,f], zero outside the input."""
-    b, n, c = x.shape
-    k, _, f = kernel.shape
+    """Textbook stride-1 "same" correlation of one input channel:
+    y[b,n,f] = bias[f] + sum_k x[b, n+k-left] * kernel[k,f], zero outside
+    the input."""
+    b, n = x.shape
+    k, f = kernel.shape
     y = np.zeros((b, n, f))
     for bi in range(b):
         for ni in range(n):
@@ -227,16 +228,15 @@ def conv_oracle(x, kernel, bias, left):
                 for ki in range(k):
                     src = ni + ki - left
                     if 0 <= src < n:
-                        for ci in range(c):
-                            acc += float(x[bi, src, ci]) * float(kernel[ki, ci, fi])
+                        acc += float(x[bi, src]) * float(kernel[ki, fi])
                 y[bi, ni, fi] = acc
     return y
 
 
 def conv_backward_oracle(x, kernel, dy, left):
     """Loop form of the conv gradients, from y's definition above."""
-    b, n, c = x.shape
-    k, _, f = kernel.shape
+    b, n = x.shape
+    k, f = kernel.shape
     dx = np.zeros(x.shape)
     dkernel = np.zeros(kernel.shape)
     for bi in range(b):
@@ -245,10 +245,9 @@ def conv_backward_oracle(x, kernel, dy, left):
                 src = ni + ki - left
                 if not 0 <= src < n:
                     continue
-                for ci in range(c):
-                    for fi in range(f):
-                        dx[bi, src, ci] += dy[bi, ni, fi] * kernel[ki, ci, fi]
-                        dkernel[ki, ci, fi] += x[bi, src, ci] * dy[bi, ni, fi]
+                for fi in range(f):
+                    dx[bi, src] += dy[bi, ni, fi] * kernel[ki, fi]
+                    dkernel[ki, fi] += x[bi, src] * dy[bi, ni, fi]
     return dx, dkernel, dy.sum(axis=(0, 1))
 
 
@@ -290,13 +289,13 @@ class TestLayerOracles:
     # from the loops, so they agree to rounding, well inside rtol 1e-10.
     RTOL = 1e-10
 
-    @pytest.mark.parametrize("kernel_len,channels", [(4, 1), (5, 2)])
-    def test_conv_forward_and_backward(self, rng, kernel_len, channels):
+    @pytest.mark.parametrize("kernel_len", [4, 5])
+    def test_conv_forward_and_backward(self, rng, kernel_len):
         cfg = ModelConfig(input_len=11, conv_filters=3, conv_kernel=kernel_len,
                           hidden_units=2, classes=2)
         left, _ = _conv_pad(cfg)
-        x = rng.standard_normal((2, 11, channels))
-        kernel = rng.standard_normal((kernel_len, channels, 3))
+        x = rng.standard_normal((2, 11))
+        kernel = rng.standard_normal((kernel_len, 3))
         bias = rng.standard_normal(3)
         dy = rng.standard_normal((2, 11, 3))
 

@@ -11,7 +11,10 @@ that print the same lines wrote the same bytes and refused alike:
     python3 tools/seeded_artifacts.py --src src --out /tmp/new > new.txt
     diff old.txt new.txt
 
-The training log is hashed without its wall-clock ``seconds`` column.
+Before its runs it writes three profile files into ``--out``: the README's
+``desk-m4`` profile, one that lacks ``conv_kernel`` and one whose
+``symbol_len`` is fractional; the last two must be refused.  The training
+log is hashed without its wall-clock ``seconds`` column.
 Compare hashes made on one machine: ``sin`` may round differently on
 another CPU's SIMD path.
 """
@@ -27,6 +30,26 @@ SWEEP_M8 = ["sweep", "--profile", "reduced-m8", "--classical", "--snr", "-15:0:3
             "--n", "3000", "--seed", "5"]
 SWEEP_FULL = ["sweep", "--profile", "jt65a-full", "--classical", "--snr", "-30:-15:5",
               "--n", "2500", "--seed", "5"]
+
+DESK = ["--profiles-file", "desk.ini"]
+DESK_M4 = """[desk-m4]
+sample_rate_hz = 8000
+symbol_len = 256
+tone_count = 4
+sync_bin = 20
+tone_offset = 2
+ref_bandwidth_hz = 1000
+conv_filters = 8
+conv_kernel = 8
+hidden_units = 8
+"""
+
+# Profile files written into --out before the runs.
+PROFILE_FILES = {
+    "desk.ini": DESK_M4,
+    "no-kernel.ini": DESK_M4.replace("conv_kernel = 8\n", ""),
+    "fractional.ini": DESK_M4.replace("symbol_len = 256", "symbol_len = 256.5"),
+}
 
 # (run name, CLI arguments); later runs read the files earlier runs wrote.
 RUNS = [
@@ -69,6 +92,15 @@ RUNS = [
                                    "--out-prefix", "analyze-full-sync-lowpass"]),
     ("theory-m64", ["theory", "--m", "64", "--ebn0", "chance,-2:12:1",
                     "--out", "theory-m64.csv"]),
+    ("synth-desk", DESK + ["synth", "--profile", "desk-m4", "--count", "300",
+                           "--snr", "-10..0", "--seed", "6", "--out", "desk.mfskdset"]),
+    ("sweep-desk-ber", DESK + ["sweep", "--profile", "desk-m4", "--classical", "--mode", "ber",
+                               "--snr", "-10:0:5", "--n", "1000", "--seed", "5",
+                               "--out", "sweep-desk-ber.csv"]),
+    ("demod-desk-classical", DESK + ["demod", "--profile", "desk-m4", "--classical",
+                                     "--dataset", "desk.mfskdset",
+                                     "--out-report", "demod-desk-classical.report",
+                                     "--out-confusion", "demod-desk-classical.csv"]),
 ]
 
 # Runs the CLI must refuse; they run after RUNS, whose files they read.  Each
@@ -85,6 +117,12 @@ REFUSALS = [
     ("refuse-train-epochs", ["train", "--profile", "reduced-m8", "--dataset", "m8.mfskdset",
                              "--epochs", "0", "--seed", "2", "--out-weights", "refused-train.weights",
                              "--out-log", "refused-train.csv"]),
+    ("refuse-profile-no-kernel", ["--profiles-file", "no-kernel.ini", "synth", "--profile",
+                                  "desk-m4", "--count", "1", "--snr", "0", "--seed", "1",
+                                  "--out", "refused-no-kernel.mfskdset"]),
+    ("refuse-profile-fractional", ["--profiles-file", "fractional.ini", "synth", "--profile",
+                                   "desk-m4", "--count", "1", "--snr", "0", "--seed", "1",
+                                   "--out", "refused-fractional.mfskdset"]),
 ]
 
 
@@ -106,6 +144,8 @@ def main(argv=None) -> int:
     out.mkdir(parents=True, exist_ok=True)
     if any(out.iterdir()):
         parser.error(f"{out} is not empty")
+    for name, text in PROFILE_FILES.items():
+        (out / name).write_text(text)
     env = dict(os.environ, PYTHONPATH=str(Path(args.src).resolve()))
 
     def cli(cli_args):
