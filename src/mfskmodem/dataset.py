@@ -121,16 +121,16 @@ def generate(spec: DatasetSpec) -> Dataset:
 def _generate(spec: DatasetSpec, indices) -> np.recarray:
     profile = spec.profile
     records = np.recarray(len(indices), record_dtype(profile.symbol_len))
-    # An np.float64 SNR's 10**(snr/10) may overflow; noise_variance refuses it.
-    with np.errstate(over="ignore"):
+    # Raised for the float32 cast; an np.float64 SNR's 10**(snr/10) may
+    # overflow too, and noise_variance refuses it.
+    with np.errstate(over="raise"):
         for row, index in enumerate(indices):
             rng = _record_rng(spec, index)
             label, phase, snr_db = _draw(spec, rng)
             bins = [tone_bin(profile, SYNC if label == SYNC_LABEL else label)]
             samples = noisy_windows(profile, bins, phase, snr_db, rng)[0]
             try:
-                with np.errstate(over="raise"):  # the float32 cast
-                    records[row] = (snr_db, label, 0, samples)
+                records[row] = (snr_db, label, 0, samples)
             except FloatingPointError:
                 raise ValueError(f"record {index} at SNR {np.float32(snr_db):g} dB has a "
                                  "sample outside the float32 range") from None

@@ -26,8 +26,12 @@ finite.
 
 Parameters and running statistics share one arena per state, laid out by
 param_layout (trainables first, then the statistics); state.tensors holds
-read-only name -> array views of it.  Training runs in float32, gradient
-checking rebuilds the same graph in float64.
+read-only name -> array views of it.  backward() writes the gradients into
+a second arena with the layout of the trainable span, allocated by the
+state's first backward() and reused by every later one, so the views it
+returns are overwritten by the next backward() on the same state.
+Training runs in float32, gradient checking rebuilds the same graph in
+float64.
 """
 
 import math
@@ -106,22 +110,26 @@ class ModelState:
     Setting a view's ``writeable`` flag by hand works, because the arena is
     writeable, but bypasses that and may serve a stale fold.
     Training and inference on one state at the same time are unsupported.
+
+    The gradient arena has the layout of the trainable span.  The first
+    backward() allocates it and copy() leaves it behind, so a state that
+    only infers never holds one.
     """
 
     def __init__(self, config: ModelConfig, dtype):
         self.config = config
         self.dtype = np.dtype(dtype)
         layout = sorted(param_layout(config), key=lambda entry: not entry[2])
-        sizes = [math.prod(shape) for _, shape, _ in layout]
-        self._arena = np.zeros(sum(sizes), self.dtype)
-        chunks = np.split(self._arena, np.cumsum(sizes)[:-1])
-        self._views = {name: chunk.reshape(shape)
-                       for (name, shape, _), chunk in zip(layout, chunks)}
+        self._arena = np.zeros(sum(math.prod(shape) for _, shape, _ in layout), self.dtype)
+        self._views = _carve(self._arena, layout)
+        self._trainable_size = sum(math.prod(shape) for _, shape, trainable in layout if trainable)
         self.tensors = MappingProxyType({name: view.view() for name, view in self._views.items()})
         for view in self.tensors.values():
             view.flags.writeable = False
         # forward()'s folded maps; see _inference_maps.
         self._inference = None
+        # backward()'s (flat arena, name views); see _gradients.
+        self._grads = None
 
     @property
     def trainable_names(self):
@@ -137,10 +145,40 @@ class ModelState:
         return clone
 
 
+def _carve(arena, layout):
+    """Name -> view of ``arena`` for (name, shape, ...) entries laid end to end."""
+    views, lo = {}, 0
+    for name, shape, *_ in layout:
+        size = math.prod(shape)
+        views[name] = arena[lo:lo + size].reshape(shape)
+        lo += size
+    return views
+
+
+def _span_arena(state: ModelState):
+    """A zeroed flat arena laid out as the state's trainable span, and its name views."""
+    arena = np.zeros(state._trainable_size, state.dtype)
+    return arena, _carve(arena, [entry for entry in param_layout(state.config) if entry[2]])
+
+
 def _mutable(state: ModelState):
     """The state's writeable tensors; drops forward()'s folded maps."""
     state._inference = None
     return state._views
+
+
+def _mutable_span(state: ModelState):
+    """The state's trainable span as one writeable flat array, through _mutable()."""
+    _mutable(state)
+    return state._arena[:state._trainable_size]
+
+
+def _gradients(state: ModelState):
+    """The state's gradient arena and its read-only name mapping, made on first use."""
+    if state._grads is None:
+        arena, views = _span_arena(state)
+        state._grads = arena, MappingProxyType(views)
+    return state._grads
 
 
 def parameter_counts(state: ModelState):
@@ -182,14 +220,19 @@ def _fans(name, shape):
 
 # ---------------------------------------------------------------------------
 # Layer primitives.  x is (batch, ..., features); batch norm reduces over all
-# axes except the last, working on the (-1, features) view.
+# axes except the last, working on the (-1, features) view.  The training
+# passes reuse the buffers they are handed: _bn_train centres x in place and
+# _bn_backward builds dx in dy's buffer and overwrites the cached xhat, so
+# each caller passes arrays it no longer reads.  Gradient helpers write the
+# parameter gradients into the output buffers they are given.
 
 
 def _bn_train(x, gamma, beta):
     x2 = x.reshape(-1, x.shape[-1])
     count = x2.shape[0]
     mean = np.einsum("ij->j", x2) / count
-    xhat = x2 - mean
+    xhat = x2
+    xhat -= mean
     var = np.einsum("ij,ij->j", xhat, xhat) / count
     inv_std = 1.0 / np.sqrt(var + np.asarray(BN_EPS, dtype=x.dtype))
     xhat *= inv_std
@@ -206,19 +249,22 @@ def _bn_fold(tensors, prefix):
     return scale, beta - mean * scale
 
 
-def _bn_backward(dy, gamma, cache):
+def _bn_backward(dy, gamma, cache, dgamma, dbeta):
+    """dx of _bn_train; dgamma and dbeta go into the given (F,) buffers."""
     xhat, inv_std = cache
     dy2 = dy.reshape(xhat.shape)
     count = xhat.shape[0]
-    dgamma = np.einsum("ij,ij->j", dy2, xhat)
-    dbeta = np.einsum("ij->j", dy2)
+    np.einsum("ij,ij->j", dy2, xhat, out=dgamma)
+    np.einsum("ij->j", dy2, out=dbeta)
     # Batch statistics depend on x, so the normalized-input gradient picks
     # up the mean and mean(dy * xhat) correction terms.
-    dx = dy2 * count
+    dx = dy2
+    dx *= count
     dx -= dbeta
-    dx -= xhat * dgamma
+    xhat *= dgamma
+    dx -= xhat
     dx *= gamma * inv_std / count
-    return dx.reshape(dy.shape), dgamma, dbeta
+    return dx.reshape(dy.shape)
 
 
 def _conv_pad(config: ModelConfig):
@@ -244,21 +290,20 @@ def _conv_forward(x, kernel, bias, config: ModelConfig):
     return y.reshape(b, n, f), cols
 
 
-def _conv_backward(dy, cols, kernel, config: ModelConfig):
-    """dx (B, N), dkernel (K, F) and dbias (F,) of _conv_forward."""
+def _conv_backward(dy, cols, kernel, config: ModelConfig, dkernel, dbias):
+    """dx (B, N) of _conv_forward; dkernel (K, F) and dbias (F,) go into the given buffers."""
     b, n, f = dy.shape
     k, _ = kernel.shape
     left, _ = _conv_pad(config)
     dy2 = dy.reshape(b * n, f)
-    dkernel = cols.T @ dy2
-    dbias = np.einsum("ij->j", dy2)
+    np.matmul(cols.T, dy2, out=dkernel)
+    np.einsum("ij->j", dy2, out=dbias)
     # col2im: scatter-add each tap's column gradient onto the padded input.
     dcols = (dy2 @ kernel.T).reshape(b, n, k)
     dxp = np.zeros((b, n + k - 1), dtype=dy.dtype)
     for j in range(k):
         dxp[:, j : j + n] += dcols[..., j]
-    dx = dxp[:, left : left + n]
-    return dx, dkernel, dbias
+    return dxp[:, left : left + n]
 
 
 def _softmax(logits):
@@ -392,37 +437,39 @@ def loss_ce(probs: np.ndarray, labels) -> float:
     return float(-np.log(np.maximum(p_true, PROB_FLOOR)).mean())
 
 
-def backward(state: ModelState, cache: dict, labels) -> dict:
+def backward(state: ModelState, cache: dict, labels) -> MappingProxyType:
     """Analytic gradients of loss_ce(forward_train(...)) for every trainable tensor.
 
     Softmax and cross-entropy are fused at the output: the logits gradient
-    is (probs - onehot) / batch_size.
+    is (probs - onehot) / batch_size.  Returns a read-only name -> view
+    mapping of the state's gradient arena: the next backward() on the same
+    state overwrites those views, so copy what must outlive it.  The cache
+    is spent: the batch-norm passes overwrite its normalized inputs.
     """
     cfg = state.config
     t = state.tensors
+    _, grads = _gradients(state)
     probs = cache["probs"]
     onehot = _as_onehot(labels, cfg.classes, probs.dtype)
     b = cache["batch_size"]
-    grads = {}
 
     dlogits = (probs - onehot) / b
-    grads["output.weight"] = cache["bn2_out"].T @ dlogits
-    grads["output.bias"] = dlogits.sum(axis=0)
+    np.matmul(cache["bn2_out"].T, dlogits, out=grads["output.weight"])
+    np.sum(dlogits, axis=0, out=grads["output.bias"])
     dbn2 = dlogits @ t["output.weight"].T
 
-    drelu, grads["hidden_norm.gamma"], grads["hidden_norm.beta"] = _bn_backward(
-        dbn2, t["hidden_norm.gamma"], cache["bn2"])
+    drelu = _bn_backward(dbn2, t["hidden_norm.gamma"], cache["bn2"],
+                         grads["hidden_norm.gamma"], grads["hidden_norm.beta"])
     dpre = drelu * cache["relu_mask"]
-    grads["hidden.weight"] = cache["flat"].T @ dpre
-    grads["hidden.bias"] = dpre.sum(axis=0)
+    np.matmul(cache["flat"].T, dpre, out=grads["hidden.weight"])
+    np.sum(dpre, axis=0, out=grads["hidden.bias"])
     dflat = dpre @ t["hidden.weight"].T
 
     dbn1 = dflat.reshape(b, cfg.input_len, cfg.conv_filters)
-    dconv, grads["conv_norm.gamma"], grads["conv_norm.beta"] = _bn_backward(
-        dbn1, t["conv_norm.gamma"], cache["bn1"])
-    dbn0, dkernel, grads["conv.bias"] = _conv_backward(
-        dconv, cache["conv_cols"], t["conv.kernel"][:, 0], cfg)
-    grads["conv.kernel"] = dkernel[:, None, :]
-    _, grads["input_norm.gamma"], grads["input_norm.beta"] = _bn_backward(
-        dbn0, t["input_norm.gamma"], cache["bn0"])
+    dconv = _bn_backward(dbn1, t["conv_norm.gamma"], cache["bn1"],
+                         grads["conv_norm.gamma"], grads["conv_norm.beta"])
+    dbn0 = _conv_backward(dconv, cache["conv_cols"], t["conv.kernel"][:, 0], cfg,
+                          grads["conv.kernel"][:, 0], grads["conv.bias"])
+    _bn_backward(dbn0, t["input_norm.gamma"], cache["bn0"],
+                 grads["input_norm.gamma"], grads["input_norm.beta"])
     return grads

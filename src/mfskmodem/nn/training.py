@@ -5,8 +5,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import (ModelConfig, ModelState, _mutable, backward, build_model, forward,
-                    forward_train, loss_ce)
+from .model import (ModelConfig, ModelState, _gradients, _mutable, _mutable_span, _span_arena,
+                    backward, build_model, forward, forward_train, loss_ce)
 
 # Default architecture for gradient checking: small enough that central
 # differences over every layer type run in seconds, in float64.
@@ -17,6 +17,10 @@ GRAD_CHECK_CONFIG = ModelConfig(input_len=64, conv_filters=4, conv_kernel=8,
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-7
+
+# adam_step streams the trainable span in blocks of this many elements, so
+# its scratch and each block of p, g, m and v stay in cache.
+_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -51,47 +55,61 @@ class TrainLog:
 
 @dataclass
 class AdamState:
-    """First/second moment estimates per trainable tensor, plus the step count."""
+    """The step count and the first/second moment estimates.
+
+    ``m_arena`` and ``v_arena`` are flat, laid out as the state's trainable
+    span; ``m`` and ``v`` map each trainable name to its view of them.
+    """
 
     step: int
     m: dict
     v: dict
+    m_arena: np.ndarray
+    v_arena: np.ndarray
 
 
 def adam_init(state: ModelState) -> AdamState:
-    m = {n: np.zeros_like(state.tensors[n]) for n in state.trainable_names}
-    v = {n: np.zeros_like(state.tensors[n]) for n in state.trainable_names}
-    return AdamState(0, m, v)
+    m_arena, m = _span_arena(state)
+    v_arena, v = _span_arena(state)
+    return AdamState(0, m, v, m_arena, v_arena)
 
 
-def adam_step(state: ModelState, adam: AdamState, grads: dict, cfg: TrainConfig):
+def adam_step(state: ModelState, adam: AdamState, grads, cfg: TrainConfig):
     """One bias-corrected Adam update, applied in place.
 
-    Works through ``out=`` ufuncs with one scratch array per tensor:
-    p -= lr * (m / c1) / (sqrt(v / c2) + eps).
+    p -= lr * (m / c1) / (sqrt(v / c2) + eps), through ``out=`` ufuncs over
+    the flat trainable span, one _BLOCK-element block at a time with one
+    block-sized scratch.  ``grads`` is what backward() returned for this
+    state; any other name -> array mapping is first copied into the
+    state's gradient arena, overwriting backward()'s views.
     """
-    params = _mutable(state)
+    g, views = _gradients(state)
+    if grads is not views:
+        for name in state.trainable_names:
+            views[name][...] = grads[name]
+    p = _mutable_span(state)
     adam.step += 1
     t = adam.step
     correction1 = 1.0 - ADAM_BETA1**t
     correction2 = 1.0 - ADAM_BETA2**t
-    for name in state.trainable_names:
-        g = grads[name]
-        m = adam.m[name]
-        v = adam.v[name]
-        scratch = np.multiply(g, 1.0 - ADAM_BETA1, dtype=m.dtype)
+    scratch = np.empty(min(_BLOCK, p.size), p.dtype)
+    for lo in range(0, p.size, _BLOCK):
+        block = slice(lo, lo + _BLOCK)
+        gb, m, v = g[block], adam.m_arena[block], adam.v_arena[block]
+        s = scratch[:gb.size]
+        np.multiply(gb, 1.0 - ADAM_BETA1, out=s)
         m *= ADAM_BETA1
-        m += scratch
-        np.square(g, out=scratch)
-        scratch *= 1.0 - ADAM_BETA2
+        m += s
+        np.square(gb, out=s)
+        s *= 1.0 - ADAM_BETA2
         v *= ADAM_BETA2
-        v += scratch
-        np.divide(v, correction2, out=scratch)
-        np.sqrt(scratch, out=scratch)
-        scratch += ADAM_EPSILON
-        np.divide(m, scratch, out=scratch)
-        scratch *= cfg.learning_rate / correction1
-        params[name] -= scratch
+        v += s
+        np.divide(v, correction2, out=s)
+        np.sqrt(s, out=s)
+        s += ADAM_EPSILON
+        np.divide(m, s, out=s)
+        s *= cfg.learning_rate / correction1
+        p[block] -= s
 
 
 def train_step(state: ModelState, adam: AdamState, batch, labels, cfg: TrainConfig):

@@ -10,8 +10,8 @@ Two profiles ship built in:
   hidden units) that trains in minutes and drives CI.
 
 Extra profiles load from an INI-style file: one section per profile name,
-flat keys listed in PROFILE_KEYS.  File values override builtins of the
-same name.
+exactly the flat keys listed in PROFILE_KEYS; a missing or unknown key is
+refused.  File values override builtins of the same name.
 """
 
 import configparser
@@ -65,6 +65,9 @@ def load_profiles(path=None) -> dict:
             raise ValueError(
                 f"profile [{name}] is missing keys: {', '.join(missing)}"
             )
+        unknown = [key for key in section if key not in PROFILE_KEYS]
+        if unknown:
+            raise ValueError(f"profile [{name}] has unknown keys: {', '.join(unknown)}")
         profiles[name] = _profile(name, [section.getfloat(key) if key in floats
                                          else section.getint(key) for key in PROFILE_KEYS])
     return profiles

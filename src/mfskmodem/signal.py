@@ -205,7 +205,7 @@ def noise_variance(signal_power: float, snr_db: float, sample_rate_hz: float,
         raise ValueError("signal power must be positive")
     try:
         var = signal_power * (sample_rate_hz / 2.0) / (ref_bandwidth_hz * 10.0 ** (snr_db / 10.0))
-    except (OverflowError, ZeroDivisionError):
+    except (OverflowError, ZeroDivisionError, FloatingPointError):  # the last under errstate raise
         var = 0.0
     if not (np.isfinite(var) and var > 0.0):
         raise ValueError(f"snr_db {snr_db:g} gives no finite positive noise variance")

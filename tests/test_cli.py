@@ -426,6 +426,20 @@ class TestProfilesFile:
         assert code == 2
         assert "missing keys" in err
 
+    def test_misspelled_key_is_config_error(self, tmp_path, capsys):
+        config = tmp_path / "profiles.ini"
+        config.write_text("[desk-m4]\n" + "".join(f"{name} = {value}\n"
+                                                   for name, value in DESK_M4.items())
+                          + "hiden_units = 99\n")
+        out_file = tmp_path / "e.dset"
+        code, out, err = run(capsys, "--profiles-file", str(config), "synth",
+                             "--profile", "desk-m4", "--count", "1", "--snr", "-5",
+                             "--seed", "1", "--out", str(out_file))
+        assert code == 2
+        assert out == ""
+        assert err == "error: profile [desk-m4] has unknown keys: hiden_units\n"
+        assert not out_file.exists()
+
 
 class TestThreads:
     def test_flag_pins_loaded_blas_for_the_command_only(self, tmp_path, capsys, monkeypatch):

@@ -301,7 +301,8 @@ class TestLayerOracles:
 
         y, cols = _conv_forward(x, kernel, bias, cfg)
         np.testing.assert_allclose(y, conv_oracle(x, kernel, bias, left), rtol=self.RTOL)
-        dx, dkernel, dbias = _conv_backward(dy, cols, kernel, cfg)
+        dkernel, dbias = np.empty_like(kernel), np.empty_like(bias)
+        dx = _conv_backward(dy, cols, kernel, cfg, dkernel, dbias)
         want_dx, want_dkernel, want_dbias = conv_backward_oracle(x, kernel, dy, left)
         np.testing.assert_allclose(dx, want_dx, rtol=self.RTOL, atol=1e-12)
         np.testing.assert_allclose(dkernel, want_dkernel, rtol=self.RTOL)
@@ -314,10 +315,12 @@ class TestLayerOracles:
         beta = rng.standard_normal(shape[-1])
         dy = rng.standard_normal(shape)
 
-        y, cache, _, _ = _bn_train(x, gamma, beta)
+        # _bn_train consumes its input and _bn_backward its dy: pass copies.
+        y, cache, _, _ = _bn_train(x.copy(), gamma, beta)
         assert y.shape == x.shape
         np.testing.assert_allclose(y, bn_train_oracle(x, gamma, beta), rtol=self.RTOL)
-        dx, dgamma, dbeta = _bn_backward(dy, gamma, cache)
+        dgamma, dbeta = np.empty_like(gamma), np.empty_like(beta)
+        dx = _bn_backward(dy.copy(), gamma, cache, dgamma, dbeta)
         want_dx, want_dgamma, want_dbeta = bn_backward_oracle(x, gamma, dy)
         # dx sums to zero per feature, so its entries carry cancellation.
         np.testing.assert_allclose(dx, want_dx, rtol=1e-9, atol=1e-12)

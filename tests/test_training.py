@@ -1,5 +1,6 @@
 """Tests for Adam, the training loop, gradient checking, and the CNN demodulator."""
 
+import io
 import sys
 import threading
 
@@ -17,11 +18,14 @@ from mfskmodem.nn import (
     forward,
     forward_train,
     grad_check,
+    load_weights,
     loss_ce,
     model_demodulator,
+    save_weights,
     train,
     train_step,
 )
+from mfskmodem.nn import training
 from mfskmodem.nn.model import _mutable
 from mfskmodem.nn.training import ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON
 from mfskmodem.signal import ModemProfile, synthesize_symbol
@@ -110,6 +114,96 @@ class TestAdam:
             np.testing.assert_allclose(state.tensors[n].ravel(), theta[n], rtol=1e-12)
             np.testing.assert_allclose(adam.m[n].ravel(), m[n], rtol=1e-12)
             np.testing.assert_allclose(adam.v[n].ravel(), v[n], rtol=1e-12)
+
+
+def per_tensor_adam(params, m, v, grads, step, lr):
+    """Adam one tensor at a time, each with its own float32 scratch."""
+    correction1 = 1.0 - ADAM_BETA1**step
+    correction2 = 1.0 - ADAM_BETA2**step
+    for name, g in grads.items():
+        scratch = np.multiply(g, 1.0 - ADAM_BETA1, dtype=m[name].dtype)
+        m[name] *= ADAM_BETA1
+        m[name] += scratch
+        np.square(g, out=scratch)
+        scratch *= 1.0 - ADAM_BETA2
+        v[name] *= ADAM_BETA2
+        v[name] += scratch
+        np.divide(v[name], correction2, out=scratch)
+        np.sqrt(scratch, out=scratch)
+        scratch += ADAM_EPSILON
+        np.divide(m[name], scratch, out=scratch)
+        scratch *= lr / correction1
+        params[name] -= scratch
+
+
+class TestArenas:
+    def test_successive_backwards_write_one_arena(self, rng):
+        state = build_model(TINY, seed=0)
+        batches = [rng.standard_normal((4, 64)) for _ in range(2)]
+        labels = rng.integers(0, TINY.classes, 4)
+        want = []
+        for batch in batches:
+            _, cache = forward_train(state.copy(), batch, update_running=False)
+            fresh = backward(state.copy(), cache, labels)
+            want.append({n: fresh[n].copy() for n in state.trainable_names})
+
+        returned = [backward(state, forward_train(state, batch, update_running=False)[1], labels)
+                    for batch in batches]
+        arena, _ = state._grads
+        assert arena.size == sum(state.tensors[n].size for n in state.trainable_names)
+        for name in state.trainable_names:
+            assert np.shares_memory(returned[0][name], arena)
+            assert np.shares_memory(returned[1][name], returned[0][name])
+            # The second backward overwrote the first one's views.
+            assert np.array_equal(returned[0][name], want[1][name])
+        assert not np.array_equal(want[0]["hidden.weight"], want[1]["hidden.weight"])
+
+    def test_moments_are_views_of_one_arena_each(self):
+        state = build_model(TINY, seed=0)
+        adam = adam_init(state)
+        assert not np.shares_memory(adam.m_arena, adam.v_arena)
+        for name in state.trainable_names:
+            assert np.shares_memory(adam.m[name], adam.m_arena)
+            assert np.shares_memory(adam.v[name], adam.v_arena)
+            assert adam.m[name].shape == state.tensors[name].shape
+        assert adam.m_arena.size == sum(adam.m[n].size for n in state.trainable_names)
+
+    def test_inference_only_states_hold_no_gradient_arena(self, rng):
+        state = build_model(TINY, seed=0)
+        assert state._grads is None
+        batch = rng.standard_normal((4, 64))
+        forward(state, batch)
+        forward_train(state, batch)
+        assert state._grads is None
+        buffer = io.BytesIO()
+        save_weights(state, buffer)
+        buffer.seek(0)
+        assert load_weights(buffer)._grads is None
+        _, cache = forward_train(state, batch)
+        backward(state, cache, rng.integers(0, TINY.classes, 4))
+        assert state._grads is not None
+        assert state.copy()._grads is None
+
+    def test_blocked_adam_equals_per_tensor_reference(self, monkeypatch):
+        # 30-element blocks put block edges inside conv.kernel, hidden.weight,
+        # hidden.bias and output.weight, and leave a partial last block.
+        monkeypatch.setattr(training, "_BLOCK", 30)
+        state = build_model(TINY, seed=2)
+        adam = adam_init(state)
+        cfg = TrainConfig(learning_rate=0.01)
+        params = {n: state.tensors[n].copy() for n in state.trainable_names}
+        m = {n: np.zeros_like(p) for n, p in params.items()}
+        v = {n: np.zeros_like(p) for n, p in params.items()}
+        rng = np.random.default_rng(7)
+        for step in range(1, 4):
+            grads = {n: rng.standard_normal(p.shape).astype(np.float32)
+                     for n, p in params.items()}
+            adam_step(state, adam, grads, cfg)
+            per_tensor_adam(params, m, v, grads, step, cfg.learning_rate)
+        for name in state.trainable_names:
+            assert np.array_equal(state.tensors[name], params[name])
+            assert np.array_equal(adam.m[name], m[name])
+            assert np.array_equal(adam.v[name], v[name])
 
 
 class TestTrainStep:

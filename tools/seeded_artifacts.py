@@ -14,7 +14,7 @@ that print the same lines wrote the same bytes and refused alike:
 Before its runs it writes three profile files into ``--out``: the README's
 ``desk-m4`` profile, one that lacks ``conv_kernel`` and one whose
 ``symbol_len`` is fractional; the last two must be refused.  The training
-log is hashed without its wall-clock ``seconds`` column.
+logs are hashed without their wall-clock ``seconds`` column.
 Compare hashes made on one machine: ``sin`` may round differently on
 another CPU's SIMD path.
 """
@@ -64,6 +64,10 @@ RUNS = [
     ("train-m8", ["train", "--profile", "reduced-m8", "--dataset", "m8.mfskdset",
                   "--epochs", "2", "--seed", "2", "--out-weights", "m8.weights",
                   "--out-log", "train-m8-log.csv"]),
+    # 21 Adam steps at batch 32 on the paper's full-scale network.
+    ("train-full", ["train", "--profile", "jt65a-full", "--dataset", "full.mfskdset",
+                    "--epochs", "3", "--seed", "2", "--out-weights", "full.weights",
+                    "--out-log", "train-full-log.csv"]),
     ("demod-m8-classical", ["demod", "--profile", "reduced-m8", "--classical",
                             "--dataset", "m8.mfskdset",
                             "--out-report", "demod-m8-classical.report",
@@ -126,6 +130,10 @@ REFUSALS = [
 ]
 
 
+# Files whose last column is wall-clock seconds.
+TRAIN_LOGS = ("train-m8-log.csv", "train-full-log.csv")
+
+
 def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -163,7 +171,7 @@ def main(argv=None) -> int:
         print(f"{_digest(run.stderr)}  {name}.stderr exit={run.returncode}")
     for path in sorted(out.iterdir()):
         data = path.read_bytes()
-        if path.name == "train-m8-log.csv":
+        if path.name in TRAIN_LOGS:
             data = _without_seconds(data)
         print(f"{_digest(data)}  {path.name}")
     return 0
