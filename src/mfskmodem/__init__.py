@@ -8,7 +8,7 @@ rates against the closed-form limit for non-coherent orthogonal MFSK.
 Submodules (import what you need; the package root stays import-cheap so
 the CLI can configure BLAS threading before numpy loads):
 
-- ``mfskmodem.signal``    tone plan, symbol/frame synthesis, AWGN channel
+- ``mfskmodem.signal``    tone plan, symbol synthesis, AWGN channel
 - ``mfskmodem.analysis``  energy spectra, autocorrelation, classical demod
 - ``mfskmodem.theory``    closed-form error-rate limits and SNR conversions
 - ``mfskmodem.nn``        the CNN demodulator (model, training, weights I/O)

@@ -414,26 +414,24 @@ def forward_train(state: ModelState, batch: np.ndarray, update_running: bool = T
     return probs, cache
 
 
-def _as_onehot(labels, classes, dtype):
+def _check_labels(labels, classes) -> np.ndarray:
+    """``labels`` as a 1-D array of class indices in [0, classes)."""
     labels = np.asarray(labels)
-    if labels.ndim == 2:
-        if labels.shape[1] != classes:
-            raise ValueError(f"one-hot labels must have {classes} columns")
-        return labels.astype(dtype)
+    if labels.ndim != 1:
+        raise ValueError(f"labels must be a 1-D array of class indices, got shape {labels.shape}")
     if np.any((labels < 0) | (labels >= classes)):
         raise ValueError(f"labels must lie in [0, {classes})")
-    onehot = np.zeros((labels.size, classes), dtype=dtype)
-    onehot[np.arange(labels.size), labels] = 1
-    return onehot
+    return labels
 
 
 def loss_ce(probs: np.ndarray, labels) -> float:
-    """Mean categorical cross-entropy; probabilities clamped at PROB_FLOOR."""
+    """Mean categorical cross-entropy of class-index ``labels``; probabilities
+    clamped at PROB_FLOOR."""
     probs = np.atleast_2d(np.asarray(probs))
-    onehot = _as_onehot(labels, probs.shape[1], probs.dtype)
-    if onehot.shape[0] != probs.shape[0]:
+    labels = _check_labels(labels, probs.shape[1])
+    if labels.size != probs.shape[0]:
         raise ValueError("probs and labels disagree on batch size")
-    p_true = (probs * onehot).sum(axis=1)
+    p_true = probs[np.arange(labels.size), labels]
     return float(-np.log(np.maximum(p_true, PROB_FLOOR)).mean())
 
 
@@ -449,11 +447,12 @@ def backward(state: ModelState, cache: dict, labels) -> MappingProxyType:
     cfg = state.config
     t = state.tensors
     _, grads = _gradients(state)
-    probs = cache["probs"]
-    onehot = _as_onehot(labels, cfg.classes, probs.dtype)
+    labels = _check_labels(labels, cfg.classes)
     b = cache["batch_size"]
 
-    dlogits = (probs - onehot) / b
+    dlogits = cache["probs"].copy()
+    dlogits[np.arange(b), labels] -= 1
+    dlogits /= b
     np.matmul(cache["bn2_out"].T, dlogits, out=grads["output.weight"])
     np.sum(dlogits, axis=0, out=grads["output.bias"])
     dbn2 = dlogits @ t["output.weight"].T

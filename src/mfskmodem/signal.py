@@ -1,4 +1,4 @@
-"""Tone plan, MFSK symbol/frame synthesis, and the calibrated AWGN channel.
+"""Tone plan, MFSK symbol synthesis, and the calibrated AWGN channel.
 
 Tone frequencies are snapped to the DFT bin grid of the symbol window
 (bin width ``sample_rate / symbol_len``), so every data tone completes an
@@ -20,10 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .theory import bits_per_symbol
-
-# A transmission frame is this many symbol intervals (sync + data mixed
-# per the caller's pattern; the schedule itself is accepted as input).
-FRAME_INTERVALS = 126
 
 # Marker accepted wherever a tone is expected, selecting the sync tone.
 SYNC = "sync"
@@ -80,11 +76,6 @@ class ModemProfile:
         return bits_per_symbol(self.tone_count)
 
     @property
-    def bin_width_hz(self) -> float:
-        """DFT bin spacing of the symbol window, fs / N."""
-        return self.sample_rate_hz / self.symbol_len
-
-    @property
     def symbol_duration_s(self) -> float:
         return self.symbol_len / self.sample_rate_hz
 
@@ -108,10 +99,6 @@ class Waveform:
     def __len__(self) -> int:
         return self.samples.size
 
-    @property
-    def duration_s(self) -> float:
-        return self.samples.size / self.sample_rate_hz
-
     def mean_power(self) -> float:
         return float(np.mean(self.samples**2))
 
@@ -128,15 +115,6 @@ def tone_bin(profile: ModemProfile, tone) -> int:
             f"tone index {index} out of range [0, {profile.tone_count})"
         )
     return profile.sync_bin + profile.tone_offset + index
-
-
-def tone_frequency(profile: ModemProfile, tone) -> float:
-    """Frequency in Hz of a data tone or the sync tone.
-
-    Always an exact integer multiple of the bin width, hence orthogonal to
-    every other tone of the profile over one symbol window.
-    """
-    return tone_bin(profile, tone) * profile.bin_width_hz
 
 
 def tone_windows(profile: ModemProfile, bins, phases) -> np.ndarray:
@@ -159,35 +137,13 @@ def window_batch(batch, symbol_len: int) -> np.ndarray:
     return batch
 
 
-def synthesize_symbol(profile: ModemProfile, tone, phase: float = 0.0,
-                      amplitude: float = 1.0) -> Waveform:
-    """One symbol interval of ``tone``: amplitude*sin(2*pi*f*n/fs + phase).
+def synthesize_symbol(profile: ModemProfile, tone, phase: float = 0.0) -> Waveform:
+    """One symbol interval of ``tone``: the unit tone sin(2*pi*f*n/fs + phase).
 
     Because the tone is bin-aligned the window holds an integer number of
-    cycles and the mean power is exactly amplitude**2 / 2 (up to rounding).
+    cycles and the mean power is exactly 1/2 (up to rounding).
     """
-    if amplitude < 0:
-        raise ValueError("amplitude must be non-negative")
-    x = amplitude * tone_windows(profile, [tone_bin(profile, tone)], phase)[0]
-    return Waveform(x, profile.sample_rate_hz)
-
-
-def synthesize_frame(profile: ModemProfile, pattern, amplitude: float = 1.0,
-                     phase: float = 0.0, rng: np.random.Generator | None = None) -> Waveform:
-    """Concatenate FRAME_INTERVALS symbol waveforms per ``pattern``.
-
-    Each pattern entry is either SYNC or a data-tone index.  When ``rng``
-    is given, each interval gets an independent phase drawn uniformly from
-    [0, 2*pi); otherwise ``phase`` is used for every interval (phase
-    continuity across intervals is not modeled).
-    """
-    bins = [tone_bin(profile, entry) for entry in pattern]
-    if len(bins) != FRAME_INTERVALS:
-        raise ValueError(f"pattern must have {FRAME_INTERVALS} intervals, got {len(bins)}")
-    if amplitude < 0:
-        raise ValueError("amplitude must be non-negative")
-    phases = phase if rng is None else rng.uniform(0.0, 2.0 * np.pi, FRAME_INTERVALS)
-    x = amplitude * tone_windows(profile, bins, phases).reshape(-1)
+    x = tone_windows(profile, [tone_bin(profile, tone)], phase)[0]
     return Waveform(x, profile.sample_rate_hz)
 
 
@@ -260,32 +216,6 @@ def measure_snr(noisy: Waveform, clean: Waveform, ref_bandwidth_hz: float) -> fl
         clean_power / (var * ref_bandwidth_hz / (clean.sample_rate_hz / 2.0))
     )
     return float(min(snr, SNR_SATURATION_DB))
-
-
-def bits_to_symbols(bits, profile: ModemProfile) -> np.ndarray:
-    """Pack bits (MSB first) into tone indices, k = bits_per_symbol at a time."""
-    bits = np.asarray(bits, dtype=np.int64)
-    if bits.ndim != 1:
-        raise ValueError("bits must be 1-D")
-    if np.any((bits != 0) & (bits != 1)):
-        raise ValueError("bits must be 0 or 1")
-    k = profile.bits_per_symbol
-    if bits.size % k != 0:
-        raise ValueError(f"bit count {bits.size} not divisible by {k}")
-    weights = 1 << np.arange(k - 1, -1, -1, dtype=np.int64)
-    return bits.reshape(-1, k) @ weights
-
-
-def symbols_to_bits(symbols, profile: ModemProfile) -> np.ndarray:
-    """Unpack tone indices into bits, MSB first.  Exact inverse of bits_to_symbols."""
-    symbols = np.asarray(symbols, dtype=np.int64)
-    if symbols.ndim != 1:
-        raise ValueError("symbols must be 1-D")
-    if np.any((symbols < 0) | (symbols >= profile.tone_count)):
-        raise ValueError(f"symbols must lie in [0, {profile.tone_count})")
-    k = profile.bits_per_symbol
-    shifts = np.arange(k - 1, -1, -1, dtype=np.int64)
-    return ((symbols[:, None] >> shifts) & 1).reshape(-1)
 
 
 def lowpass(waveform: Waveform, cutoff_hz: float) -> Waveform:

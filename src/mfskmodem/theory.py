@@ -101,17 +101,6 @@ def snr_to_ebn0(profile, snr_db: float) -> float:
     return snr_db + 10.0 * math.log10(bt / profile.bits_per_symbol)
 
 
-def ebn0_to_snr(profile, eb_n0_db: float) -> float:
-    """Inverse of snr_to_ebn0."""
-    bt = profile.ref_bandwidth_hz * profile.symbol_duration_s
-    return eb_n0_db - 10.0 * math.log10(bt / profile.bits_per_symbol)
-
-
 def ebn0_to_esn0(tone_count: int, eb_n0_db: float) -> float:
     """Es/N0 = Eb/N0 + 10*log10(k), linking per-bit and per-symbol domains."""
     return eb_n0_db + 10.0 * math.log10(bits_per_symbol(tone_count))
-
-
-def esn0_to_ebn0(tone_count: int, es_n0_db: float) -> float:
-    """Inverse of ebn0_to_esn0."""
-    return es_n0_db - 10.0 * math.log10(bits_per_symbol(tone_count))

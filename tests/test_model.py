@@ -9,6 +9,7 @@ import pytest
 
 from mfskmodem.nn import (
     ModelConfig,
+    backward,
     build_model,
     forward,
     forward_train,
@@ -200,10 +201,15 @@ class TestLossCe:
         b = -np.log(0.75)
         assert loss_ce(probs, np.array([0, 1])) == pytest.approx((a + b) / 2, rel=1e-12)
 
-    def test_one_hot_labels_accepted(self):
-        probs = np.array([[0.2, 0.8]])
-        onehot = np.array([[0.0, 1.0]])
-        assert loss_ce(probs, onehot) == pytest.approx(-np.log(0.8), rel=1e-6)
+    def test_one_hot_labels_refused(self, rng):
+        # Labels are class indices; a 2-D one-hot array is not a second form.
+        state = build_model(TINY, seed=0)
+        probs, cache = forward_train(state, rng.standard_normal((2, 64)), update_running=False)
+        onehot = np.eye(TINY.classes)[[1, 3]]
+        with pytest.raises(ValueError, match="1-D array of class indices"):
+            loss_ce(probs, onehot)
+        with pytest.raises(ValueError, match="1-D array of class indices"):
+            backward(state, cache, onehot)
 
     def test_probability_floor_keeps_loss_finite(self):
         probs = np.array([[1.0, 0.0]])

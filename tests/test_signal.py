@@ -6,21 +6,16 @@ import numpy as np
 import pytest
 
 from mfskmodem.signal import (
-    FRAME_INTERVALS,
     SNR_SATURATION_DB,
     SYNC,
     ModemProfile,
     Waveform,
     apply_awgn,
-    bits_to_symbols,
     measure_snr,
     noise_variance,
     noisy_windows,
-    symbols_to_bits,
-    synthesize_frame,
     synthesize_symbol,
     tone_bin,
-    tone_frequency,
     tone_windows,
 )
 
@@ -28,7 +23,6 @@ from mfskmodem.signal import (
 class TestModemProfile:
     def test_full_profile_constants(self, full_profile):
         assert full_profile.bits_per_symbol == 6
-        assert full_profile.bin_width_hz == pytest.approx(11025 / 4096)
         assert full_profile.symbol_duration_s == pytest.approx(0.3715, abs=5e-5)
 
     def test_symbol_len_must_be_power_of_two(self):
@@ -60,50 +54,46 @@ class TestModemProfile:
             Waveform(np.ones(8), rate)
 
 
-class TestToneFrequency:
-    def test_sync_frequency_is_bin_snapped_nominal(self, full_profile):
+class TestToneBin:
+    def test_sync_bin_is_snapped_nominal(self, full_profile):
         # Bin 472 of a 4096-point window at 11025 Hz; nominal tone is 1270.5 Hz.
-        assert tone_frequency(full_profile, SYNC) == pytest.approx(472 * 11025 / 4096)
-        assert tone_frequency(full_profile, SYNC) == pytest.approx(1270.5, abs=0.05)
+        sync = tone_bin(full_profile, SYNC)
+        assert sync == 472
+        assert sync * 11025 / 4096 == pytest.approx(1270.5, abs=0.05)
 
     def test_data_tone_zero(self, full_profile):
-        assert tone_frequency(full_profile, 0) == pytest.approx(474 * 11025 / 4096)
+        assert tone_bin(full_profile, 0) == 474
 
     def test_reduced_profile_tone_zero(self, reduced_profile):
-        assert tone_frequency(reduced_profile, 0) == pytest.approx(61 * 11025 / 512)
+        assert tone_bin(reduced_profile, 0) == 61
 
-    def test_all_frequencies_bin_aligned(self, reduced_profile):
-        width = reduced_profile.bin_width_hz
-        for tone in [SYNC, *range(reduced_profile.tone_count)]:
-            ratio = tone_frequency(reduced_profile, tone) / width
-            assert ratio == pytest.approx(round(ratio), abs=1e-12)
+    def test_data_tones_fill_consecutive_bins(self, reduced_profile):
+        bins = [tone_bin(reduced_profile, tone) for tone in range(reduced_profile.tone_count)]
+        assert bins == list(range(61, 61 + reduced_profile.tone_count))
+        assert all(type(b) is int for b in bins)
 
     def test_out_of_range_tone_rejected(self, full_profile):
         with pytest.raises(ValueError, match="out of range"):
-            tone_frequency(full_profile, 64)
+            tone_bin(full_profile, 64)
         with pytest.raises(ValueError, match="out of range"):
-            tone_frequency(full_profile, -1)
+            tone_bin(full_profile, -1)
+
+    def test_unknown_marker_rejected(self, full_profile):
+        with pytest.raises(ValueError, match="unknown tone marker"):
+            tone_bin(full_profile, "pilot")
 
 
 class TestSynthesizeSymbol:
-    def test_zero_amplitude_gives_silence(self, full_profile):
-        w = synthesize_symbol(full_profile, 3, phase=1.0, amplitude=0.0)
-        assert np.all(w.samples == 0.0)
-
     @pytest.mark.parametrize("tone,phase", [(0, 0.0), (17, 1.3), (63, 5.9), (SYNC, 2.2)])
     def test_mean_power_is_half_amplitude_squared(self, full_profile, tone, phase):
-        w = synthesize_symbol(full_profile, tone, phase=phase, amplitude=1.0)
+        w = synthesize_symbol(full_profile, tone, phase=phase)
         assert w.mean_power() == pytest.approx(0.5, rel=1e-12)
 
     def test_first_sample_matches_formula(self, full_profile):
-        w = synthesize_symbol(full_profile, 0, phase=0.0, amplitude=1.0)
-        freq = tone_frequency(full_profile, 0)
+        w = synthesize_symbol(full_profile, 0, phase=0.0)
+        freq = tone_bin(full_profile, 0) * 11025 / full_profile.symbol_len
         assert w.samples[1] == pytest.approx(np.sin(2 * np.pi * freq / 11025), rel=1e-12)
         assert len(w) == full_profile.symbol_len
-
-    def test_negative_amplitude_rejected(self, full_profile):
-        with pytest.raises(ValueError, match="amplitude"):
-            synthesize_symbol(full_profile, 0, amplitude=-1.0)
 
 
 class TestToneWindows:
@@ -215,56 +205,3 @@ class TestMeasureSnr:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="equal length"):
             measure_snr(Waveform(np.ones(8), 1.0), Waveform(np.ones(9), 1.0), 1.0)
-
-
-class TestBitSymbolMapping:
-    @pytest.mark.parametrize("bits,symbol", [
-        ([0, 0, 0, 0, 0, 0], 0),
-        ([1, 1, 1, 1, 1, 1], 63),
-        ([1, 0, 0, 1, 0, 1], 37),
-    ])
-    def test_known_words(self, full_profile, bits, symbol):
-        assert bits_to_symbols(bits, full_profile).tolist() == [symbol]
-        assert symbols_to_bits([symbol], full_profile).tolist() == bits
-
-    def test_round_trip_exhaustive(self, full_profile):
-        symbols = np.arange(64)
-        assert np.array_equal(
-            bits_to_symbols(symbols_to_bits(symbols, full_profile), full_profile),
-            symbols)
-
-    def test_round_trip_random_bits(self, full_profile, rng):
-        bits = rng.integers(0, 2, 6 * 200)
-        assert np.array_equal(
-            symbols_to_bits(bits_to_symbols(bits, full_profile), full_profile), bits)
-
-    def test_indivisible_length_rejected(self, full_profile):
-        with pytest.raises(ValueError, match="divisible"):
-            bits_to_symbols([1, 0, 1], full_profile)
-
-    def test_bad_symbol_rejected(self, full_profile):
-        with pytest.raises(ValueError):
-            symbols_to_bits([64], full_profile)
-
-
-class TestSynthesizeFrame:
-    def test_duration_and_length(self, full_profile):
-        pattern = [SYNC if i % 2 == 0 else i % 64 for i in range(FRAME_INTERVALS)]
-        frame = synthesize_frame(full_profile, pattern)
-        assert len(frame) == FRAME_INTERVALS * full_profile.symbol_len
-        assert frame.duration_s == pytest.approx(46.81, abs=0.005)
-
-    def test_all_sync_pattern_repeats_sync_waveform(self, reduced_profile):
-        frame = synthesize_frame(reduced_profile, [SYNC] * FRAME_INTERVALS, phase=0.9)
-        one = synthesize_symbol(reduced_profile, SYNC, phase=0.9).samples
-        assert np.array_equal(frame.samples, np.tile(one, FRAME_INTERVALS))
-
-    def test_wrong_pattern_length_rejected(self, reduced_profile):
-        with pytest.raises(ValueError, match="126"):
-            synthesize_frame(reduced_profile, [0, 1, 2])
-
-    def test_random_phase_policy_varies_intervals(self, reduced_profile):
-        frame = synthesize_frame(reduced_profile, [0] * FRAME_INTERVALS,
-                                 rng=np.random.default_rng(5))
-        n = reduced_profile.symbol_len
-        assert not np.array_equal(frame.samples[:n], frame.samples[n : 2 * n])

@@ -208,14 +208,18 @@ class TestArenas:
 
 class TestTrainStep:
     def test_self_labels_give_zero_gradient(self, rng):
-        # Soft labels equal to the model's own output make (p - y) vanish,
-        # so every trainable tensor stays bit-identical.
+        # An output bias that saturates the softmax to exactly class 0, with
+        # label 0 for every row, makes (p - y) vanish bit for bit, so every
+        # trainable tensor stays bit-identical.
         state = build_model(TINY, seed=5)
+        _mutable(state)["output.bias"][0] = 1000.0
         adam = adam_init(state)
         batch = rng.standard_normal((4, 64)).astype(np.float32)
+        labels = np.zeros(4, dtype=np.int64)
         probs, _ = forward_train(state.copy(), batch, update_running=False)
+        assert np.array_equal(probs, np.eye(TINY.classes)[labels])
         before = {n: state.tensors[n].copy() for n in state.trainable_names}
-        train_step(state, adam, batch, probs, TrainConfig())
+        train_step(state, adam, batch, labels, TrainConfig())
         for name in state.trainable_names:
             assert np.array_equal(state.tensors[name], before[name])
 
