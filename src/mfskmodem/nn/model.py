@@ -135,10 +135,6 @@ class ModelState:
     def trainable_names(self):
         return [name for name, _, trainable in param_layout(self.config) if trainable]
 
-    @property
-    def statistic_names(self):
-        return [name for name, _, trainable in param_layout(self.config) if not trainable]
-
     def copy(self) -> "ModelState":
         clone = ModelState(self.config, self.dtype)
         clone._arena[...] = self._arena
@@ -153,12 +149,6 @@ def _carve(arena, layout):
         views[name] = arena[lo:lo + size].reshape(shape)
         lo += size
     return views
-
-
-def _span_arena(state: ModelState):
-    """A zeroed flat arena laid out as the state's trainable span, and its name views."""
-    arena = np.zeros(state._trainable_size, state.dtype)
-    return arena, _carve(arena, [entry for entry in param_layout(state.config) if entry[2]])
 
 
 def _mutable(state: ModelState):
@@ -176,16 +166,16 @@ def _mutable_span(state: ModelState):
 def _gradients(state: ModelState):
     """The state's gradient arena and its read-only name mapping, made on first use."""
     if state._grads is None:
-        arena, views = _span_arena(state)
+        arena = np.zeros(state._trainable_size, state.dtype)
+        views = _carve(arena, [entry for entry in param_layout(state.config) if entry[2]])
         state._grads = arena, MappingProxyType(views)
     return state._grads
 
 
 def parameter_counts(state: ModelState):
     """(total, trainable, non_trainable) parameter counts."""
-    trainable = sum(state.tensors[n].size for n in state.trainable_names)
-    stats = sum(state.tensors[n].size for n in state.statistic_names)
-    return trainable + stats, trainable, stats
+    total, trainable = state._arena.size, state._trainable_size
+    return total, trainable, total - trainable
 
 
 def build_model(config: ModelConfig, seed: int, dtype=np.float32) -> ModelState:
@@ -375,18 +365,18 @@ def _fold(config: ModelConfig, t, dtype):
     return tuple(m.astype(dtype) for m in (in_map, in_bias, out_map, out_bias))
 
 
-def forward_train(state: ModelState, batch: np.ndarray, update_running: bool = True):
+def forward_train(state: ModelState, batch: np.ndarray):
     """Training-mode forward: batch-statistic normalization, cached intermediates.
 
-    Returns (probs, cache) for backward().  When ``update_running`` the
-    batch-norm running statistics are refreshed in place with momentum
-    BN_MOMENTUM (gradient checking turns this off to keep the probe loss a
-    pure function of the parameters).
+    Returns (probs, cache) for backward().  The batch-norm running
+    statistics are refreshed in place with momentum BN_MOMENTUM but never
+    read: probs, and backward()'s gradients, are a pure function of the
+    trainable tensors and the batch.
     """
     cfg = state.config
-    t = _mutable(state) if update_running else state.tensors
+    t = _mutable(state)
     x0 = window_batch(batch, cfg.input_len).astype(state.dtype)[:, :, None]
-    cache = {"batch_size": x0.shape[0]}
+    cache = {}
 
     bn0, cache["bn0"], m0, v0 = _bn_train(x0, t["input_norm.gamma"], t["input_norm.beta"])
     conv, cache["conv_cols"] = _conv_forward(bn0[..., 0], t["conv.kernel"][:, 0], t["conv.bias"],
@@ -404,21 +394,22 @@ def forward_train(state: ModelState, batch: np.ndarray, update_running: bool = T
     probs = _softmax(logits)
     cache["probs"] = probs
 
-    if update_running:
-        for prefix, mean, var in (("input_norm", m0, v0), ("conv_norm", m1, v1),
-                                  ("hidden_norm", m2, v2)):
-            t[prefix + ".mean"] *= BN_MOMENTUM
-            t[prefix + ".mean"] += (1.0 - BN_MOMENTUM) * mean.astype(state.dtype)
-            t[prefix + ".var"] *= BN_MOMENTUM
-            t[prefix + ".var"] += (1.0 - BN_MOMENTUM) * var.astype(state.dtype)
+    for prefix, mean, var in (("input_norm", m0, v0), ("conv_norm", m1, v1),
+                              ("hidden_norm", m2, v2)):
+        t[prefix + ".mean"] *= BN_MOMENTUM
+        t[prefix + ".mean"] += (1.0 - BN_MOMENTUM) * mean.astype(state.dtype)
+        t[prefix + ".var"] *= BN_MOMENTUM
+        t[prefix + ".var"] += (1.0 - BN_MOMENTUM) * var.astype(state.dtype)
     return probs, cache
 
 
-def _check_labels(labels, classes) -> np.ndarray:
-    """``labels`` as a 1-D array of class indices in [0, classes)."""
+def _check_labels(labels, classes, rows) -> np.ndarray:
+    """``labels`` as a 1-D array of class indices in [0, classes), one per batch row."""
     labels = np.asarray(labels)
     if labels.ndim != 1:
         raise ValueError(f"labels must be a 1-D array of class indices, got shape {labels.shape}")
+    if labels.size != rows:
+        raise ValueError(f"expected one label per batch row: {rows} rows, {labels.size} labels")
     if np.any((labels < 0) | (labels >= classes)):
         raise ValueError(f"labels must lie in [0, {classes})")
     return labels
@@ -428,9 +419,7 @@ def loss_ce(probs: np.ndarray, labels) -> float:
     """Mean categorical cross-entropy of class-index ``labels``; probabilities
     clamped at PROB_FLOOR."""
     probs = np.atleast_2d(np.asarray(probs))
-    labels = _check_labels(labels, probs.shape[1])
-    if labels.size != probs.shape[0]:
-        raise ValueError("probs and labels disagree on batch size")
+    labels = _check_labels(labels, probs.shape[1], probs.shape[0])
     p_true = probs[np.arange(labels.size), labels]
     return float(-np.log(np.maximum(p_true, PROB_FLOOR)).mean())
 
@@ -447,10 +436,9 @@ def backward(state: ModelState, cache: dict, labels) -> MappingProxyType:
     cfg = state.config
     t = state.tensors
     _, grads = _gradients(state)
-    labels = _check_labels(labels, cfg.classes)
-    b = cache["batch_size"]
-
     dlogits = cache["probs"].copy()
+    b = dlogits.shape[0]
+    labels = _check_labels(labels, cfg.classes, b)
     dlogits[np.arange(b), labels] -= 1
     dlogits /= b
     np.matmul(cache["bn2_out"].T, dlogits, out=grads["output.weight"])
@@ -469,6 +457,8 @@ def backward(state: ModelState, cache: dict, labels) -> MappingProxyType:
                          grads["conv_norm.gamma"], grads["conv_norm.beta"])
     dbn0 = _conv_backward(dconv, cache["conv_cols"], t["conv.kernel"][:, 0], cfg,
                           grads["conv.kernel"][:, 0], grads["conv.bias"])
-    _bn_backward(dbn0, t["input_norm.gamma"], cache["bn0"],
-                 grads["input_norm.gamma"], grads["input_norm.beta"])
+    # The input norm's dx has no consumer: only its parameter gradients.
+    dbn0 = dbn0.reshape(-1, 1)
+    np.einsum("ij,ij->j", dbn0, cache["bn0"][0], out=grads["input_norm.gamma"])
+    np.einsum("ij->j", dbn0, out=grads["input_norm.beta"])
     return grads

@@ -5,11 +5,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import (ModelConfig, ModelState, _gradients, _mutable, _mutable_span, _span_arena,
+from .model import (ModelConfig, ModelState, _check_labels, _gradients, _mutable, _mutable_span,
                     backward, build_model, forward, forward_train, loss_ce)
 
-# Default architecture for gradient checking: small enough that central
-# differences over every layer type run in seconds, in float64.
+# grad_check's architecture: small enough that central differences over
+# every layer type run in seconds, in float64.
 GRAD_CHECK_CONFIG = ModelConfig(input_len=64, conv_filters=4, conv_kernel=8,
                                 hidden_units=8, classes=4)
 
@@ -57,21 +57,18 @@ class TrainLog:
 class AdamState:
     """The step count and the first/second moment estimates.
 
-    ``m_arena`` and ``v_arena`` are flat, laid out as the state's trainable
-    span; ``m`` and ``v`` map each trainable name to its view of them.
+    ``m`` and ``v`` are flat arrays of the state's dtype, laid out as its
+    trainable span: the trainable tensors in param_layout order.
     """
 
     step: int
-    m: dict
-    v: dict
-    m_arena: np.ndarray
-    v_arena: np.ndarray
+    m: np.ndarray
+    v: np.ndarray
 
 
 def adam_init(state: ModelState) -> AdamState:
-    m_arena, m = _span_arena(state)
-    v_arena, v = _span_arena(state)
-    return AdamState(0, m, v, m_arena, v_arena)
+    return AdamState(0, np.zeros(state._trainable_size, state.dtype),
+                     np.zeros(state._trainable_size, state.dtype))
 
 
 def adam_step(state: ModelState, adam: AdamState, grads, cfg: TrainConfig):
@@ -95,7 +92,7 @@ def adam_step(state: ModelState, adam: AdamState, grads, cfg: TrainConfig):
     scratch = np.empty(min(_BLOCK, p.size), p.dtype)
     for lo in range(0, p.size, _BLOCK):
         block = slice(lo, lo + _BLOCK)
-        gb, m, v = g[block], adam.m_arena[block], adam.v_arena[block]
+        gb, m, v = g[block], adam.m[block], adam.v[block]
         s = scratch[:gb.size]
         np.multiply(gb, 1.0 - ADAM_BETA1, out=s)
         m *= ADAM_BETA1
@@ -135,13 +132,9 @@ def train(config: ModelConfig, cfg: TrainConfig, x: np.ndarray, y: np.ndarray):
     epoch's batches.  Deterministic for fixed seed and thread configuration.
     """
     x = np.asarray(x)
-    y = np.asarray(y)
     if x.ndim != 2 or x.shape[0] == 0:
         raise ValueError("training data must be a non-empty (samples, input_len) array")
-    if x.shape[0] != y.shape[0]:
-        raise ValueError("x and y disagree on sample count")
-    if np.any((y < 0) | (y >= config.classes)):
-        raise ValueError(f"labels must lie in [0, {config.classes})")
+    y = _check_labels(y, config.classes, x.shape[0])
 
     state = build_model(config, cfg.seed)
     adam = adam_init(state)
@@ -174,34 +167,34 @@ def model_demodulator(state: ModelState):
     return demod
 
 
-def grad_check(config: ModelConfig = GRAD_CHECK_CONFIG, seed: int = 0,
-               n_params_sampled: int = 6, batch_size: int = 4) -> float:
+def grad_check(seed: int = 0) -> float:
     """Max relative error between analytic and central-difference gradients.
 
-    Builds the model in float64, draws a random batch, and probes
-    ``n_params_sampled`` entries of every tensor with h = 1e-5 * max(1, |w|).
-    The probe loss runs training-mode normalization but leaves the running
-    statistics untouched, so finite differences see a pure function.
-    Relative error uses a 1e-6 denominator floor to keep near-zero gradient
-    entries from amplifying finite-difference rounding noise.
+    Builds a GRAD_CHECK_CONFIG model in float64, draws a random batch of 4,
+    and probes 6 entries of every trainable tensor (all of a smaller one)
+    with h = 1e-5 * max(1, |w|).  The probe loss runs training-mode
+    normalization, which reads batch statistics only, so finite differences
+    see a pure function of the trainables.  Relative error uses a 1e-6
+    denominator floor to keep near-zero gradient entries from amplifying
+    finite-difference rounding noise.
     """
-    state = build_model(config, seed, dtype=np.float64)
+    state = build_model(GRAD_CHECK_CONFIG, seed, dtype=np.float64)
     rng = np.random.default_rng(seed + 1)
-    batch = rng.standard_normal((batch_size, config.input_len))
-    labels = rng.integers(0, config.classes, batch_size)
+    batch = rng.standard_normal((4, GRAD_CHECK_CONFIG.input_len))
+    labels = rng.integers(0, GRAD_CHECK_CONFIG.classes, 4)
 
-    probs, cache = forward_train(state, batch, update_running=False)
+    _, cache = forward_train(state, batch)
     grads = backward(state, cache, labels)
 
     def probe_loss():
-        p, _ = forward_train(state, batch, update_running=False)
+        p, _ = forward_train(state, batch)
         return loss_ce(p, labels)
 
     worst = 0.0
     params = _mutable(state)
     for name in state.trainable_names:
         flat = params[name].reshape(-1)
-        n_probe = min(n_params_sampled, flat.size)
+        n_probe = min(6, flat.size)
         for idx in rng.choice(flat.size, size=n_probe, replace=False):
             original = flat[idx]
             h = 1e-5 * max(1.0, abs(original))

@@ -26,6 +26,7 @@ from mfskmodem.nn.model import (
     _conv_forward,
     _conv_pad,
     _mutable,
+    param_layout,
 )
 
 FULL = ModelConfig(input_len=4096, conv_filters=128, conv_kernel=16,
@@ -121,7 +122,9 @@ class TestBuildModel:
 
     def test_one_arena_trainables_then_statistics(self):
         state = build_model(TINY, seed=0)
-        names = state.trainable_names + state.statistic_names
+        layout = param_layout(TINY)
+        names = ([name for name, _, trainable in layout if trainable]
+                 + [name for name, _, trainable in layout if not trainable])
         sizes = [state.tensors[name].nbytes for name in names]
         offsets = [state.tensors[name].ctypes.data - state._arena.ctypes.data for name in names]
         assert offsets == np.cumsum([0] + sizes[:-1]).tolist()
@@ -177,8 +180,7 @@ class TestBatchNorm:
 
     def test_forward_train_caches_are_centered(self, rng):
         state = build_model(TINY, seed=4)
-        _, cache = forward_train(state, rng.standard_normal((16, 64)),
-                                 update_running=False)
+        _, cache = forward_train(state, rng.standard_normal((16, 64)))
         for key in ("bn0", "bn1", "bn2"):
             xhat, _ = cache[key]
             axes = tuple(range(xhat.ndim - 1))
@@ -204,12 +206,24 @@ class TestLossCe:
     def test_one_hot_labels_refused(self, rng):
         # Labels are class indices; a 2-D one-hot array is not a second form.
         state = build_model(TINY, seed=0)
-        probs, cache = forward_train(state, rng.standard_normal((2, 64)), update_running=False)
+        probs, cache = forward_train(state, rng.standard_normal((2, 64)))
         onehot = np.eye(TINY.classes)[[1, 3]]
         with pytest.raises(ValueError, match="1-D array of class indices"):
             loss_ce(probs, onehot)
         with pytest.raises(ValueError, match="1-D array of class indices"):
             backward(state, cache, onehot)
+
+    @pytest.mark.parametrize("count", [1, 2, 4])
+    def test_one_label_per_batch_row(self, rng, count):
+        # A 3-row batch: a short label array must not broadcast, and a long
+        # one must not be cut, in the loss or the backward pass.
+        state = build_model(TINY, seed=0)
+        probs, cache = forward_train(state, rng.standard_normal((3, 64)))
+        labels = np.zeros(count, dtype=int)
+        with pytest.raises(ValueError, match="one label per batch row"):
+            loss_ce(probs, labels)
+        with pytest.raises(ValueError, match="one label per batch row"):
+            backward(state, cache, labels)
 
     def test_probability_floor_keeps_loss_finite(self):
         probs = np.array([[1.0, 0.0]])
@@ -454,7 +468,7 @@ class TestFoldCache:
         state = build_model(TINY, seed=3)
         batch = 3.0 * rng.standard_normal((6, 64)) + 1.0
         before = forward(state, batch)
-        forward_train(state, batch, update_running=True)
+        forward_train(state, batch)
         after = forward(state, batch)
         assert not np.array_equal(after, before)
         assert np.array_equal(after, forward(state.copy(), batch))
