@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InconsistencyError, MagicError, TruncationError, VersionError
+from .errors import Frame, InconsistencyError, TruncationError
 from .signal import ModemProfile, SYNC, Waveform, noisy_windows, synthesize_symbol, tone_bin
 
 MAGIC = b"MFSKDSET"
@@ -42,7 +42,7 @@ VERSION = 1
 # Wire label marking a sync-tone record (data labels occupy [0, M)).
 SYNC_LABEL = 0xFFFF
 
-_HEADER = struct.Struct("<III HH Q")
+_HEADER = "<II HH Q"  # after the magic and the u32 version
 
 
 def record_dtype(symbol_len: int) -> np.dtype:
@@ -186,8 +186,9 @@ def write_header(handle, sample_rate_hz: int, symbol_len: int, tone_count: int,
                  include_sync: bool, count: int) -> None:
     """Header for streaming writers that emit records one at a time."""
     handle.write(MAGIC)
-    handle.write(_HEADER.pack(VERSION, int(sample_rate_hz), symbol_len,
-                              tone_count, 1 if include_sync else 0, count))
+    handle.write(struct.pack("<I", VERSION))
+    handle.write(struct.pack(_HEADER, int(sample_rate_hz), symbol_len,
+                             tone_count, 1 if include_sync else 0, count))
 
 
 def write_record(handle, symbol_len: int, record: np.record) -> None:
@@ -200,45 +201,28 @@ def write_record(handle, symbol_len: int, record: np.record) -> None:
 def read(source) -> Dataset:
     """Read a dataset file fully into memory; records are a read-only view.
 
-    Raises MagicError, VersionError, TruncationError, or InconsistencyError
-    depending on how the file is malformed, including a header flag other
-    than bit 0, a label that is neither a data tone nor a sync record the
-    header allows, and a non-finite sample.
+    Raises MagicError, VersionError, TruncationError (from ``errors.Frame``)
+    or InconsistencyError depending on how the file is malformed, including
+    a header flag other than bit 0, a label that is neither a data tone nor
+    a sync record the header allows, and a non-finite sample.
     """
-    if hasattr(source, "read"):
-        data = source.read()
-    else:
-        with open(source, "rb") as handle:
-            data = handle.read()
-
-    if len(data) < len(MAGIC) or data[: len(MAGIC)] != MAGIC:
-        raise MagicError(f"not a dataset file (expected magic {MAGIC!r})")
-    offset = len(MAGIC)
-    if len(data) < offset + _HEADER.size:
-        raise TruncationError("file ends inside the header")
-    version, rate, symbol_len, tones, flags, count = _HEADER.unpack_from(data, offset)
-    offset += _HEADER.size
-    if version != VERSION:
-        raise VersionError(f"unsupported dataset version {version}")
+    frame = Frame(source, MAGIC, VERSION, "dataset")
+    rate, symbol_len, tones, flags, count = frame.unpack(_HEADER)
     if flags & ~1:
         raise InconsistencyError(f"header flags 0x{flags:04x} set bits other than bit 0")
 
     record_bytes = 8 + 4 * symbol_len  # record_dtype(symbol_len).itemsize
     if record_bytes >= 2**31:  # numpy's limit on one record
         raise InconsistencyError(f"symbol length {symbol_len} is too large")
-    expected_end = offset + count * record_bytes
-    if len(data) < expected_end:
+    expected_end = frame.offset + count * record_bytes
+    if len(frame.data) < expected_end:
         raise TruncationError(
             f"header declares {count} records ({expected_end} bytes), "
-            f"file has {len(data)}"
+            f"file has {len(frame.data)}"
         )
-    if len(data) > expected_end:
-        raise InconsistencyError(
-            f"{len(data) - expected_end} trailing bytes after the declared "
-            f"{count} records"
-        )
-
-    records = np.frombuffer(data, record_dtype(symbol_len), count, offset).view(np.recarray)
+    records = np.frombuffer(frame.take(count * record_bytes),
+                            record_dtype(symbol_len)).view(np.recarray)
+    frame.end()
     include_sync = bool(flags & 1)
     allowed = (records.label < tones) | ((records.label == SYNC_LABEL) & include_sync)
     if not allowed.all():

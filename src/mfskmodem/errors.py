@@ -1,9 +1,11 @@
-"""Exceptions raised by the binary dataset and weights file readers.
+"""Exceptions of the binary dataset and weights readers, and their ``Frame``.
 
 Domain errors (bad arguments, shape mismatches between in-memory arrays)
 use plain ``ValueError``; the classes here cover malformed *files* so
 callers can tell apart the failure modes of on-disk data.
 """
+
+import struct
 
 
 class FileFormatError(Exception):
@@ -30,3 +32,37 @@ class InconsistencyError(FileFormatError):
 class ShapeError(FileFormatError):
     """A stored tensor's declared shape is incompatible with the model
     layout implied by the other tensors."""
+
+
+class Frame:
+    """A whole file (path or binary file object) that opens with ``magic`` and a
+    u32 ``version``, read from ``offset`` on; it picks what a bad byte raises."""
+
+    def __init__(self, source, magic: bytes, version: int, kind: str):
+        if hasattr(source, "read"):
+            data = source.read()
+        else:
+            with open(source, "rb") as handle:
+                data = handle.read()
+        self.data = memoryview(data)
+        if self.data[: len(magic)] != magic:
+            raise MagicError(f"not a {kind} file (expected magic {magic!r})")
+        self.offset = len(magic)
+        (found,) = self.unpack("<I")
+        if found != version:
+            raise VersionError(f"unsupported {kind} version {found}")
+
+    def take(self, size: int) -> memoryview:
+        end = self.offset + size
+        if end > len(self.data):
+            raise TruncationError(f"file ends at byte {len(self.data)}, needed {end}")
+        self.offset = end
+        return self.data[end - size : end]
+
+    def unpack(self, fmt: str) -> tuple:
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+
+    def end(self) -> None:
+        trailing = len(self.data) - self.offset
+        if trailing:
+            raise InconsistencyError(f"{trailing} trailing bytes after the declared records")

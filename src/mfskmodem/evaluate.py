@@ -30,6 +30,8 @@ class ConfusionMatrix:
     counts: np.ndarray
 
     def __post_init__(self):
+        if np.asarray(self.counts).dtype.kind not in "iu":
+            raise ValueError("counts must be integers")
         self.counts = np.asarray(self.counts, dtype=np.int64)
         if self.counts.ndim != 2 or self.counts.shape[0] != self.counts.shape[1]:
             raise ValueError("counts must be a square matrix")
@@ -56,8 +58,9 @@ def accumulate_many(cm: ConfusionMatrix, true, predicted) -> ConfusionMatrix:
     if true.shape != predicted.shape:
         raise ValueError(f"true shape {true.shape} != predicted shape {predicted.shape}")
     m = cm.classes
-    if np.any((true < 0) | (true >= m)) or np.any((predicted < 0) | (predicted >= m)):
-        raise ValueError(f"indices must lie in [0, {m})")
+    if (true.dtype.kind not in "iu" or predicted.dtype.kind not in "iu"
+            or np.any((true < 0) | (true >= m)) or np.any((predicted < 0) | (predicted >= m))):
+        raise ValueError(f"indices must be integers in [0, {m})")
     np.add.at(cm.counts, (true, predicted), 1)
     return cm
 

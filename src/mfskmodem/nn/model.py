@@ -406,8 +406,9 @@ def forward_train(state: ModelState, batch: np.ndarray):
 def _check_labels(labels, classes, rows) -> np.ndarray:
     """``labels`` as a 1-D array of class indices in [0, classes), one per batch row."""
     labels = np.asarray(labels)
-    if labels.ndim != 1:
-        raise ValueError(f"labels must be a 1-D array of class indices, got shape {labels.shape}")
+    if labels.ndim != 1 or labels.dtype.kind not in "iu":
+        raise ValueError("labels must be a 1-D array of class indices, "
+                         f"got shape {labels.shape} of {labels.dtype}")
     if labels.size != rows:
         raise ValueError(f"expected one label per batch row: {rows} rows, {labels.size} labels")
     if np.any((labels < 0) | (labels >= classes)):

@@ -24,7 +24,7 @@ import struct
 
 import numpy as np
 
-from ..errors import InconsistencyError, MagicError, ShapeError, TruncationError, VersionError
+from ..errors import Frame, InconsistencyError, ShapeError
 from .model import ModelConfig, ModelState, _mutable, param_layout
 
 MAGIC = b"MFSKNN01"
@@ -59,59 +59,36 @@ def _write(state, handle):
 
 
 def load_weights(source) -> ModelState:
-    """Read a weights file back into a ModelState.
+    """Read a weights file (path or binary file) back into a ModelState.
 
-    Raises MagicError, VersionError, TruncationError, InconsistencyError,
-    or ShapeError depending on what is wrong with the file; a bad file
-    never yields a partial state.
+    Raises MagicError, VersionError, TruncationError (from ``errors.Frame``),
+    InconsistencyError or ShapeError depending on what is wrong with the
+    file; a bad file never yields a partial state.
     """
-    if hasattr(source, "read"):
-        data = source.read()
-    else:
-        with open(source, "rb") as handle:
-            data = handle.read()
-    return _parse(memoryview(data))
-
-
-def _parse(data: memoryview) -> ModelState:
-    if len(data) < len(MAGIC) or data[: len(MAGIC)] != MAGIC:
-        raise MagicError(f"not a weights file (expected magic {MAGIC!r})")
-    offset = len(MAGIC)
-    version, count = _unpack("<II", data, offset)
-    offset += 8
-    if version != VERSION:
-        raise VersionError(f"unsupported weights version {version}")
-
+    frame = Frame(source, MAGIC, VERSION, "weights")
+    (count,) = frame.unpack("<I")
     tensors = {}
     tags = set()
     for _ in range(count):
-        (name_len,) = _unpack("<H", data, offset)
-        offset += 2
+        (name_len,) = frame.unpack("<H")
+        start = frame.offset
         try:
-            name = bytes(_take(data, offset, name_len)).decode("utf-8")
+            name = bytes(frame.take(name_len)).decode("utf-8")
         except UnicodeDecodeError:
-            raise InconsistencyError(f"tensor name at byte {offset} is not UTF-8") from None
-        offset += name_len
-        tag, rank = _unpack("<BB", data, offset)
-        offset += 2
+            raise InconsistencyError(f"tensor name at byte {start} is not UTF-8") from None
+        tag, rank = frame.unpack("<BB")
         if tag not in _TAG_DTYPES:
             raise InconsistencyError(f"tensor {name!r} has unknown dtype tag {tag}")
-        dims = _unpack(f"<{rank}Q", data, offset)
-        offset += 8 * rank
+        dims = frame.unpack(f"<{rank}Q")
         if not 1 <= rank <= 3 or 0 in dims:
             raise ShapeError(f"tensor {name!r} has shape {dims}, not 1-3 nonzero axes")
         dtype = _TAG_DTYPES[tag]
-        nbytes = math.prod(dims) * dtype.itemsize
-        raw = _take(data, offset, nbytes)
-        offset += nbytes
+        raw = frame.take(math.prod(dims) * dtype.itemsize)
         if name in tensors:
             raise InconsistencyError(f"duplicate tensor record {name!r}")
         tensors[name] = np.frombuffer(raw, dtype=dtype).reshape(dims)
         tags.add(tag)
-    if offset != len(data):
-        raise InconsistencyError(
-            f"{len(data) - offset} trailing bytes after the declared records"
-        )
+    frame.end()
     if len(tags) > 1:
         raise InconsistencyError("mixed dtype tags across tensor records")
 
@@ -147,15 +124,3 @@ def _infer_config(tensors) -> ModelConfig:
     except ValueError as exc:
         raise ShapeError(f"stored tensor shapes describe no valid model: {exc}") from None
 
-
-def _take(data: memoryview, offset: int, size: int) -> memoryview:
-    if offset + size > len(data):
-        raise TruncationError(
-            f"file ends at byte {len(data)}, needed {offset + size}"
-        )
-    return data[offset : offset + size]
-
-
-def _unpack(fmt: str, data: memoryview, offset: int):
-    size = struct.calcsize(fmt)
-    return struct.unpack(fmt, _take(data, offset, size))

@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mfskmodem.dataset import (
     SYNC_LABEL,
@@ -21,14 +23,25 @@ from mfskmodem.dataset import (
     write,
 )
 from mfskmodem.dataset import _draw, _record_rng
-from mfskmodem.errors import InconsistencyError, MagicError, TruncationError, VersionError
-from mfskmodem.signal import SYNC, Waveform, apply_awgn, measure_snr, synthesize_symbol
+from mfskmodem.errors import (
+    FileFormatError,
+    InconsistencyError,
+    MagicError,
+    TruncationError,
+    VersionError,
+)
+from mfskmodem.signal import (
+    SYNC,
+    ModemProfile,
+    Waveform,
+    apply_awgn,
+    measure_snr,
+    synthesize_symbol,
+)
 
 
 @pytest.fixture(scope="module")
 def reduced_spec(request):
-    from mfskmodem.signal import ModemProfile
-
     profile = ModemProfile(11025.0, 512, 8, 59, 2, 2500.0)
     return DatasetSpec(profile, count=96, snr_range=(-20.0, -5.0), seed=42)
 
@@ -37,6 +50,11 @@ def written_bytes(ds) -> bytes:
     buffer = io.BytesIO()
     write(ds, buffer)
     return buffer.getvalue()
+
+
+# Four 8-sample records, two of them sync records: a 192-byte file.
+MICRO_BLOB = written_bytes(generate(DatasetSpec(
+    ModemProfile(1000.0, 8, 2, 0, 1, 500.0), 4, (-5.0, 5.0), seed=2, include_sync=True)))
 
 
 class TestGenerate:
@@ -229,6 +247,23 @@ class TestFileFormat:
         with pytest.raises(InconsistencyError, match="trailing"):
             read(io.BytesIO(blob + b"\x00"))
 
+    def test_cut_inside_header_names_the_needed_byte(self):
+        with pytest.raises(TruncationError, match=r"^file ends at byte 20, needed 32$"):
+            read(io.BytesIO(MICRO_BLOB[:20]))
+
+    def test_trailing_bytes_are_counted(self):
+        with pytest.raises(InconsistencyError,
+                           match="^3 trailing bytes after the declared records$"):
+            read(io.BytesIO(MICRO_BLOB + b"\x00" * 3))
+
+    @pytest.mark.parametrize("size", [12, 31])
+    def test_bad_version_of_a_short_file(self, size):
+        # The version is checked as soon as its four bytes are in.
+        blob = bytearray(MICRO_BLOB[:size])
+        blob[8:12] = (7).to_bytes(4, "little")
+        with pytest.raises(VersionError, match="^unsupported dataset version 7$"):
+            read(io.BytesIO(bytes(blob)))
+
     @pytest.mark.parametrize("flags", [0x0002, 0x8000, 0xFFFF])
     def test_flag_bits_beyond_bit_0_inconsistent(self, reduced_spec, flags):
         blob = bytearray(written_bytes(generate(
@@ -267,6 +302,24 @@ class TestFileFormat:
             warnings.simplefilter("error")
             with pytest.raises(InconsistencyError, match="record 1 has a non-finite sample"):
                 read(io.BytesIO(written_bytes(ds)))
+
+    @settings(max_examples=400, derandomize=True, database=None, deadline=None)
+    @given(edits=st.lists(st.tuples(st.integers(0, len(MICRO_BLOB) - 1),
+                                    st.integers(0, 255)), max_size=3),
+           keep=st.one_of(st.none(), st.integers(0, len(MICRO_BLOB) - 1)))
+    def test_mutation_fails_cleanly_or_round_trips(self, edits, keep):
+        # Up to three overwritten bytes, optionally truncated: the reader
+        # raises only FileFormatError, or what it loads writes back to the
+        # same bytes.
+        blob = bytearray(MICRO_BLOB)
+        for position, value in edits:
+            blob[position] = value
+        blob = bytes(blob[:keep])
+        try:
+            ds = read(io.BytesIO(blob))
+        except FileFormatError:
+            return
+        assert written_bytes(ds) == blob
 
     def test_records_are_the_file_layout(self, reduced_spec):
         ds = generate(DatasetSpec(reduced_spec.profile, 3, (-9.0, -9.0), seed=5))

@@ -108,6 +108,26 @@ class TestConfusionMatrix:
         assert cm.total == 0
 
 
+    @pytest.mark.parametrize("true, predicted", [
+        pytest.param([0.5], [1.0], id="float"),
+        pytest.param([True], [False], id="bool"),
+        pytest.param([0], [1.0], id="float-predicted"),
+    ])
+    def test_non_integer_indices_rejected(self, true, predicted):
+        cm = ConfusionMatrix.empty(4)
+        with pytest.raises(ValueError, match=r"indices must be integers in \[0, 4\)"):
+            accumulate_many(cm, np.array(true), np.array(predicted))
+        assert cm.total == 0
+
+    @pytest.mark.parametrize("counts", [[[0.5, 0], [0, 2.7]], [[1.0, 0], [0, 2.0]],
+                                        [[True, False], [False, True]]],
+                             ids=["fractional", "integral-float", "bool"])
+    def test_non_integer_counts_rejected(self, counts):
+        # int64 casting would silently store [[0, 0], [0, 2]] for the first.
+        with pytest.raises(ValueError, match="counts must be integers"):
+            ConfusionMatrix(np.array(counts))
+
+
 class TestMetrics:
     def test_identity_predictions(self):
         cm = ConfusionMatrix(np.diag([10, 20, 30, 40]))

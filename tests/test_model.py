@@ -225,6 +225,21 @@ class TestLossCe:
         with pytest.raises(ValueError, match="one label per batch row"):
             backward(state, cache, labels)
 
+    @pytest.mark.parametrize("labels", [np.array([0.0, 1.0, 2.0]),
+                                        np.array([True, False, True])], ids=["float", "bool"])
+    def test_non_integer_labels_refused_by_loss(self, labels):
+        # Class indices are integers; numpy would raise IndexError for these.
+        with pytest.raises(ValueError, match="1-D array of class indices"):
+            loss_ce(np.full((3, 4), 0.25), labels)
+
+    @pytest.mark.parametrize("labels", [np.array([0.0, 1.0, 2.0]),
+                                        np.array([True, False, True])], ids=["float", "bool"])
+    def test_non_integer_labels_refused_by_backward(self, rng, labels):
+        state = build_model(TINY, seed=0)
+        _, cache = forward_train(state, rng.standard_normal((3, 64)))
+        with pytest.raises(ValueError, match="1-D array of class indices"):
+            backward(state, cache, labels)
+
     def test_probability_floor_keeps_loss_finite(self):
         probs = np.array([[1.0, 0.0]])
         assert np.isfinite(loss_ce(probs, np.array([1])))

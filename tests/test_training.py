@@ -387,6 +387,13 @@ class TestTrain:
             train(TINY, TrainConfig(), rng.standard_normal((8, 64)), np.zeros(7, dtype=int))
 
 
+    @pytest.mark.parametrize("labels", [np.arange(8) % 4 * 1.0, np.arange(8) % 2 == 0],
+                             ids=["float", "bool"])
+    def test_non_integer_labels_rejected(self, rng, labels):
+        with pytest.raises(ValueError, match="1-D array of class indices"):
+            train(TINY, TrainConfig(), rng.standard_normal((8, 64)), labels)
+
+
 class TestPredict:
     def test_trained_model_decodes_every_tone(self, overfit_run):
         _, _, state, _ = overfit_run

@@ -13,8 +13,10 @@ that print the same lines wrote the same bytes and refused alike:
 
 Before its runs it writes three profile files into ``--out``: the README's
 ``desk-m4`` profile, one that lacks ``conv_kernel`` and one whose
-``symbol_len`` is fractional; the last two must be refused.  The training
-logs are hashed without their wall-clock ``seconds`` column.
+``symbol_len`` is fractional; the last two must be refused.  After its
+runs it writes a truncated and a bad-magic copy of a dataset the runs made
+and a truncated copy of a weights file, which must be refused too.  The
+training logs are hashed without their wall-clock ``seconds`` column.
 Compare hashes made on one machine: ``sin`` may round differently on
 another CPU's SIMD path.
 """
@@ -107,6 +109,15 @@ RUNS = [
                                      "--out-confusion", "demod-desk-classical.csv"]),
 ]
 
+# Malformed copies of RUNS' outputs, written after RUNS for REFUSALS to read:
+# name -> (file RUNS wrote, what the copy does to its bytes).  They are left
+# out of the hashed listing, since the files they derive from are in it.
+MALFORMED = {
+    "cut.mfskdset": ("m8.mfskdset", lambda data: data[:-100]),
+    "notmagic.mfskdset": ("m8.mfskdset", lambda data: b"NOTMAGIC" + data[8:]),
+    "cut.weights": ("m8.weights", lambda data: data[:-16]),
+}
+
 # Runs the CLI must refuse; they run after RUNS, whose files they read.  Each
 # prints its exit code and the hash of its standard error, and a file one of
 # them left behind would show up in the hashed listing of --out.
@@ -127,6 +138,14 @@ REFUSALS = [
     ("refuse-profile-fractional", ["--profiles-file", "fractional.ini", "synth", "--profile",
                                    "desk-m4", "--count", "1", "--snr", "0", "--seed", "1",
                                    "--out", "refused-fractional.mfskdset"]),
+    ("refuse-demod-cut", ["demod", "--profile", "reduced-m8", "--classical",
+                          "--dataset", "cut.mfskdset", "--out-report", "refused-cut.report"]),
+    ("refuse-demod-magic", ["demod", "--profile", "reduced-m8", "--classical",
+                            "--dataset", "notmagic.mfskdset",
+                            "--out-report", "refused-magic.report"]),
+    ("refuse-sweep-cut-weights", ["sweep", "--profile", "reduced-m8", "--weights", "cut.weights",
+                                  "--mode", "ber", "--snr", "-10", "--n", "100", "--seed", "4",
+                                  "--out", "refused-sweep.csv"]),
 ]
 
 
@@ -166,10 +185,14 @@ def main(argv=None) -> int:
             sys.stderr.write(f"{name} exited {run.returncode}:\n{run.stderr.decode()}")
             return 1
         print(f"{_digest(run.stdout)}  {name}.stdout")
+    for name, (source, corrupt) in MALFORMED.items():
+        (out / name).write_bytes(corrupt((out / source).read_bytes()))
     for name, cli_args in REFUSALS:
         run = cli(cli_args)
         print(f"{_digest(run.stderr)}  {name}.stderr exit={run.returncode}")
     for path in sorted(out.iterdir()):
+        if path.name in MALFORMED:
+            continue
         data = path.read_bytes()
         if path.name in TRAIN_LOGS:
             data = _without_seconds(data)
