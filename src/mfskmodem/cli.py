@@ -112,8 +112,11 @@ def _profile(args):
         raise ConfigError(str(exc)) from exc
 
 
-def _check_dataset_profile(loaded, profile) -> None:
-    """Refuse a dataset whose header disagrees with the selected profile."""
+def _read_dataset(path, profile):
+    """Read a dataset file, refusing one whose header disagrees with the profile."""
+    from . import dataset as ds
+
+    loaded = ds.read(path)
     modem = profile.modem
     for field, stored, expected in (
             ("sample rate", loaded.sample_rate_hz, int(round(modem.sample_rate_hz))),
@@ -122,6 +125,7 @@ def _check_dataset_profile(loaded, profile) -> None:
         if stored != expected:
             raise ValueError(f"dataset {field} {stored} does not match profile "
                              f"{profile.name!r} {field} {expected}")
+    return loaded
 
 
 def _sha256(path: str) -> str:
@@ -161,14 +165,13 @@ def _cmd_synth(args) -> int:
 def _cmd_analyze(args) -> int:
     import numpy as np
 
-    from . import dataset as ds
     from .analysis import autocorrelation, energy_spectrum
     from .evaluate import write_lines
     from .signal import SYNC, Waveform, lowpass, noisy_windows, tone_bin, tone_windows
 
     profile = _profile(args)
     if args.dataset is not None:
-        loaded = ds.read(args.dataset)
+        loaded = _read_dataset(args.dataset, profile)
         if not 0 <= args.index < len(loaded.records):
             raise ValueError(
                 f"record index {args.index} out of range [0, {len(loaded.records)})"
@@ -215,8 +218,7 @@ def _cmd_train(args) -> int:
                           epochs=args.epochs, seed=seed)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    loaded = ds.read(args.dataset)
-    _check_dataset_profile(loaded, profile)
+    loaded = _read_dataset(args.dataset, profile)
     x, y = ds.data_arrays(loaded)
     state, log = train(profile.model, cfg, x, y)
     save_weights(state, args.out_weights)
@@ -249,8 +251,7 @@ def _cmd_demod(args) -> int:
 
     profile = _profile(args)
     demod = _build_demod(args, profile)
-    loaded = ds.read(args.dataset)
-    _check_dataset_profile(loaded, profile)
+    loaded = _read_dataset(args.dataset, profile)
     x, y = ds.data_arrays(loaded)
     skipped = len(loaded.records) - y.size
     if skipped:

@@ -7,7 +7,7 @@ and nn.model_demodulator for the two provided ones.
 """
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -92,31 +92,29 @@ class MetricsReport:
     micro_recall: float
     micro_precision: float
     micro_error_rate: float
+    class_support: np.ndarray
     class_accuracy: np.ndarray
     class_recall: np.ndarray
     class_precision: np.ndarray
     class_error_rate: np.ndarray
-    class_support: np.ndarray
 
     def to_text(self) -> str:
-        """Flat key=value document, one metric per line."""
-        lines = []
-        for key in ("accuracy", "ser", "ber_measured", "ber_from_ser",
-                    "macro_accuracy", "macro_recall", "macro_precision",
-                    "macro_error_rate", "micro_accuracy", "micro_recall",
-                    "micro_precision", "micro_error_rate"):
-            lines.append(f"{key}={getattr(self, key):.10g}")
-        for i in range(self.class_recall.size):
-            lines.append(f"class_{i}_support={int(self.class_support[i])}")
-            lines.append(f"class_{i}_accuracy={self.class_accuracy[i]:.10g}")
-            lines.append(f"class_{i}_recall={self.class_recall[i]:.10g}")
-            lines.append(f"class_{i}_precision={self.class_precision[i]:.10g}")
-            lines.append(f"class_{i}_error_rate={self.class_error_rate[i]:.10g}")
+        """Flat key=value document, one metric per line in field order: the
+        scalars, then each class's ``class_{i}_*`` values (counts as integers)."""
+        names = [field.name for field in fields(self)]
+        per_class = [name for name in names if name.startswith("class_")]
+        lines = [f"{name}={getattr(self, name):.10g}" for name in names if name not in per_class]
+        for i in range(self.class_support.size):
+            for name in per_class:
+                value = getattr(self, name)[i]
+                text = f"{value:d}" if value.dtype.kind in "iu" else f"{value:.10g}"
+                lines.append(f"class_{i}_{name.removeprefix('class_')}={text}")
         return "\n".join(lines) + "\n"
 
 
 def metrics(cm: ConfusionMatrix) -> MetricsReport:
-    """Derive every report metric from the confusion matrix alone."""
+    """Derive every report metric from the confusion matrix alone.  SER is the
+    error count over the total; a decision d for true tone t flips popcount(t ^ d) bits."""
     total = cm.total
     if total == 0:
         raise ValueError("confusion matrix is empty")
@@ -136,11 +134,11 @@ def metrics(cm: ConfusionMatrix) -> MetricsReport:
 
     support_mask = row > 0
     accuracy = float(diag.sum() / total)
-    ser = 1.0 - accuracy
+    ser = (total - int(np.trace(counts))) / total
 
+    popcount = np.array([v.bit_count() for v in range(m)], dtype=np.int64)
     xor = np.bitwise_xor.outer(np.arange(m), np.arange(m))
-    bit_errors = float((counts * _bit_weights(m)[xor]).sum())
-    ber_measured = bit_errors / (k * total)
+    ber_measured = int((counts * popcount[xor]).sum()) / (k * total)
 
     return MetricsReport(
         accuracy=accuracy,
@@ -155,17 +153,12 @@ def metrics(cm: ConfusionMatrix) -> MetricsReport:
         micro_recall=accuracy,
         micro_precision=accuracy,
         micro_error_rate=ser,
+        class_support=row.astype(np.int64),
         class_accuracy=1.0 - error_rate,
         class_recall=recall,
         class_precision=precision,
         class_error_rate=error_rate,
-        class_support=row.astype(np.int64),
     )
-
-
-def _bit_weights(m: int) -> np.ndarray:
-    """Popcount table: a decision d for true tone t flips _bit_weights(m)[t ^ d] bits."""
-    return np.array([v.bit_count() for v in range(m)], dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -184,21 +177,18 @@ class BerPoint:
     stderr: float  # binomial standard error of ser
 
 
-def _run_point(demod, profile, snr_db, n_symbols, rng):
-    """(symbol errors, bit errors) over n_symbols fresh random symbols."""
+def _run_point(demod, profile, snr_db, n_symbols, rng) -> ConfusionMatrix:
+    """Confusion counts of ``demod`` over n_symbols fresh random symbols."""
     m = profile.tone_count
     labels = rng.integers(0, m, n_symbols)
     phases = rng.uniform(0.0, 2.0 * np.pi, n_symbols)
     bins = tone_bin(profile, 0) + labels
-    bit_weights = _bit_weights(m)
-    symbol_errors = bit_errors = 0
+    cm = ConfusionMatrix.empty(m)
     for lo in range(0, n_symbols, _CHUNK):
         sel = slice(lo, min(lo + _CHUNK, n_symbols))
         x = noisy_windows(profile, bins[sel], phases[sel], snr_db, rng)
-        predicted = np.asarray(demod(x))
-        symbol_errors += int(np.count_nonzero(predicted != labels[sel]))
-        bit_errors += int(bit_weights[predicted ^ labels[sel]].sum())
-    return symbol_errors, bit_errors
+        accumulate_many(cm, labels[sel], np.asarray(demod(x)))
+    return cm
 
 
 def sweep_ber(demod, profile: ModemProfile, snr_points, n_per_point: int, seed: int):
@@ -206,10 +196,12 @@ def sweep_ber(demod, profile: ModemProfile, snr_points, n_per_point: int, seed: 
 
     Each point runs on its own substream (seed, point index), so points
     are independent and the sweep parallelizes without changing content.
-    Measured BER counts bit mismatches under the natural binary mapping;
-    the theory column evaluates the non-coherent orthogonal-MFSK limit at
-    the point's Eb/N0.  Every row satisfies BER <= SER <= k*BER exactly
-    (each symbol error flips between 1 and k bits).
+    Each point fills a ConfusionMatrix (a decision outside [0, M) raises
+    ValueError) whose ``metrics`` give SER (errors / n, as in demod reports),
+    measured BER (bit mismatches under the natural binary mapping) and
+    BER-from-SER; the theory column evaluates the non-coherent
+    orthogonal-MFSK limit at the point's Eb/N0.  Every row satisfies
+    BER <= SER <= k*BER exactly (each symbol error flips between 1 and k bits).
     """
     if n_per_point < 1:
         raise ValueError("n_per_point must be >= 1")
@@ -218,13 +210,12 @@ def sweep_ber(demod, profile: ModemProfile, snr_points, n_per_point: int, seed: 
     rows = []
     for i, snr_db in enumerate(snr_points):
         rng = np.random.default_rng([seed, i])
-        symbol_errors, bit_errors = _run_point(demod, profile, snr_db, n_per_point, rng)
-        ser = symbol_errors / n_per_point
-        ber = bit_errors / (k * n_per_point)
+        report = metrics(_run_point(demod, profile, snr_db, n_per_point, rng))
+        ser, ber = report.ser, report.ber_measured
         ebn0 = snr_to_ebn0(profile, float(snr_db))
         theory = ser_to_ber(m, ser_noncoherent_mfsk(m, ebn0_to_esn0(m, ebn0)))
         assert ber <= ser + 1e-15 and ser <= k * ber + 1e-15
-        rows.append(BerPoint(float(snr_db), ebn0, ber, ser_to_ber(m, ser), theory,
+        rows.append(BerPoint(float(snr_db), ebn0, ber, report.ber_from_ser, theory,
                              n_per_point, ser,
                              float(np.sqrt(ser * (1.0 - ser) / n_per_point))))
     return rows

@@ -293,6 +293,7 @@ class TestProfileCrossCheck:
     @pytest.mark.parametrize("argv", [
         ["demod", "--classical", "--out-report", "r.txt"],
         ["train", "--epochs", "1", "--out-weights", "w.bin", "--out-log", "l.csv"],
+        ["analyze", "--lowpass", "--out-prefix", "a"],
     ])
     def test_dataset_of_another_profile_is_refused(self, workspace, tmp_path, capsys,
                                                    monkeypatch, argv):

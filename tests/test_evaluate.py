@@ -165,6 +165,13 @@ class TestMetrics:
         assert report.ser == pytest.approx(0.5)
         assert report.ber_from_ser == pytest.approx(0.5 * 2 / 3)
 
+    def test_ser_is_the_error_count_over_the_total(self):
+        # 1 - 141/160 is 0.11875000000000002; the count itself divides exactly.
+        counts = np.diag([41, 40, 30, 30])
+        counts[0, 2] = 19
+        report = metrics(ConfusionMatrix(counts))
+        assert report.ser == report.micro_error_rate == 19 / 160
+
     def test_zero_support_classes_skipped_in_macro(self):
         counts = np.zeros((4, 4), dtype=int)
         counts[0, 0] = 5
@@ -255,6 +262,13 @@ class TestSweeps:
         rows = sweep_ber(demod, reduced_profile, [30.0], 500, seed=2)
         assert rows[0].ber_measured == 0.0
         assert rows[0].ber_from_ser == 0.0
+
+    @pytest.mark.parametrize("decision", [-1, 8])
+    def test_decision_outside_the_alphabet_is_refused(self, reduced_profile, decision):
+        assert reduced_profile.tone_count == 8
+        with pytest.raises(ValueError, match=r"indices must be integers in \[0, 8\)"):
+            sweep_ber(lambda x: np.full(len(x), decision), reduced_profile, [-10.0], 100,
+                      seed=1)
 
     def test_invalid_count_rejected(self, reduced_profile):
         demod = classical_demodulator(reduced_profile)

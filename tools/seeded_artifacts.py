@@ -70,6 +70,13 @@ RUNS = [
     ("train-full", ["train", "--profile", "jt65a-full", "--dataset", "full.mfskdset",
                     "--epochs", "3", "--seed", "2", "--out-weights", "full.weights",
                     "--out-log", "train-full-log.csv"]),
+    # The folded full-scale CNN through both counting paths: demod and sweep.
+    ("demod-full-cnn", ["demod", "--profile", "jt65a-full", "--weights", "full.weights",
+                        "--dataset", "full.mfskdset", "--out-report", "demod-full-cnn.report",
+                        "--out-confusion", "demod-full-cnn.csv"]),
+    ("sweep-full-cnn-ber", ["sweep", "--profile", "jt65a-full", "--weights", "full.weights",
+                            "--mode", "ber", "--snr", "-20,-16", "--n", "500", "--seed", "4",
+                            "--out", "sweep-full-cnn-ber.csv"]),
     ("demod-m8-classical", ["demod", "--profile", "reduced-m8", "--classical",
                             "--dataset", "m8.mfskdset",
                             "--out-report", "demod-m8-classical.report",
