@@ -26,6 +26,8 @@ dtype and halving file size versus float64.
 In memory the records keep this layout: ``Dataset.records`` is a numpy
 record array of ``record_dtype(symbol_len)``, so ``read`` and ``write`` move
 the payload in one piece, and ``r.label`` works on one record or on all.
+``read`` checks the header against the file size before it allocates that
+array, then reads the payload straight into it: it holds one copy.
 """
 
 import struct
@@ -199,30 +201,35 @@ def write_record(handle, symbol_len: int, record: np.record) -> None:
 
 
 def read(source) -> Dataset:
-    """Read a dataset file fully into memory; records are a read-only view.
+    """Read a dataset file (path or seekable binary file) into memory; records
+    are a read-only array, filled straight from the file once the header
+    checks pass.
 
     Raises MagicError, VersionError, TruncationError (from ``errors.Frame``)
     or InconsistencyError depending on how the file is malformed, including
     a header flag other than bit 0, a label that is neither a data tone nor
     a sync record the header allows, and a non-finite sample.
     """
-    frame = Frame(source, MAGIC, VERSION, "dataset")
-    rate, symbol_len, tones, flags, count = frame.unpack(_HEADER)
-    if flags & ~1:
-        raise InconsistencyError(f"header flags 0x{flags:04x} set bits other than bit 0")
+    with Frame(source, MAGIC, VERSION, "dataset") as frame:
+        rate, symbol_len, tones, flags, count = frame.unpack(_HEADER)
+        if flags & ~1:
+            raise InconsistencyError(f"header flags 0x{flags:04x} set bits other than bit 0")
 
-    record_bytes = 8 + 4 * symbol_len  # record_dtype(symbol_len).itemsize
-    if record_bytes >= 2**31:  # numpy's limit on one record
-        raise InconsistencyError(f"symbol length {symbol_len} is too large")
-    expected_end = frame.offset + count * record_bytes
-    if len(frame.data) < expected_end:
-        raise TruncationError(
-            f"header declares {count} records ({expected_end} bytes), "
-            f"file has {len(frame.data)}"
-        )
-    records = np.frombuffer(frame.take(count * record_bytes),
-                            record_dtype(symbol_len)).view(np.recarray)
-    frame.end()
+        record_bytes = 8 + 4 * symbol_len  # record_dtype(symbol_len).itemsize
+        if record_bytes >= 2**31:  # numpy's limit on one record
+            raise InconsistencyError(f"symbol length {symbol_len} is too large")
+        expected_end = frame.offset + count * record_bytes
+        if frame.size < expected_end:
+            raise TruncationError(
+                f"header declares {count} records ({expected_end} bytes), "
+                f"file has {frame.size}"
+            )
+        offset = frame.skip(count * record_bytes)
+        frame.end()
+        records = np.empty(count, record_dtype(symbol_len))
+        frame.readinto(offset, records)
+    records = records.view(np.recarray)
+    records.flags.writeable = False
     include_sync = bool(flags & 1)
     allowed = (records.label < tones) | ((records.label == SYNC_LABEL) & include_sync)
     if not allowed.all():

@@ -16,7 +16,9 @@ Layout (all integers little-endian):
 Loading reads the ModelConfig off the first and last axes of conv.kernel,
 hidden.weight and output.weight; param_layout alone then judges every
 tensor's shape, those three included, so a file that disagrees with itself
-fails with a ShapeError naming the offending tensor.
+fails with a ShapeError naming the offending tensor.  All of that runs on the
+record headers; only then is the state allocated and each payload read
+straight into the parameter arena, so a load holds one copy of the tensors.
 """
 
 import math
@@ -59,68 +61,70 @@ def _write(state, handle):
 
 
 def load_weights(source) -> ModelState:
-    """Read a weights file (path or binary file) back into a ModelState.
+    """Read a weights file (path or seekable binary file) back into a ModelState.
 
-    Raises MagicError, VersionError, TruncationError (from ``errors.Frame``),
-    InconsistencyError or ShapeError depending on what is wrong with the
-    file; a bad file never yields a partial state.
+    Pass 1 reads every record header and steps over its payload, so the
+    config and every shape are checked before the state is allocated; pass 2
+    reads each payload straight into its arena view.  Raises MagicError,
+    VersionError, TruncationError (from ``errors.Frame``), InconsistencyError
+    or ShapeError depending on what is wrong with the file; a bad file never
+    yields a partial state.
     """
-    frame = Frame(source, MAGIC, VERSION, "weights")
-    (count,) = frame.unpack("<I")
-    tensors = {}
-    tags = set()
-    for _ in range(count):
-        (name_len,) = frame.unpack("<H")
-        start = frame.offset
-        try:
-            name = bytes(frame.take(name_len)).decode("utf-8")
-        except UnicodeDecodeError:
-            raise InconsistencyError(f"tensor name at byte {start} is not UTF-8") from None
-        tag, rank = frame.unpack("<BB")
-        if tag not in _TAG_DTYPES:
-            raise InconsistencyError(f"tensor {name!r} has unknown dtype tag {tag}")
-        dims = frame.unpack(f"<{rank}Q")
-        if not 1 <= rank <= 3 or 0 in dims:
-            raise ShapeError(f"tensor {name!r} has shape {dims}, not 1-3 nonzero axes")
-        dtype = _TAG_DTYPES[tag]
-        raw = frame.take(math.prod(dims) * dtype.itemsize)
-        if name in tensors:
-            raise InconsistencyError(f"duplicate tensor record {name!r}")
-        tensors[name] = np.frombuffer(raw, dtype=dtype).reshape(dims)
-        tags.add(tag)
-    frame.end()
-    if len(tags) > 1:
-        raise InconsistencyError("mixed dtype tags across tensor records")
+    with Frame(source, MAGIC, VERSION, "weights") as frame:
+        (count,) = frame.unpack("<I")
+        shapes, offsets = {}, {}
+        tags = set()
+        for _ in range(count):
+            (name_len,) = frame.unpack("<H")
+            start = frame.offset
+            try:
+                name = frame.take(name_len).decode("utf-8")
+            except UnicodeDecodeError:
+                raise InconsistencyError(f"tensor name at byte {start} is not UTF-8") from None
+            tag, rank = frame.unpack("<BB")
+            if tag not in _TAG_DTYPES:
+                raise InconsistencyError(f"tensor {name!r} has unknown dtype tag {tag}")
+            dims = frame.unpack(f"<{rank}Q")
+            if not 1 <= rank <= 3 or 0 in dims:
+                raise ShapeError(f"tensor {name!r} has shape {dims}, not 1-3 nonzero axes")
+            offset = frame.skip(math.prod(dims) * _TAG_DTYPES[tag].itemsize)
+            if name in shapes:
+                raise InconsistencyError(f"duplicate tensor record {name!r}")
+            shapes[name], offsets[name] = dims, offset
+            tags.add(tag)
+        frame.end()
+        if len(tags) > 1:
+            raise InconsistencyError("mixed dtype tags across tensor records")
 
-    config = _infer_config(tensors)
-    expected = {name: shape for name, shape, _ in param_layout(config)}
-    missing = sorted(set(expected) - set(tensors))
-    if missing:
-        raise ShapeError(f"missing tensor records: {', '.join(missing)}")
-    unknown = sorted(set(tensors) - set(expected))
-    if unknown:
-        raise ShapeError(f"unknown tensor records: {', '.join(unknown)}")
-    for name, shape in expected.items():
-        if tensors[name].shape != shape:
-            raise ShapeError(
-                f"tensor {name!r} has shape {tensors[name].shape}, "
-                f"expected {shape} for the stored architecture"
-            )
-    state = ModelState(config, _TAG_DTYPES[tags.pop()])
-    for name, tensor in _mutable(state).items():
-        tensor[...] = tensors[name]
+        config = _infer_config(shapes)
+        expected = {name: shape for name, shape, _ in param_layout(config)}
+        missing = sorted(set(expected) - set(shapes))
+        if missing:
+            raise ShapeError(f"missing tensor records: {', '.join(missing)}")
+        unknown = sorted(set(shapes) - set(expected))
+        if unknown:
+            raise ShapeError(f"unknown tensor records: {', '.join(unknown)}")
+        for name, shape in expected.items():
+            if shapes[name] != shape:
+                raise ShapeError(
+                    f"tensor {name!r} has shape {shapes[name]}, "
+                    f"expected {shape} for the stored architecture"
+                )
+        state = ModelState(config, _TAG_DTYPES[tags.pop()])
+        for name, tensor in _mutable(state).items():
+            frame.readinto(offsets[name], tensor)
     return state
 
 
-def _infer_config(tensors) -> ModelConfig:
+def _infer_config(shapes) -> ModelConfig:
     for required in ("conv.kernel", "hidden.weight", "output.weight"):
-        if required not in tensors:
+        if required not in shapes:
             raise ShapeError(f"missing tensor record {required!r}")
-    k, f = (tensors["conv.kernel"].shape[i] for i in (0, -1))
-    flat, h = (tensors["hidden.weight"].shape[i] for i in (0, -1))
+    k, f = (shapes["conv.kernel"][i] for i in (0, -1))
+    flat, h = (shapes["hidden.weight"][i] for i in (0, -1))
     try:
         return ModelConfig(input_len=flat // f, conv_filters=f, conv_kernel=k,
-                           hidden_units=h, classes=tensors["output.weight"].shape[-1])
+                           hidden_units=h, classes=shapes["output.weight"][-1])
     except ValueError as exc:
         raise ShapeError(f"stored tensor shapes describe no valid model: {exc}") from None
 

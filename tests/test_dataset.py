@@ -1,6 +1,8 @@
 """Tests for dataset generation determinism and the binary file format."""
 
 import io
+import struct
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -331,6 +333,45 @@ class TestFileFormat:
                            include_sync=True)
         loaded = read(io.BytesIO(written_bytes(generate(spec))))
         assert loaded.include_sync
+
+
+class TestReadMemory:
+    def test_peak_is_the_payload(self, tmp_path):
+        # The record array is allocated once and filled from the file: no
+        # second copy of the 4.1 MB payload.
+        rng = np.random.default_rng(0)
+        records = np.zeros(2000, record_dtype(512)).view(np.recarray)
+        records.label = rng.integers(0, 8, len(records))
+        records.samples = rng.standard_normal(records.samples.shape)
+        path = tmp_path / "mid.mfskdset"
+        write(Dataset(11025, 512, 8, False, records), path)
+        tracemalloc.start()
+        try:
+            loaded = read(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.1 * records.nbytes
+        assert loaded.records.tobytes() == records.tobytes()
+
+    def test_huge_declared_count_allocates_nothing(self):
+        # 2**30 records of 8 samples (40 GiB) declared by a 40-byte file.
+        blob = b"MFSKDSET" + struct.pack("<I", 1) + struct.pack("<IIHHQ", 1000, 8, 2, 0, 2**30)
+        tracemalloc.start()
+        try:
+            with pytest.raises(TruncationError, match="declares 1073741824 records"):
+                read(io.BytesIO(blob + bytes(8)))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
+    def test_records_are_read_only(self, reduced_spec):
+        loaded = read(io.BytesIO(written_bytes(generate(
+            DatasetSpec(reduced_spec.profile, 3, (-9.0, -9.0), seed=5)))))
+        assert not loaded.records.flags.writeable
+        with pytest.raises(ValueError):
+            loaded.records.samples[0, 0] = 1.0
 
 
 class TestDataArrays:

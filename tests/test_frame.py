@@ -1,0 +1,143 @@
+"""Tests for ``errors.Frame`` through both readers: sources, short reads, closing."""
+
+import io
+
+import numpy as np
+import pytest
+
+from mfskmodem import errors
+from mfskmodem.dataset import DatasetSpec, generate, read, write
+from mfskmodem.errors import FileFormatError, TruncationError
+from mfskmodem.nn import ModelConfig, build_model, load_weights, save_weights
+from mfskmodem.signal import ModemProfile
+
+
+def _bytes_of(save, obj) -> bytes:
+    buffer = io.BytesIO()
+    save(obj, buffer)
+    return buffer.getvalue()
+
+
+DATASET_BLOB = _bytes_of(write, generate(DatasetSpec(
+    ModemProfile(1000.0, 8, 2, 0, 1, 500.0), 4, (-5.0, 5.0), seed=2, include_sync=True)))
+WEIGHTS_BLOB = _bytes_of(save_weights, build_model(
+    ModelConfig(input_len=4, conv_filters=2, conv_kernel=2, hidden_units=2, classes=2), seed=0))
+
+# (reader, a good file, what the reader returned as bytes again)
+READERS = {
+    "dataset": (read, DATASET_BLOB, lambda ds: _bytes_of(write, ds)),
+    "weights": (load_weights, WEIGHTS_BLOB, lambda state: _bytes_of(save_weights, state)),
+}
+
+
+@pytest.fixture(params=sorted(READERS))
+def reader(request):
+    return READERS[request.param]
+
+
+class ShortRead(io.BytesIO):
+    """A file whose reads stop at ``limit`` while its size says more: a file
+    cut between the reader's size probe and its payload reads."""
+
+    def __init__(self, data, limit):
+        super().__init__(data)
+        self.limit = limit
+
+    def read(self, size=-1):
+        size = max(0, min(self.limit - self.tell(), len(self.getbuffer()) if size < 0 else size))
+        return super().read(size)
+
+    def readinto(self, buffer):
+        view = memoryview(buffer).cast("B")
+        data = self.read(len(view))
+        view[: len(data)] = data
+        return len(data)
+
+
+class Unseekable(io.BytesIO):
+    def seekable(self):
+        return False
+
+
+class ReadOnly:
+    """A source with a ``read`` method and nothing else."""
+
+    def __init__(self, data):
+        self.read = io.BytesIO(data).read
+
+
+def test_source_positioned_after_a_prefix_reads_like_a_fresh_one(reader):
+    load, blob, dump = reader
+    source = io.BytesIO(b"prefix" + blob)
+    source.seek(6)
+    assert dump(load(source)) == dump(load(io.BytesIO(blob))) == blob
+
+
+def test_errors_count_bytes_from_the_start_position(reader):
+    load, blob, _ = reader
+    cut = blob[: len(blob) - 3]
+    with pytest.raises(TruncationError) as fresh:
+        load(io.BytesIO(cut))
+    source = io.BytesIO(b"prefix" + cut)
+    source.seek(6)
+    with pytest.raises(TruncationError) as prefixed:
+        load(source)
+    assert str(prefixed.value) == str(fresh.value)
+
+
+def test_short_payload_read_is_truncation(reader):
+    load, blob, _ = reader
+    # Every header byte is readable; the last payload byte is not.
+    with pytest.raises(TruncationError, match=f"needed {len(blob)}$"):
+        load(ShortRead(blob, len(blob) - 1))
+
+
+def test_short_header_read_is_truncation(reader):
+    load, blob, _ = reader
+    with pytest.raises(TruncationError, match="^file ends at byte 10, needed 12$"):
+        load(ShortRead(blob, 10))
+
+
+def test_unseekable_source_is_a_plain_value_error(reader):
+    load, blob, _ = reader
+    for source in (Unseekable(blob), ReadOnly(blob)):
+        with pytest.raises(ValueError, match="needs a seekable binary file") as refused:
+            load(source)
+        assert not isinstance(refused.value, FileFormatError)
+
+
+@pytest.mark.parametrize("damage", ["none", "magic", "truncated", "trailing"])
+def test_a_path_the_reader_opened_is_closed(reader, damage, tmp_path, monkeypatch):
+    load, blob, dump = reader
+    blob = {"none": blob, "magic": b"X" + blob[1:], "truncated": blob[:-1],
+            "trailing": blob + b"\0"}[damage]
+    path = tmp_path / "file"
+    path.write_bytes(blob)
+    opened = []
+
+    def spy(*args, **kwargs):
+        opened.append(open(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(errors, "open", spy, raising=False)
+    if damage == "none":
+        assert dump(load(path)) == blob
+    else:
+        with pytest.raises(FileFormatError):
+            load(path)
+    assert len(opened) == 1 and opened[0].closed
+
+
+def test_a_caller_file_is_left_open(reader):
+    load, blob, _ = reader
+    source = io.BytesIO(blob[:-1])
+    with pytest.raises(TruncationError):
+        load(source)
+    assert not source.closed
+
+
+def test_readinto_refuses_a_strided_array():
+    frame = errors.Frame(io.BytesIO(b"MAGC" + bytes(4) + bytes(16)), b"MAGC", 0, "test")
+    offset = frame.skip(16)
+    with pytest.raises((TypeError, ValueError)):
+        frame.readinto(offset, np.zeros((4, 2), np.float32)[:, 0])

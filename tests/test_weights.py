@@ -1,6 +1,7 @@
 """Tests for the binary weights file: round trips and failure modes."""
 
 import io
+import math
 import os
 import struct
 import tracemalloc
@@ -90,6 +91,35 @@ class TestLoadMemory:
         finally:
             tracemalloc.stop()
         assert peak < 2.25 * path.stat().st_size
+
+    def test_peak_is_one_arena(self, tmp_path):
+        # Headers are checked first, then each payload is read into the arena:
+        # no second copy of the tensors (8.4 MB of float32 parameters).
+        config = ModelConfig(input_len=1024, conv_filters=32, conv_kernel=16,
+                             hidden_units=64, classes=16)
+        path = tmp_path / "mid.weights"
+        save_weights(build_model(config, seed=0), path)
+        arena_bytes = 4 * sum(math.prod(shape) for _, shape, _ in param_layout(config))
+        tracemalloc.start()
+        try:
+            load_weights(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.1 * arena_bytes
+
+    def test_huge_declared_dims_allocate_nothing(self):
+        # A 4 TiB tensor declared by a 57-byte file is refused from its header.
+        blob = (b"MFSKNN01" + struct.pack("<IIH", 1, 1, 13) + b"hidden.weight"
+                + struct.pack("<BB2Q", 0, 2, 2**20, 2**20) + bytes(8))
+        tracemalloc.start()
+        try:
+            with pytest.raises(TruncationError, match=r"^file ends at byte 57, needed 4398046511153$"):
+                load_weights(io.BytesIO(blob))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
 
 class TestSaveMemory:
