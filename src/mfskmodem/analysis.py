@@ -57,14 +57,28 @@ def autocorrelation(waveform: Waveform, max_lag: int) -> np.ndarray:
     return r / r[0]
 
 
+# classical_demodulator transforms this many windows at a time: rfft of a
+# whole (B, N) batch peaks at about 5x its output, while each row's spectrum
+# is the same bits in a block of any size.
+_BLOCK_ROWS = 64
+
+
 def classical_demodulator(profile: ModemProfile):
     """The classical detector: ``demod(batch)`` maps (B, symbol_len) windows, or
     one window, to the (B,) argmax of the M data-bin DFT magnitudes; ties break
-    toward the lowest tone (an all-zero window decodes as tone 0)."""
+    toward the lowest tone (an all-zero window decodes as tone 0).  A batch of
+    more than _BLOCK_ROWS rows is transformed one block of rows at a time."""
     lo = tone_bin(profile, 0)
 
-    def demod(batch: np.ndarray) -> np.ndarray:
-        spectrum = np.fft.rfft(window_batch(batch, profile.symbol_len), axis=-1)
+    def decide(rows):
+        spectrum = np.fft.rfft(rows, axis=-1)
         return np.argmax(np.abs(spectrum[:, lo : lo + profile.tone_count]), axis=-1)
+
+    def demod(batch: np.ndarray) -> np.ndarray:
+        batch = window_batch(batch, profile.symbol_len)
+        if batch.shape[0] <= _BLOCK_ROWS:
+            return decide(batch)
+        return np.concatenate([decide(batch[start : start + _BLOCK_ROWS])
+                               for start in range(0, batch.shape[0], _BLOCK_ROWS)])
 
     return demod

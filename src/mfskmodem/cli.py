@@ -113,19 +113,22 @@ def _profile(args):
 
 
 def _read_dataset(path, profile):
-    """Read a dataset file, refusing one whose header disagrees with the profile."""
+    """Read a dataset file, refusing from its header, before any record is read,
+    one that disagrees with the profile."""
     from . import dataset as ds
 
-    loaded = ds.read(path)
     modem = profile.modem
-    for field, stored, expected in (
-            ("sample rate", loaded.sample_rate_hz, int(round(modem.sample_rate_hz))),
-            ("symbol_len", loaded.symbol_len, modem.symbol_len),
-            ("tone_count", loaded.tone_count, modem.tone_count)):
-        if stored != expected:
-            raise ValueError(f"dataset {field} {stored} does not match profile "
-                             f"{profile.name!r} {field} {expected}")
-    return loaded
+
+    def check(sample_rate_hz, symbol_len, tone_count):
+        for field, stored, expected in (
+                ("sample rate", sample_rate_hz, int(round(modem.sample_rate_hz))),
+                ("symbol_len", symbol_len, modem.symbol_len),
+                ("tone_count", tone_count, modem.tone_count)):
+            if stored != expected:
+                raise ValueError(f"dataset {field} {stored} does not match profile "
+                                 f"{profile.name!r} {field} {expected}")
+
+    return ds.read(path, check)
 
 
 def _sha256(path: str) -> str:

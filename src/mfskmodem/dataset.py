@@ -28,6 +28,8 @@ record array of ``record_dtype(symbol_len)``, so ``read`` and ``write`` move
 the payload in one piece, and ``r.label`` works on one record or on all.
 ``read`` checks the header against the file size before it allocates that
 array, then reads the payload straight into it: it holds one copy.
+``data_arrays`` adds none: its ``x`` is a ``RowView`` that gathers the
+data-tone rows of ``records.samples`` only as a caller indexes them.
 """
 
 import struct
@@ -200,7 +202,7 @@ def write_record(handle, symbol_len: int, record: np.record) -> None:
     handle.write(record)
 
 
-def read(source) -> Dataset:
+def read(source, check=None) -> Dataset:
     """Read a dataset file (path or seekable binary file) into memory; records
     are a read-only array, filled straight from the file once the header
     checks pass.
@@ -209,6 +211,11 @@ def read(source) -> Dataset:
     or InconsistencyError depending on how the file is malformed, including
     a header flag other than bit 0, a label that is neither a data tone nor
     a sync record the header allows, and a non-finite sample.
+
+    ``check(sample_rate_hz, symbol_len, tone_count)``, when given, runs on the
+    header's fields after those header checks and before the record array is
+    allocated; what it raises propagates, so a caller can refuse a file of the
+    wrong shape without reading its payload.
     """
     with Frame(source, MAGIC, VERSION, "dataset") as frame:
         rate, symbol_len, tones, flags, count = frame.unpack(_HEADER)
@@ -226,6 +233,8 @@ def read(source) -> Dataset:
             )
         offset = frame.skip(count * record_bytes)
         frame.end()
+        if check is not None:
+            check(rate, symbol_len, tones)
         records = np.empty(count, record_dtype(symbol_len))
         frame.readinto(offset, records)
     records = records.view(np.recarray)
@@ -250,14 +259,44 @@ def label_histogram(dataset: Dataset) -> dict:
     return {int(label): int(n) for label, n in zip(labels, counts)}
 
 
+class RowView:
+    """Read-only rows ``samples[index]`` of a 2-D array, gathered only when indexed.
+
+    ``view[key]`` is ``samples[index[key]]``: one row for an integer, a new
+    array of rows for a slice or an integer array.  ``shape``, ``dtype``,
+    ``ndim`` and ``len`` are those of the gathered array; ``np.asarray(view)``
+    gathers every row.
+    """
+
+    def __init__(self, samples: np.ndarray, index: np.ndarray):
+        self._samples = samples.view()
+        self._samples.flags.writeable = False
+        self._index = index
+        self.shape = (index.size,) + samples.shape[1:]
+        self.dtype = samples.dtype
+        self.ndim = samples.ndim
+
+    def __len__(self):
+        return self.shape[0]
+
+    def __getitem__(self, key):
+        return self._samples[self._index[key]]
+
+    def __array__(self, dtype=None, copy=None):
+        if copy is False:
+            raise ValueError("a RowView's rows are gathered, which copies them")
+        return np.asarray(self[:], dtype)
+
+
 def data_arrays(dataset: Dataset):
-    """(x, y) training arrays: float32 samples and integer labels.
+    """(x, y): the data-tone records' float32 samples and integer labels.
 
     Sync records are excluded; the network's output alphabet covers the
-    data tones only.
+    data tones only.  ``x`` is a ``RowView`` of ``records.samples``, so no
+    sample is copied until a caller indexes rows; ``y`` is an int64 array.
     """
     records = dataset.records
-    keep = records.label != SYNC_LABEL
-    if not keep.any():
+    index = np.flatnonzero(records.label != SYNC_LABEL)
+    if index.size == 0:
         raise ValueError("dataset has no data-tone records")
-    return records.samples[keep], records.label[keep].astype(np.int64)
+    return RowView(records.samples, index), records.label[index].astype(np.int64)

@@ -124,14 +124,16 @@ def train_step(state: ModelState, adam: AdamState, batch, labels, cfg: TrainConf
     return loss, accuracy
 
 
-def train(config: ModelConfig, cfg: TrainConfig, x: np.ndarray, y: np.ndarray):
+def train(config: ModelConfig, cfg: TrainConfig, x, y: np.ndarray):
     """Train a fresh model for cfg.epochs passes over (x, y).
 
+    ``x`` is a (samples, input_len) array, or anything with its ``ndim`` and
+    ``shape`` that gathers rows by an index array, such as the ``RowView``
+    of ``dataset.data_arrays``; only each batch's rows are gathered.
     The sample order is reshuffled each epoch from the seeded stream, and
     per-epoch loss/accuracy are sample-weighted running means over the
     epoch's batches.  Deterministic for fixed seed and thread configuration.
     """
-    x = np.asarray(x)
     if x.ndim != 2 or x.shape[0] == 0:
         raise ValueError("training data must be a non-empty (samples, input_len) array")
     y = _check_labels(y, config.classes, x.shape[0])

@@ -1,5 +1,7 @@
 """Tests for spectra, autocorrelation, and the classical detector."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -105,6 +107,30 @@ class TestClassicalDemod:
         w = Waveform(np.zeros(full_profile.symbol_len) + 0.0, 11025.0)
         # Waveform requires non-empty; zeros are fine.
         assert classical_demodulator(full_profile)(w.samples[None, :]).tolist() == [0]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("rows", [0, 1, 63, 64, 65, 1024])
+    def test_blocks_decide_as_the_one_shot_transform(self, full_profile, dtype, rows):
+        batch = np.random.default_rng(rows).standard_normal(
+            (rows, full_profile.symbol_len)).astype(dtype)
+        lo = tone_bin(full_profile, 0)
+        spectrum = np.fft.rfft(batch, axis=-1)[:, lo : lo + full_profile.tone_count]
+        expected = np.argmax(np.abs(spectrum), axis=-1)
+        decided = classical_demodulator(full_profile)(batch)
+        assert decided.dtype == expected.dtype
+        assert np.array_equal(decided, expected)
+
+    def test_a_large_batch_is_transformed_in_small_blocks(self, full_profile):
+        batch = np.random.default_rng(5).standard_normal(
+            (1024, full_profile.symbol_len)).astype(np.float32)
+        demod = classical_demodulator(full_profile)
+        tracemalloc.start()
+        try:
+            demod(batch)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20  # the one-shot rfft peaks at 80 MiB
 
     def test_length_mismatch_rejected(self, full_profile):
         with pytest.raises(ValueError, match="symbol_len"):

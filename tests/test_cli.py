@@ -5,13 +5,17 @@ import os
 import resource
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mfskmodem import cli
+from mfskmodem import dataset as ds
 from mfskmodem.cli import main
+from mfskmodem.profiles import get_profile
+from mfskmodem.signal import tone_bin
 
 
 def run(capsys, *argv):
@@ -199,6 +203,26 @@ class TestTrainAndDemod:
         total = sum(int(v) for row in rows for v in row.split(","))
         assert total == 400
 
+    def test_classical_demod_of_a_sync_dataset_decides_every_data_row(self, tmp_path, capsys):
+        dataset = tmp_path / "sync.dset"
+        assert main(["synth", "--profile", "reduced-m8", "--count", "1500", "--snr", "-12..0",
+                     "--include-sync", "--seed", "3", "--out", str(dataset)]) == 0
+        confusion = tmp_path / "confusion.csv"
+        code, out, _ = run(capsys, "demod", "--profile", "reduced-m8", "--classical",
+                           "--dataset", str(dataset), "--out-report", str(tmp_path / "r.txt"),
+                           "--out-confusion", str(confusion))
+        assert code == 0
+        records = ds.read(dataset).records
+        kept = records[records.label != ds.SYNC_LABEL]
+        assert f"skipped {len(records) - len(kept)} sync records" in out
+        modem = get_profile("reduced-m8").modem
+        lo = tone_bin(modem, 0)
+        spectrum = np.fft.rfft(np.stack(list(kept.samples)), axis=-1)
+        predicted = np.argmax(np.abs(spectrum[:, lo : lo + modem.tone_count]), axis=-1)
+        expected = np.zeros((modem.tone_count, modem.tone_count), np.int64)
+        np.add.at(expected, (kept.label, predicted), 1)
+        assert np.loadtxt(confusion, delimiter=",", dtype=np.int64).tolist() == expected.tolist()
+
     def test_trained_model_beats_chance_easily(self, workspace, tmp_path, capsys):
         _, train_set, weights, _ = workspace
         report = tmp_path / "model2.report"
@@ -304,6 +328,21 @@ class TestProfileCrossCheck:
         assert code == 1
         assert "dataset symbol_len 512 does not match profile 'jt65a-full'" in err
         assert not list(tmp_path.iterdir())
+
+    def test_dataset_is_refused_from_its_header(self, tmp_path):
+        path = tmp_path / "m8.dset"
+        ds.write(ds.generate(ds.DatasetSpec(get_profile("reduced-m8").modem, 2000,
+                                            (-9.0, -9.0), seed=1)), path)
+        payload = path.stat().st_size - 32
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="dataset symbol_len 512 does not match "
+                                                 "profile 'jt65a-full'"):
+                cli._read_dataset(path, get_profile("jt65a-full"))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < payload / 10
 
     def test_weights_of_another_profile_are_refused(self, workspace, tmp_path, capsys):
         _, _, weights, _ = workspace

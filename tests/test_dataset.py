@@ -400,5 +400,31 @@ class TestDataArrays:
         x, y = data_arrays(ds)
         kept = [r for r in ds.records if r.label != SYNC_LABEL]
         expected = np.stack([r.samples for r in kept]).astype(np.float32)
-        assert x.tobytes() == expected.tobytes()
+        assert np.asarray(x).tobytes() == expected.tobytes()
         assert y.tolist() == [r.label for r in kept]
+
+    def test_rows_index_as_the_dense_copy(self, reduced_spec):
+        ds = generate(DatasetSpec(reduced_spec.profile, 40, (-9.0, -9.0), seed=4,
+                                  include_sync=True))
+        x, y = data_arrays(ds)
+        dense = np.asarray(x)
+        assert (x.shape, x.dtype, x.ndim, len(x)) == (dense.shape, dense.dtype, 2, y.size)
+        for key in (0, -1, slice(3, 17), slice(None, None, 5), np.array([5, 0, 5, 2])):
+            assert np.array_equal(x[key], dense[key])
+        with pytest.raises(ValueError):
+            x[0][0] = 1.0
+        with pytest.raises(ValueError):
+            np.asarray(x, copy=False)
+
+    def test_rows_are_not_copied(self, full_profile, tmp_path):
+        spec = DatasetSpec(full_profile, 200, (-20.0, -20.0), seed=2, include_sync=True)
+        write(generate(spec), tmp_path / "full.mfskdset")
+        loaded = read(tmp_path / "full.mfskdset")
+        tracemalloc.start()
+        try:
+            x, y = data_arrays(loaded)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < loaded.records.nbytes / 100
+        assert x.shape == (y.size, full_profile.symbol_len)

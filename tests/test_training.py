@@ -25,6 +25,7 @@ from mfskmodem.nn import (
     train,
     train_step,
 )
+from mfskmodem.dataset import DatasetSpec, data_arrays, generate
 from mfskmodem.nn import training
 from mfskmodem.nn.model import _mutable
 from mfskmodem.nn.training import ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON
@@ -372,6 +373,17 @@ class TestTrain:
         assert log_a.accuracy == log_b.accuracy
         for name in state_a.tensors:
             assert np.array_equal(state_a.tensors[name], state_b.tensors[name])
+
+    def test_a_row_view_trains_as_its_dense_copy(self):
+        spec = DatasetSpec(OVERFIT_PROFILE, 120, (0.0, 10.0), seed=8, include_sync=True)
+        x, y = data_arrays(generate(spec))
+        assert y.size < spec.count
+        cfg = TrainConfig(epochs=2, batch_size=16, seed=3)
+        state_view, log_view = train(OVERFIT_MODEL, cfg, x, y)
+        state_dense, log_dense = train(OVERFIT_MODEL, cfg, np.asarray(x), y)
+        assert (log_view.loss, log_view.accuracy) == (log_dense.loss, log_dense.accuracy)
+        for name in state_view.tensors:
+            assert state_view.tensors[name].tobytes() == state_dense.tensors[name].tobytes()
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
