@@ -217,7 +217,7 @@ class TestTrainAndDemod:
         assert f"skipped {len(records) - len(kept)} sync records" in out
         modem = get_profile("reduced-m8").modem
         lo = tone_bin(modem, 0)
-        spectrum = np.fft.rfft(np.stack(list(kept.samples)), axis=-1)
+        spectrum = np.fft.rfft(kept.samples, axis=-1)
         predicted = np.argmax(np.abs(spectrum[:, lo : lo + modem.tone_count]), axis=-1)
         expected = np.zeros((modem.tone_count, modem.tone_count), np.int64)
         np.add.at(expected, (kept.label, predicted), 1)
