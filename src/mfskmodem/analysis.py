@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signal import ModemProfile, Waveform, _is_pow2, tone_bin, window_batch
+from .signal import _BLOCK_ROWS, ModemProfile, Waveform, _is_pow2, tone_bin, window_batch
 
 
 @dataclass
@@ -55,12 +55,6 @@ def autocorrelation(waveform: Waveform, max_lag: int) -> np.ndarray:
     if r[0] == 0.0:
         raise ValueError("autocorrelation of an all-zero waveform is undefined")
     return r / r[0]
-
-
-# classical_demodulator transforms this many windows at a time: rfft of a
-# whole (B, N) batch peaks at about 5x its output, while each row's spectrum
-# is the same bits in a block of any size.
-_BLOCK_ROWS = 64
 
 
 def classical_demodulator(profile: ModemProfile):

@@ -18,8 +18,10 @@ from .theory import (bits_per_symbol, ebn0_to_esn0, ser_noncoherent_mfsk, ser_to
 SER_CSV_HEADER = "snr_db,ser,stderr,n"
 BER_CSV_HEADER = "snr_db,ebn0_db,ber_measured,ber_from_ser,ber_theory,n"
 
-# Symbols synthesized per chunk during sweeps; large enough to keep the
-# FFT/model batched, small enough to stay memory-light at symbol_len 4096.
+# Symbols synthesized and demodulated per chunk during sweeps.  At
+# symbol_len 4096 the chunk's (2048, 4096) float64 windows are 64 MiB, and
+# the channel and the classical detector add about 2 MiB per _BLOCK_ROWS
+# block on top, so a classical chunk peaks near 66 MiB.
 _CHUNK = 2048
 
 

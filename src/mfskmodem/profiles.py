@@ -68,8 +68,13 @@ def load_profiles(path=None) -> dict:
         unknown = [key for key in section if key not in PROFILE_KEYS]
         if unknown:
             raise ValueError(f"profile [{name}] has unknown keys: {', '.join(unknown)}")
-        profiles[name] = _profile(name, [section.getfloat(key) if key in floats
-                                         else section.getint(key) for key in PROFILE_KEYS])
+        values = []
+        for key in PROFILE_KEYS:
+            try:
+                values.append(section.getfloat(key) if key in floats else section.getint(key))
+            except ValueError as exc:
+                raise ValueError(f"profile [{name}] key {key}: {exc}") from None
+        profiles[name] = _profile(name, values)
     return profiles
 
 

@@ -75,6 +75,18 @@ class TestSynth:
         assert code == 2
         assert "unknown profile" in err
 
+    def test_bad_profile_value_names_its_section_and_key(self, tmp_path, capsys):
+        config = tmp_path / "fractional.ini"
+        config.write_text("[desk-m4]\n" + "".join(
+            f"{key} = {value}\n" for key, value in {**DESK_M4, "symbol_len": "256.5"}.items()))
+        out_file = tmp_path / "f.dset"
+        code, _, err = run(capsys, "--profiles-file", str(config), "synth", "--profile",
+                           "desk-m4", "--count", "1", "--snr", "0", "--seed", "1",
+                           "--out", str(out_file))
+        assert code == 2
+        assert "profile [desk-m4] key symbol_len: " in err
+        assert "'256.5'" in err
+        assert not out_file.exists()
 
     def test_float32_overflow_is_refused_without_a_file(self, tmp_path, capsys):
         out_file = tmp_path / "inf.dset"

@@ -1,5 +1,7 @@
 """Tests for confusion-matrix metrics, Monte-Carlo sweeps, and the benchmark."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -274,6 +276,18 @@ class TestSweeps:
         demod = classical_demodulator(reduced_profile)
         with pytest.raises(ValueError, match="n_per_point"):
             sweep_ber(demod, reduced_profile, [-10.0], 0, seed=1)
+
+    def test_classical_full_point_stays_near_one_chunk(self, full_profile):
+        # One 2048-symbol jt65a-full point is one chunk: its 64 MiB of windows,
+        # plus a block of noise and a block of spectra at a time.
+        demod = classical_demodulator(full_profile)
+        tracemalloc.start()
+        try:
+            sweep_ber(demod, full_profile, [-20.0], 2048, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 80 * 2**20
 
 
 class TestCsvOutput:

@@ -1,6 +1,7 @@
 """Tests for the tone plan, symbol synthesis, and the AWGN channel."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from mfskmodem.signal import (
     Waveform,
     apply_awgn,
     measure_snr,
+    _BLOCK_ROWS,
     noise_variance,
     noisy_windows,
     synthesize_symbol,
@@ -180,6 +182,52 @@ class TestNoisyWindows:
     def test_unrepresentable_variance_rejected(self, reduced_profile, rng):
         with pytest.raises(ValueError, match="noise variance"):
             noisy_windows(reduced_profile, [60], 0.0, 4000.0, rng)
+
+    @pytest.mark.parametrize("profile", ["full_profile", "reduced_profile"])
+    @pytest.mark.parametrize("rows", [0, 1, 63, 64, 65, 129, 2113])
+    @pytest.mark.parametrize("per_row_phases", [False, True])
+    def test_blocked_draws_are_the_one_shot_channel_bitwise(self, profile, rows,
+                                                            per_row_phases, request):
+        # Filled one _BLOCK_ROWS block at a time, the channel gives the bits of
+        # one (B, N) tone batch plus one (B, N) draw, and leaves the Generator
+        # where that draw leaves it.
+        assert _BLOCK_ROWS == 64
+        profile = request.getfixturevalue(profile)
+        setup = np.random.default_rng(rows)
+        bins = tone_bin(profile, 0) + setup.integers(0, profile.tone_count, rows)
+        phases = setup.uniform(0.0, 2.0 * np.pi, rows) if per_row_phases else 2.1
+        rng, twin = np.random.default_rng(11), np.random.default_rng(11)
+        channel = noisy_windows(profile, bins, phases, -20.0, rng)
+        sigma = np.sqrt(noise_variance(0.5, -20.0, profile.sample_rate_hz,
+                                       profile.ref_bandwidth_hz))
+        oracle = tone_windows(profile, bins, phases)
+        oracle += twin.normal(0.0, sigma, (rows, profile.symbol_len))
+        assert channel.shape == oracle.shape == (rows, profile.symbol_len)
+        assert channel.dtype == oracle.dtype == np.float64
+        assert channel.tobytes() == oracle.tobytes()
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+    def test_phase_count_mismatch_refused_before_any_draw(self, reduced_profile):
+        rng = np.random.default_rng(2)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="3 phases for 64 bins"):
+            noisy_windows(reduced_profile, np.full(64, 61), [0.0, 1.0, 2.0], -10.0, rng)
+        assert rng.bit_generator.state == state
+
+    def test_one_chunk_peaks_near_its_result(self, full_profile):
+        # One 2048-window sweep chunk: its 64 MiB result plus one block's
+        # noise, not a second batch-sized noise array.
+        rows = 2048
+        bins = tone_bin(full_profile, 0) + np.arange(rows) % full_profile.tone_count
+        phases = np.linspace(0.0, 2.0 * np.pi, rows)
+        result_bytes = rows * full_profile.symbol_len * 8
+        tracemalloc.start()
+        try:
+            noisy_windows(full_profile, bins, phases, -20.0, np.random.default_rng(4))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.1 * result_bytes
 
 
 class TestMeasureSnr:

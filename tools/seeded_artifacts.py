@@ -63,6 +63,10 @@ RUNS = [
     ("sweep-m8-ber", SWEEP_M8 + ["--mode", "ber", "--out", "sweep-m8-ber.csv"]),
     ("sweep-full-ser", SWEEP_FULL + ["--mode", "ser", "--out", "sweep-full-ser.csv"]),
     ("sweep-full-ber", SWEEP_FULL + ["--mode", "ber", "--out", "sweep-full-ber.csv"]),
+    # 2113 = 2048 + 65 symbols: the last chunk is one 64-row block plus one row.
+    ("sweep-full-edge-ser", ["sweep", "--profile", "jt65a-full", "--classical", "--snr", "-20",
+                             "--n", "2113", "--seed", "5", "--mode", "ser",
+                             "--out", "sweep-full-edge-ser.csv"]),
     ("train-m8", ["train", "--profile", "reduced-m8", "--dataset", "m8.mfskdset",
                   "--epochs", "2", "--seed", "2", "--out-weights", "m8.weights",
                   "--out-log", "train-m8-log.csv"]),
