@@ -118,8 +118,9 @@ def tone_bin(profile: ModemProfile, tone) -> int:
 
 
 def _tones(bins, phases, n: int, out=None) -> np.ndarray:
-    """Rows sin(2*pi*b*n/N + phi) of length ``n``, one per bin, written into
-    ``out`` when it is given; ``phases`` is (rows, 1) or one for all rows."""
+    """``n``-sample rows sin(2*pi*b*k/n + phi), k = 0 .. n-1, one per bin,
+    written into ``out`` when it is given; ``phases`` is (rows, 1) or one for
+    all rows."""
     # N is a power of two: (2*pi/N)*b*n rounds exactly as 2*pi*b*n/N does.
     out = np.multiply((2.0 * np.pi / n) * bins[:, None], np.arange(n), out=out)
     out += phases
