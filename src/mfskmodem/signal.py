@@ -117,20 +117,14 @@ def tone_bin(profile: ModemProfile, tone) -> int:
     return profile.sync_bin + profile.tone_offset + index
 
 
-def _tones(bins, phases, n: int, out=None) -> np.ndarray:
-    """``n``-sample rows sin(2*pi*b*k/n + phi), k = 0 .. n-1, one per bin,
-    written into ``out`` when it is given; ``phases`` is (rows, 1) or one for
-    all rows."""
-    # N is a power of two: (2*pi/N)*b*n rounds exactly as 2*pi*b*n/N does.
-    out = np.multiply((2.0 * np.pi / n) * bins[:, None], np.arange(n), out=out)
-    out += phases
-    return np.sin(out, out=out)
-
-
 def tone_windows(profile: ModemProfile, bins, phases) -> np.ndarray:
     """(B, N) unit windows sin(2*pi*b*n/N + phi), one per bin, the bin-aligned
     form of sin(2*pi*f*n/fs + phi); ``phases`` is one per bin or one for all."""
-    return _tones(np.asarray(bins), np.asarray(phases)[..., None], profile.symbol_len)
+    n = profile.symbol_len
+    # N is a power of two: (2*pi/N)*b*n rounds exactly as 2*pi*b*n/N does.
+    angles = (2.0 * np.pi / n) * np.asarray(bins)[:, None] * np.arange(n)
+    angles += np.asarray(phases)[..., None]
+    return np.sin(angles, out=angles)
 
 
 # The channel and the classical detector work through a batch this many rows
@@ -187,26 +181,15 @@ def noisy_windows(profile: ModemProfile, bins, phases, snr_db: float,
     white noise calibrated to ``snr_db``, drawn from ``rng`` after the caller's
     own draws.  Datasets, sweeps and ``analyze`` all go through here.
 
-    A batch of more than _BLOCK_ROWS rows is filled one block of rows at a
-    time, tones then that block's noise, so the only batch-sized array is the
-    result.  Generator.normal keeps no state between calls: block by block it
-    draws the same stream, and gives the same bits, as one (B, N) draw."""
-    bins = np.asarray(bins)
-    phases = np.asarray(phases)[..., None]
-    if phases.shape[0] not in (1, bins.shape[0]):  # refused before any draw
-        raise ValueError(f"{phases.shape[0]} phases for {bins.shape[0]} bins")
-    n = profile.symbol_len
+    The noise is added one _BLOCK_ROWS block of rows at a time, so the only
+    batch-sized array is the result.  Generator.normal keeps no state between
+    calls: block by block it draws the same stream, and gives the same bits,
+    as one (B, N) draw."""
+    x = tone_windows(profile, bins, phases)
     sigma = np.sqrt(noise_variance(0.5, snr_db, profile.sample_rate_hz,
                                    profile.ref_bandwidth_hz))
-    if bins.shape[0] <= _BLOCK_ROWS:
-        x = _tones(bins, phases, n)
-        x += rng.normal(0.0, sigma, x.shape)
-        return x
-    x = np.empty((bins.shape[0], n))
     for lo in range(0, x.shape[0], _BLOCK_ROWS):
         rows = x[lo : lo + _BLOCK_ROWS]
-        _tones(bins[lo : lo + _BLOCK_ROWS],
-               phases[lo : lo + _BLOCK_ROWS] if phases.shape[0] > 1 else phases, n, out=rows)
         rows += rng.normal(0.0, sigma, rows.shape)
     return x
 

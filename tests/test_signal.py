@@ -188,9 +188,9 @@ class TestNoisyWindows:
     @pytest.mark.parametrize("per_row_phases", [False, True])
     def test_blocked_draws_are_the_one_shot_channel_bitwise(self, profile, rows,
                                                             per_row_phases, request):
-        # Filled one _BLOCK_ROWS block at a time, the channel gives the bits of
-        # one (B, N) tone batch plus one (B, N) draw, and leaves the Generator
-        # where that draw leaves it.
+        # With its noise drawn one _BLOCK_ROWS block at a time, the channel
+        # gives the bits of one (B, N) tone batch plus one (B, N) draw, and
+        # leaves the Generator where that draw leaves it.
         assert _BLOCK_ROWS == 64
         profile = request.getfixturevalue(profile)
         setup = np.random.default_rng(rows)
@@ -206,13 +206,6 @@ class TestNoisyWindows:
         assert channel.dtype == oracle.dtype == np.float64
         assert channel.tobytes() == oracle.tobytes()
         assert rng.bit_generator.state == twin.bit_generator.state
-
-    def test_phase_count_mismatch_refused_before_any_draw(self, reduced_profile):
-        rng = np.random.default_rng(2)
-        state = rng.bit_generator.state
-        with pytest.raises(ValueError, match="3 phases for 64 bins"):
-            noisy_windows(reduced_profile, np.full(64, 61), [0.0, 1.0, 2.0], -10.0, rng)
-        assert rng.bit_generator.state == state
 
     def test_one_chunk_peaks_near_its_result(self, full_profile):
         # One 2048-window sweep chunk: its 64 MiB result plus one block's
