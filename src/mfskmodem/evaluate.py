@@ -11,18 +11,22 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .signal import ModemProfile, noisy_windows, tone_bin, tone_windows
+from .signal import _BLOCK_ROWS, ModemProfile, noisy_windows, tone_bin, tone_windows
 from .theory import (bits_per_symbol, ebn0_to_esn0, ser_noncoherent_mfsk, ser_to_ber,
                      snr_to_ebn0)
 
 SER_CSV_HEADER = "snr_db,ser,stderr,n"
 BER_CSV_HEADER = "snr_db,ebn0_db,ber_measured,ber_from_ser,ber_theory,n"
 
-# Symbols synthesized and demodulated per chunk during sweeps.  At
-# symbol_len 4096 the chunk's (2048, 4096) float64 windows are 64 MiB, and
-# the channel and the classical detector add about 2 MiB per _BLOCK_ROWS
-# block on top, so a classical chunk peaks near 66 MiB.
-_CHUNK = 2048
+# Symbols synthesized and demodulated per chunk during sweeps, a multiple
+# of _BLOCK_ROWS so the detector's blocks fall on the same rows for any
+# chunk size.  At symbol_len 4096 the chunk's (256, 4096) float64 windows
+# are 8 MiB, plus one block of noise and of spectra (or the CNN's float32
+# cast) at a time: a jt65a-full point peaks near 18 MiB with either
+# detector, against 66 MiB (96 MiB for the CNN) at 2048 windows.  Measured
+# on jt65a-full, 256 halved the sweep's peak RSS at no loss of symbols/s;
+# 64 cut it further but cost about 3% symbols/s.
+_CHUNK = 256
 
 
 @dataclass
@@ -259,23 +263,30 @@ def bench_latency(demod, profile: ModemProfile, n_symbols: int,
     """Wall-clock per single-symbol demodulation, batch size 1.
 
     ``real_time`` compares the mean against the symbol interval N/fs
-    (0.3715 s for the full profile).  ``warmup`` extra calls run first and
-    are excluded from the statistics.
+    (0.3715 s for the full profile).  ``warmup`` extra calls, cycling over
+    the first block, run first and are excluded from the statistics.  The
+    windows are synthesized one _BLOCK_ROWS block at a time, outside the
+    timed calls, so only one block is held.
     """
     if n_symbols < 100:
         raise ValueError("n_symbols must be >= 100 for stable percentiles")
     rng = np.random.default_rng(0)
     labels = rng.integers(0, profile.tone_count, n_symbols)
     phases = rng.uniform(0.0, 2.0 * np.pi, n_symbols)
-    windows = tone_windows(profile, tone_bin(profile, 0) + labels, phases)
+    bins = tone_bin(profile, 0) + labels
 
-    for i in range(min(warmup, n_symbols)):
-        demod(windows[i % n_symbols][None, :])
     elapsed = np.empty(n_symbols)
-    for i in range(n_symbols):
-        start = time.perf_counter()
-        demod(windows[i][None, :])
-        elapsed[i] = time.perf_counter() - start
+    for lo in range(0, n_symbols, _BLOCK_ROWS):
+        block = tone_windows(profile, bins[lo : lo + _BLOCK_ROWS],
+                             phases[lo : lo + _BLOCK_ROWS])
+        if lo == 0:
+            for i in range(min(warmup, n_symbols)):
+                demod(block[i % len(block)][None, :])
+        for i in range(len(block)):
+            start = time.perf_counter()
+            demod(block[i][None, :])
+            elapsed[lo + i] = time.perf_counter() - start
+        del block  # freed before the next block is made
 
     interval = profile.symbol_duration_s
     mean = float(elapsed.mean())

@@ -18,7 +18,7 @@ from mfskmodem.evaluate import (
     write_lines,
     write_ser_csv,
 )
-from mfskmodem.nn import ModelConfig, build_model, model_demodulator
+from mfskmodem.nn import ModelConfig, build_model, forward, model_demodulator
 from mfskmodem.profiles import get_profile
 from mfskmodem.signal import synthesize_symbol
 from mfskmodem.theory import esn0_to_snr, ser_noncoherent_mfsk
@@ -277,17 +277,24 @@ class TestSweeps:
         with pytest.raises(ValueError, match="n_per_point"):
             sweep_ber(demod, reduced_profile, [-10.0], 0, seed=1)
 
-    def test_classical_full_point_stays_near_one_chunk(self, full_profile):
-        # One 2048-symbol jt65a-full point is one chunk: its 64 MiB of windows,
-        # plus a block of noise and a block of spectra at a time.
-        demod = classical_demodulator(full_profile)
+    @pytest.mark.parametrize("detector", ["classical", "cnn"])
+    def test_full_point_stays_near_one_chunk(self, full_profile, detector):
+        # A 2048-symbol jt65a-full point runs in 256-window chunks: 8 MiB of
+        # windows, plus a block of noise and of spectra or the CNN's float32
+        # cast at a time (about 18 MiB; 66 and 97 MiB in one 2048-window chunk).
+        if detector == "classical":
+            demod = classical_demodulator(full_profile)
+        else:
+            state = build_model(get_profile("jt65a-full").model, seed=0)
+            forward(state, np.zeros(full_profile.symbol_len))  # fold before tracing
+            demod = model_demodulator(state)
         tracemalloc.start()
         try:
             sweep_ber(demod, full_profile, [-20.0], 2048, seed=1)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 80 * 2**20
+        assert peak < 24 * 2**20
 
 
 class TestCsvOutput:
@@ -327,6 +334,17 @@ class TestBenchLatency:
         assert report.p50_s <= report.p99_s
         assert report.real_time  # sub-millisecond FFTs vs a 46 ms interval
         assert report.symbol_interval_s == pytest.approx(512 / 11025)
+
+    def test_full_profile_holds_one_block(self, full_profile):
+        # 1000 jt65a-full windows are 31 MiB; one 64-row block is 2 MiB.
+        demod = classical_demodulator(full_profile)
+        tracemalloc.start()
+        try:
+            bench_latency(demod, full_profile, 1000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
     def test_minimum_symbol_count_enforced(self, reduced_profile):
         demod = classical_demodulator(reduced_profile)

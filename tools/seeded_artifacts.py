@@ -95,6 +95,11 @@ RUNS = [
     ("sweep-m8-cnn-ber", ["sweep", "--profile", "reduced-m8", "--weights", "m8.weights",
                           "--mode", "ber", "--snr", "-10,-5", "--n", "1000", "--seed", "4",
                           "--out", "sweep-m8-cnn-ber.csv"]),
+    # 2113 symbols: a point's CNN batches split as 8 x 256 + 65 rows, where a
+    # 2048-row chunk split them as 2048 + 65.
+    ("sweep-m8-cnn-edge-ber", ["sweep", "--profile", "reduced-m8", "--weights", "m8.weights",
+                               "--mode", "ber", "--snr", "-12,-8,-4", "--n", "2113",
+                               "--seed", "4", "--out", "sweep-m8-cnn-edge-ber.csv"]),
     ("analyze-full", ["analyze", "--profile", "jt65a-full", "--tone", "3", "--snr-db", "-20",
                       "--seed", "3", "--out-prefix", "analyze-full"]),
     ("analyze-m8", ["analyze", "--profile", "reduced-m8", "--tone", "3", "--snr-db", "-20",
