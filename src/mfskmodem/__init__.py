@@ -5,8 +5,9 @@ channel, demodulates them with a classical non-coherent detector and a
 from-scratch convolutional neural network, and measures symbol/bit error
 rates against the closed-form limit for non-coherent orthogonal MFSK.
 
-Submodules (import what you need; the package root stays import-cheap so
-the CLI can configure BLAS threading before numpy loads):
+Submodules (import what you need; the package root imports nothing, so
+a caller can set the BLAS thread environment variables before the first
+submodule loads numpy):
 
 - ``mfskmodem.signal``    tone plan, symbol synthesis, AWGN channel
 - ``mfskmodem.analysis``  energy spectra, autocorrelation, classical demod

@@ -4,12 +4,10 @@ Every command is deterministic given an explicit ``--seed``; leaving it
 out draws one from OS entropy and prints it so the run can be reproduced.
 Exit codes: 0 success, 1 runtime failure, 2 usage or configuration error.
 
-Heavy imports happen inside the command handlers so that ``--threads``
-(or the MFSKMODEM_THREADS environment variable) can pin the BLAS thread
-pools before numpy first loads; when numpy is already loaded (``main``
-called in-process) the loaded OpenBLAS is set directly, and the previous
-count comes back when ``main`` returns.  ``--threads 1`` is the
-bit-reproducible reference mode.
+Importing this module loads numpy and its OpenBLAS.  ``--threads`` (or
+the MFSKMODEM_THREADS environment variable) sets that loaded OpenBLAS
+for the command, and the previous count comes back when ``main``
+returns.  ``--threads 1`` is the bit-reproducible reference mode.
 """
 
 import argparse
@@ -20,7 +18,17 @@ import math
 import os
 import sys
 
+import numpy as np
+
+from . import dataset as ds
+from .analysis import autocorrelation, classical_demodulator, energy_spectrum
 from .errors import FileFormatError
+from .evaluate import (ConfusionMatrix, accumulate_many, bench_latency, metrics, sweep_ber,
+                       write_ber_csv, write_lines, write_ser_csv)
+from .nn import TrainConfig, load_weights, model_demodulator, save_weights, train
+from .profiles import get_profile
+from .signal import SYNC, Waveform, lowpass, noisy_windows, tone_bin, tone_windows
+from .theory import ebn0_to_esn0, ser_noncoherent_mfsk, ser_noncoherent_mfsk_linear, ser_to_ber
 
 
 class ConfigError(Exception):
@@ -104,8 +112,6 @@ def _resolve_seed(args) -> int:
 
 
 def _profile(args):
-    from .profiles import get_profile
-
     try:
         return get_profile(args.profile, args.profiles_file)
     except ValueError as exc:
@@ -115,8 +121,6 @@ def _profile(args):
 def _read_dataset(path, profile):
     """Read a dataset file, refusing from its header, before any record is read,
     one that disagrees with the profile."""
-    from . import dataset as ds
-
     modem = profile.modem
 
     def check(sample_rate_hz, symbol_len, tone_count):
@@ -144,8 +148,6 @@ def _sha256(path: str) -> str:
 
 
 def _cmd_synth(args) -> int:
-    from . import dataset as ds
-
     profile = _profile(args)
     seed = _resolve_seed(args)
     spec = ds.DatasetSpec(profile.modem, args.count, args.snr, seed,
@@ -166,12 +168,6 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    import numpy as np
-
-    from .analysis import autocorrelation, energy_spectrum
-    from .evaluate import write_lines
-    from .signal import SYNC, Waveform, lowpass, noisy_windows, tone_bin, tone_windows
-
     profile = _profile(args)
     if args.dataset is not None:
         loaded = _read_dataset(args.dataset, profile)
@@ -210,10 +206,6 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    from . import dataset as ds
-    from .evaluate import write_lines
-    from .nn import TrainConfig, save_weights, train
-
     profile = _profile(args)
     seed = _resolve_seed(args)
     try:
@@ -235,11 +227,7 @@ def _cmd_train(args) -> int:
 
 def _build_demod(args, profile):
     if args.classical:
-        from .analysis import classical_demodulator
-
         return classical_demodulator(profile.modem)
-    from .nn import load_weights, model_demodulator
-
     state = load_weights(args.weights)
     if state.config != profile.model:
         raise ValueError(f"weights hold {state.config}, profile {profile.name!r} {profile.model}")
@@ -247,11 +235,6 @@ def _build_demod(args, profile):
 
 
 def _cmd_demod(args) -> int:
-    import numpy as np
-
-    from . import dataset as ds
-    from .evaluate import ConfusionMatrix, accumulate_many, metrics, write_lines
-
     profile = _profile(args)
     demod = _build_demod(args, profile)
     loaded = _read_dataset(args.dataset, profile)
@@ -273,8 +256,6 @@ def _cmd_demod(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    from .evaluate import sweep_ber, write_ber_csv, write_ser_csv
-
     profile = _profile(args)
     demod = _build_demod(args, profile)
     seed = _resolve_seed(args)
@@ -292,10 +273,6 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_theory(args) -> int:
-    from .evaluate import write_lines
-    from .theory import (ebn0_to_esn0, ser_noncoherent_mfsk, ser_noncoherent_mfsk_linear,
-                         ser_to_ber)
-
     m = args.m
     lines = ["ebn0_db,ser,ber"]
     for point in args.ebn0:
@@ -310,8 +287,6 @@ def _cmd_theory(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    from .evaluate import bench_latency
-
     profile = _profile(args)
     demod = _build_demod(args, profile)
     report = bench_latency(demod, profile.modem, args.n)
@@ -413,10 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                "NUMEXPR_NUM_THREADS")
-
-
 def _openblas_thread_api():
     """(get, set) thread-count functions of the OpenBLAS loaded in this
     process, or None when none is loaded or it cannot be found."""
@@ -443,37 +414,24 @@ def _openblas_thread_api():
 
 @contextlib.contextmanager
 def _pinned_threads(threads):
-    """Run the body with ``threads`` BLAS/OpenMP threads, then restore.
-
-    The environment variables reach a BLAS that numpy has not loaded yet;
-    an OpenBLAS already loaded in this process (in-process ``main`` calls)
-    is set through its own API.  Both are put back on exit.
-    """
+    """Run the body with ``threads`` threads in the loaded OpenBLAS, then
+    restore its previous count; without a loaded OpenBLAS, just run it."""
     if threads is None and "MFSKMODEM_THREADS" in os.environ:
         try:
             threads = _positive_int(os.environ["MFSKMODEM_THREADS"])
         except argparse.ArgumentTypeError as exc:
             raise ConfigError(f"MFSKMODEM_THREADS: {exc}")
-    if threads is None:
+    api = None if threads is None else _openblas_thread_api()
+    if api is None:
         yield
         return
-    saved_env = {var: os.environ.get(var) for var in _THREAD_VARS}
-    os.environ.update({var: str(threads) for var in _THREAD_VARS})
-    api = _openblas_thread_api()
-    if api is not None:
-        get_threads, set_threads = api
-        saved_count = get_threads()
-        set_threads(threads)
+    get_threads, set_threads = api
+    saved_count = get_threads()
+    set_threads(threads)
     try:
         yield
     finally:
-        if api is not None:
-            set_threads(saved_count)
-        for var, value in saved_env.items():
-            if value is None:
-                os.environ.pop(var, None)
-            else:
-                os.environ[var] = value
+        set_threads(saved_count)
 
 
 def _join_dash_values(argv):

@@ -53,8 +53,12 @@ def load_profiles(path=None) -> dict:
     profiles = {name: _profile(name, values) for name, values in _BUILTINS.items()}
     if path is None:
         return profiles
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
+    # Profile values are plain numbers, so "%" needs no interpolation.
+    parser = configparser.ConfigParser(interpolation=None)
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:
+        raise ValueError(f"cannot parse profile file {path}: {exc}") from None
     if not read:
         raise ValueError(f"cannot read profile file {path}")
     floats = {field.name for field in fields(ModemProfile) if field.type is float}

@@ -469,6 +469,26 @@ class TestProfilesFile:
         assert err.startswith("error: ") and key in err
         assert not out_file.exists()
 
+    @pytest.mark.parametrize("malformed", ["no-section-header", "duplicate-section",
+                                           "duplicate-key", "percent-value"])
+    def test_malformed_file_is_config_error(self, tmp_path, capsys, malformed):
+        body = "".join(f"{name} = {value}\n" for name, value in DESK_M4.items())
+        text = {"no-section-header": body,
+                "duplicate-section": "[desk-m4]\n" + body + "[desk-m4]\n" + body,
+                "duplicate-key": "[desk-m4]\n" + body + "tone_count = 4\n",
+                "percent-value": "[desk-m4]\n" + body.replace("sync_bin = 20",
+                                                              "sync_bin = 20%")}[malformed]
+        config = tmp_path / "profiles.ini"
+        config.write_text(text)
+        out_file = tmp_path / "e.dset"
+        code, out, err = run(capsys, "--profiles-file", str(config), "synth",
+                             "--profile", "desk-m4", "--count", "1", "--snr", "-5",
+                             "--seed", "1", "--out", str(out_file))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+        assert not out_file.exists()
+
     def test_missing_keys_rejected(self, tmp_path, capsys):
         config = tmp_path / "profiles.ini"
         config.write_text("[broken]\nsample_rate_hz = 8000\n")
@@ -494,9 +514,14 @@ class TestProfilesFile:
 
 
 class TestThreads:
-    def test_flag_pins_loaded_blas_for_the_command_only(self, tmp_path, capsys, monkeypatch):
-        # numpy (and its OpenBLAS) is already loaded here, as in every
-        # in-process main() call; the flag must still take effect.
+    @pytest.mark.parametrize("error, exit_code", [(None, 0), (ValueError, 1),
+                                                  (cli.ConfigError, 2)],
+                             ids=["success", "runtime-error", "config-error"])
+    @pytest.mark.parametrize("pin", ["flag", "environment"])
+    def test_loaded_blas_is_pinned_for_the_command_only(self, tmp_path, capsys, monkeypatch,
+                                                        pin, error, exit_code):
+        # numpy (and its OpenBLAS) loads with the cli module, so the pin
+        # always goes through the loaded library.
         api = cli._openblas_thread_api()
         assert api is not None, "no OpenBLAS found in this process"
         get, set_ = api
@@ -505,15 +530,22 @@ class TestThreads:
 
         def record(args):
             seen.append(get())
+            if error is not None:
+                raise error("handler failed")
             return 0
 
         monkeypatch.setattr(cli, "_cmd_theory", record)
+        argv = ["theory", "--ebn0", "0", "--out", str(tmp_path / "t.csv")]
+        if pin == "flag":
+            argv = ["--threads", "1"] + argv
+        else:
+            monkeypatch.setenv("MFSKMODEM_THREADS", "1")
         try:
             set_(2)
             before = get()
-            code, _, _ = run(capsys, "--threads", "1", "theory", "--ebn0", "0",
-                             "--out", str(tmp_path / "t.csv"))
-            assert code == 0
+            code, _, err = run(capsys, *argv)
+            assert code == exit_code
+            assert err == ("" if error is None else "error: handler failed\n")
             assert seen == [1]
             assert get() == before
         finally:
