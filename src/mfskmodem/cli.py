@@ -461,7 +461,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError, RuntimeError, FileFormatError) as exc:
+    except (ValueError, OSError, RuntimeError, MemoryError, FileFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

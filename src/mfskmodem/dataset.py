@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import Frame, InconsistencyError, TruncationError
-from .signal import ModemProfile, SYNC, Waveform, noisy_windows, synthesize_symbol, tone_bin
+from .signal import ModemProfile, SYNC, noisy_windows, tone_bin
 
 MAGIC = b"MFSKDSET"
 VERSION = 1
@@ -106,13 +106,6 @@ def generate_record(spec: DatasetSpec, index: int) -> np.record:
     if not 0 <= index < spec.count:
         raise ValueError(f"record index {index} out of range [0, {spec.count})")
     return _generate(spec, [index])[0]
-
-
-def clean_waveform(spec: DatasetSpec, index: int) -> Waveform:
-    """The noise-free symbol underlying record ``index``."""
-    label, phase, _ = record_params(spec, index)
-    tone = SYNC if label == SYNC_LABEL else label
-    return synthesize_symbol(spec.profile, tone, phase)
 
 
 def generate(spec: DatasetSpec) -> Dataset:

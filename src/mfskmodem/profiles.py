@@ -58,7 +58,9 @@ def load_profiles(path=None) -> dict:
     try:
         read = parser.read(path)
     except configparser.Error as exc:
-        raise ValueError(f"cannot parse profile file {path}: {exc}") from None
+        # configparser's message spans lines; the CLI reports one.
+        message = " ".join(str(exc).split())
+        raise ValueError(f"cannot parse profile file {path}: {message}") from None
     if not read:
         raise ValueError(f"cannot read profile file {path}")
     floats = {field.name for field in fields(ModemProfile) if field.type is float}

@@ -154,20 +154,19 @@ def synthesize_symbol(profile: ModemProfile, tone, phase: float = 0.0) -> Wavefo
     return Waveform(x, profile.sample_rate_hz)
 
 
-def noise_variance(signal_power: float, snr_db: float, sample_rate_hz: float,
-                   ref_bandwidth_hz: float) -> float:
-    """Per-sample variance of full-band white noise hitting ``snr_db``.
+def noise_variance(profile: ModemProfile, snr_db: float) -> float:
+    """Per-sample variance of full-band white noise putting a unit tone
+    (power 0.5) at ``snr_db``.
 
     The SNR is signal power over the noise power inside the reference
     bandwidth; white noise of variance v spreads v * B / (fs/2) into a
-    band of width B, so v = P_s * (fs/2) / (B * 10**(snr/10)).
+    band of width B, so v = 0.5 * (fs/2) / (B * 10**(snr/10)).
     """
     if not np.isfinite(snr_db):
         raise ValueError("snr_db must be finite")
-    if signal_power <= 0:
-        raise ValueError("signal power must be positive")
     try:
-        var = signal_power * (sample_rate_hz / 2.0) / (ref_bandwidth_hz * 10.0 ** (snr_db / 10.0))
+        var = 0.5 * (profile.sample_rate_hz / 2.0) / (profile.ref_bandwidth_hz
+                                                      * 10.0 ** (snr_db / 10.0))
     except (OverflowError, ZeroDivisionError, FloatingPointError):  # the last under errstate raise
         var = 0.0
     if not (np.isfinite(var) and var > 0.0):
@@ -186,33 +185,17 @@ def noisy_windows(profile: ModemProfile, bins, phases, snr_db: float,
     calls: block by block it draws the same stream, and gives the same bits,
     as one (B, N) draw."""
     x = tone_windows(profile, bins, phases)
-    sigma = np.sqrt(noise_variance(0.5, snr_db, profile.sample_rate_hz,
-                                   profile.ref_bandwidth_hz))
+    sigma = np.sqrt(noise_variance(profile, snr_db))
     for lo in range(0, x.shape[0], _BLOCK_ROWS):
         rows = x[lo : lo + _BLOCK_ROWS]
         rows += rng.normal(0.0, sigma, rows.shape)
     return x
 
 
-def apply_awgn(waveform: Waveform, snr_db: float, ref_bandwidth_hz: float,
-               rng: np.random.Generator, signal_power: float | None = None) -> Waveform:
-    """Add white Gaussian noise calibrated to ``snr_db`` in the reference band.
-
-    ``signal_power`` defaults to the waveform's mean square.  Variates come
-    from numpy's Generator.normal (ziggurat), so the output is bit-identical
-    for a given seeded ``rng``.
-    """
-    if signal_power is None:
-        signal_power = waveform.mean_power()
-    var = noise_variance(signal_power, snr_db, waveform.sample_rate_hz, ref_bandwidth_hz)
-    noisy = waveform.samples + rng.normal(0.0, np.sqrt(var), waveform.samples.size)
-    return Waveform(noisy, waveform.sample_rate_hz)
-
-
 def measure_snr(noisy: Waveform, clean: Waveform, ref_bandwidth_hz: float) -> float:
     """Reference-bandwidth SNR in dB of ``noisy`` against the known ``clean``.
 
-    Inverse of the apply_awgn convention: the residual's variance is scaled
+    Inverse of noisy_windows' convention: the residual's variance is scaled
     by B / (fs/2) before the ratio.  Saturates at SNR_SATURATION_DB instead
     of returning +inf when the residual (or its variance) vanishes.
     """

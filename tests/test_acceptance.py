@@ -28,7 +28,7 @@ from mfskmodem.nn import (
     train,
 )
 from mfskmodem.profiles import get_profile
-from mfskmodem.signal import Waveform, apply_awgn, measure_snr, synthesize_symbol
+from mfskmodem.signal import Waveform, measure_snr, noisy_windows, synthesize_symbol, tone_bin
 from mfskmodem.theory import (
     esn0_to_snr,
     ser_noncoherent_mfsk,
@@ -80,14 +80,16 @@ def test_02_theory_simulation_triangle():
 
 
 def test_03_snr_calibration():
+    # Ten windows of tone 9 through the channel every command uses.
     base = synthesize_symbol(FULL.modem, 9, phase=0.8)
     clean = Waveform(np.tile(base.samples, 10), FULL.modem.sample_rate_hz)
+    bins = [tone_bin(FULL.modem, 9)] * 10
     ok = True
     details = []
     for target in (-30.0, -25.0, -20.0, -10.0, 0.0):
         rng = np.random.default_rng(1000 + int(target))
-        noisy = apply_awgn(clean, target, FULL.modem.ref_bandwidth_hz, rng,
-                           signal_power=0.5)
+        channel = noisy_windows(FULL.modem, bins, 0.8, target, rng)
+        noisy = Waveform(channel.ravel(), FULL.modem.sample_rate_hz)
         measured = measure_snr(noisy, clean, FULL.modem.ref_bandwidth_hz)
         ok = ok and abs(measured - target) <= 0.2
         details.append(f"{target:g}->{measured:.3f}")

@@ -10,7 +10,7 @@ from mfskmodem.analysis import (
     classical_demodulator,
     energy_spectrum,
 )
-from mfskmodem.signal import SYNC, Waveform, apply_awgn, synthesize_symbol, tone_bin
+from mfskmodem.signal import SYNC, Waveform, noisy_windows, synthesize_symbol, tone_bin
 from mfskmodem.theory import esn0_to_snr, ser_noncoherent_mfsk
 
 
@@ -47,16 +47,13 @@ class TestEnergySpectrum:
         # Qualitative reproduction of the ESD pair: the sync bin dominates
         # at -20 dB, while at -25 dB the noise floor takes over for most
         # seeds.  Fixed seeds keep both statistical claims stable.
-        clean = synthesize_symbol(full_profile, SYNC, phase=0.2)
-        noisy = apply_awgn(clean, -20.0, 2500.0, np.random.default_rng(3), signal_power=0.5)
-        assert energy_spectrum(noisy).peak_bin() == full_profile.sync_bin
+        def sync_peak(snr_db, seed):
+            channel = noisy_windows(full_profile, [tone_bin(full_profile, SYNC)], 0.2, snr_db,
+                                    np.random.default_rng(seed))
+            return energy_spectrum(Waveform(channel[0], 11025.0)).peak_bin()
 
-        misses = 0
-        for seed in range(10):
-            noisy = apply_awgn(clean, -25.0, 2500.0, np.random.default_rng(seed),
-                               signal_power=0.5)
-            if energy_spectrum(noisy).peak_bin() != full_profile.sync_bin:
-                misses += 1
+        assert sync_peak(-20.0, 3) == full_profile.sync_bin
+        misses = sum(sync_peak(-25.0, seed) != full_profile.sync_bin for seed in range(10))
         assert misses > 0
 
 
@@ -148,15 +145,8 @@ class TestClassicalDemod:
         demod = classical_demodulator(full_profile)
         for lo in range(0, n, 500):
             sel = slice(lo, lo + 500)
-            batch = np.stack([
-                synthesize_symbol(full_profile, int(s), phase=p).samples
-                for s, p in zip(labels[sel], rng.uniform(0, 2 * np.pi, 500))
-            ])
-            noisy = np.stack([
-                apply_awgn(Waveform(row, 11025.0), snr, 2500.0, rng,
-                           signal_power=0.5).samples
-                for row in batch
-            ])
+            noisy = noisy_windows(full_profile, tone_bin(full_profile, 0) + labels[sel],
+                                  rng.uniform(0, 2 * np.pi, 500), snr, rng)
             errors += int(np.sum(demod(noisy) != labels[sel]))
         p_theory = ser_noncoherent_mfsk(64, esn0)
         stderr = np.sqrt(p_theory * (1 - p_theory) / n)

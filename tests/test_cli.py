@@ -426,6 +426,25 @@ class TestBench:
         assert "real_time=true" in out
 
 
+# 10**11 symbols: no machine holds their arrays, so the allocation fails at once.
+HUGE = "100000000000"
+
+
+class TestHugeCount:
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--profile", "reduced-m8", "--classical", "--snr", "-10", "--n", HUGE,
+         "--out", "huge.csv"],
+        ["bench", "--profile", "reduced-m8", "--classical", "--n", HUGE],
+    ], ids=["sweep", "bench"])
+    def test_unallocatable_count_is_a_runtime_error(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
+
 DESK_M4 = {"sample_rate_hz": 8000, "symbol_len": 256, "tone_count": 4, "sync_bin": 20,
            "tone_offset": 2, "ref_bandwidth_hz": 1000, "conv_filters": 8,
            "conv_kernel": 8, "hidden_units": 8}
@@ -486,7 +505,7 @@ class TestProfilesFile:
                              "--seed", "1", "--out", str(out_file))
         assert code == 2
         assert out == ""
-        assert err.startswith("error: ")
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
         assert not out_file.exists()
 
     def test_missing_keys_rejected(self, tmp_path, capsys):

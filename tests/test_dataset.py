@@ -14,7 +14,6 @@ from mfskmodem.dataset import (
     SYNC_LABEL,
     Dataset,
     DatasetSpec,
-    clean_waveform,
     data_arrays,
     generate,
     generate_record,
@@ -36,8 +35,8 @@ from mfskmodem.signal import (
     SYNC,
     ModemProfile,
     Waveform,
-    apply_awgn,
     measure_snr,
+    noise_variance,
     synthesize_symbol,
 )
 
@@ -68,7 +67,7 @@ class TestGenerate:
 
     def test_record_is_the_channel_composition_in_float32(self, reduced_spec):
         # Per record: label, phase and SNR from the (seed, index) substream,
-        # then apply_awgn on the unit symbol, stored as float32.
+        # then the unit symbol plus white noise of noise_variance, stored as float32.
         spec = DatasetSpec(reduced_spec.profile, 40, (-20.0, -5.0), seed=8, include_sync=True)
         labels = set()
         for index in range(spec.count):
@@ -76,10 +75,11 @@ class TestGenerate:
             label, phase, snr_db = _draw(spec, rng)
             labels.add(label)
             tone = SYNC if label == SYNC_LABEL else label
-            noisy = apply_awgn(synthesize_symbol(spec.profile, tone, phase), snr_db,
-                               spec.profile.ref_bandwidth_hz, rng, signal_power=0.5)
+            sigma = np.sqrt(noise_variance(spec.profile, snr_db))
+            noisy = (synthesize_symbol(spec.profile, tone, phase).samples
+                     + rng.normal(0.0, sigma, spec.profile.symbol_len))
             assert np.array_equal(generate_record(spec, index).samples,
-                                  noisy.samples.astype(np.float32))
+                                  noisy.astype(np.float32))
         assert SYNC_LABEL in labels and len(labels) > 2
 
     def test_record_is_order_independent(self, reduced_spec):
@@ -137,7 +137,8 @@ class TestGenerate:
         spec = DatasetSpec(full_profile, 12, (-25.0, -5.0), seed=13)
         for index in range(spec.count):
             record = generate_record(spec, index)
-            clean = clean_waveform(spec, index)
+            label, phase, _ = record_params(spec, index)
+            clean = synthesize_symbol(full_profile, label, phase)
             noisy = Waveform(record.samples.astype(np.float64),
                              full_profile.sample_rate_hz)
             measured = measure_snr(noisy, clean, full_profile.ref_bandwidth_hz)

@@ -11,7 +11,6 @@ from mfskmodem.signal import (
     SYNC,
     ModemProfile,
     Waveform,
-    apply_awgn,
     measure_snr,
     _BLOCK_ROWS,
     noise_variance,
@@ -134,51 +133,39 @@ class TestOrthogonality:
 
 
 class TestApplyAwgn:
-    def test_noise_variance_formula(self):
+    """The AWGN channel's calibration and refusals: noise_variance and
+    noisy_windows."""
+
+    def test_noise_variance_formula(self, full_profile):
         # Unit-amplitude tone (power 0.5) at -25 dB in a 2500 Hz reference band.
-        var = noise_variance(0.5, -25.0, 11025.0, 2500.0)
+        var = noise_variance(full_profile, -25.0)
         assert var == pytest.approx(0.5 * 5512.5 / (2500 * 10 ** -2.5), rel=1e-12)
         assert var == pytest.approx(348.6408, rel=1e-6)
 
     def test_high_snr_leaves_waveform_untouched(self, full_profile, rng):
         w = synthesize_symbol(full_profile, 5)
-        noisy = apply_awgn(w, 100.0, 2500.0, rng, signal_power=0.5)
-        residual_power = np.mean((noisy.samples - w.samples) ** 2)
+        noisy = noisy_windows(full_profile, [tone_bin(full_profile, 5)], 0.0, 100.0, rng)[0]
+        residual_power = np.mean((noisy - w.samples) ** 2)
         assert residual_power < 1e-9 * w.mean_power() * 1e6  # -100 dB in band
 
     def test_seeded_determinism(self, full_profile):
-        w = synthesize_symbol(full_profile, 12, phase=0.4)
-        a = apply_awgn(w, -20.0, 2500.0, np.random.default_rng(99))
-        b = apply_awgn(w, -20.0, 2500.0, np.random.default_rng(99))
-        assert np.array_equal(a.samples, b.samples)
+        bins = [tone_bin(full_profile, 12)]
+        a = noisy_windows(full_profile, bins, 0.4, -20.0, np.random.default_rng(99))
+        b = noisy_windows(full_profile, bins, 0.4, -20.0, np.random.default_rng(99))
+        assert np.array_equal(a, b)
 
     def test_non_finite_snr_rejected(self, full_profile, rng):
-        w = synthesize_symbol(full_profile, 0)
         with pytest.raises(ValueError, match="finite"):
-            apply_awgn(w, float("nan"), 2500.0, rng)
+            noisy_windows(full_profile, [tone_bin(full_profile, 0)], 0.0, float("nan"), rng)
 
     @pytest.mark.parametrize("snr_db", [4000.0, -1e39])
-    def test_unrepresentable_variance_rejected(self, snr_db):
+    def test_unrepresentable_variance_rejected(self, full_profile, snr_db):
         # 10**(snr/10) overflows at +4000 dB and underflows to 0 at -1e39 dB.
         with pytest.raises(ValueError, match="noise variance"):
-            noise_variance(0.5, snr_db, 11025.0, 2500.0)
+            noise_variance(full_profile, snr_db)
 
 
 class TestNoisyWindows:
-    @pytest.mark.parametrize("profile", ["full_profile", "reduced_profile"])
-    @pytest.mark.parametrize("tone", [3, SYNC])
-    def test_is_apply_awgn_on_the_unit_symbol_bitwise(self, profile, tone, request):
-        # The one channel of datasets, sweeps and analyze, pinned to the
-        # public composition it replaces.
-        profile = request.getfixturevalue(profile)
-        channel = noisy_windows(profile, [tone_bin(profile, tone)], 0.7, -18.0,
-                                np.random.default_rng(5))
-        reference = apply_awgn(synthesize_symbol(profile, tone, 0.7), -18.0,
-                               profile.ref_bandwidth_hz, np.random.default_rng(5),
-                               signal_power=0.5)
-        assert channel.shape == (1, profile.symbol_len)
-        assert np.array_equal(channel[0], reference.samples)
-
     def test_unrepresentable_variance_rejected(self, reduced_profile, rng):
         with pytest.raises(ValueError, match="noise variance"):
             noisy_windows(reduced_profile, [60], 0.0, 4000.0, rng)
@@ -195,11 +182,11 @@ class TestNoisyWindows:
         profile = request.getfixturevalue(profile)
         setup = np.random.default_rng(rows)
         bins = tone_bin(profile, 0) + setup.integers(0, profile.tone_count, rows)
+        bins[:1] = tone_bin(profile, SYNC)  # the sync tone crosses the channel too
         phases = setup.uniform(0.0, 2.0 * np.pi, rows) if per_row_phases else 2.1
         rng, twin = np.random.default_rng(11), np.random.default_rng(11)
         channel = noisy_windows(profile, bins, phases, -20.0, rng)
-        sigma = np.sqrt(noise_variance(0.5, -20.0, profile.sample_rate_hz,
-                                       profile.ref_bandwidth_hz))
+        sigma = np.sqrt(noise_variance(profile, -20.0))
         oracle = tone_windows(profile, bins, phases)
         oracle += twin.normal(0.0, sigma, (rows, profile.symbol_len))
         assert channel.shape == oracle.shape == (rows, profile.symbol_len)
@@ -229,8 +216,9 @@ class TestMeasureSnr:
         # 10 symbol windows = 40960 samples.
         base = synthesize_symbol(full_profile, 7, phase=1.1)
         clean = Waveform(np.tile(base.samples, 10), full_profile.sample_rate_hz)
-        noisy = apply_awgn(clean, target, 2500.0, np.random.default_rng(int(target) + 77),
-                           signal_power=0.5)
+        channel = noisy_windows(full_profile, [tone_bin(full_profile, 7)] * 10, 1.1, target,
+                                np.random.default_rng(int(target) + 77))
+        noisy = Waveform(channel.ravel(), full_profile.sample_rate_hz)
         assert measure_snr(noisy, clean, 2500.0) == pytest.approx(target, abs=0.2)
 
     def test_identical_waveforms_saturate(self, full_profile):
