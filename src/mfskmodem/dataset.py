@@ -88,9 +88,6 @@ class Dataset:
     include_sync: bool
     records: np.recarray  # of record_dtype(symbol_len)
 
-    def __len__(self):
-        return len(self.records)
-
 
 def record_params(spec: DatasetSpec, index: int):
     """The (label, phase, snr_db) draws of record ``index``'s substream.

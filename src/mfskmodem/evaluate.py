@@ -183,13 +183,18 @@ class BerPoint:
     stderr: float  # binomial standard error of ser
 
 
+def _draw_symbols(profile, n_symbols, rng):
+    """(labels, bins, phases) of n_symbols random data tones: the labels,
+    then the phases, drawn from ``rng``."""
+    labels = rng.integers(0, profile.tone_count, n_symbols)
+    phases = rng.uniform(0.0, 2.0 * np.pi, n_symbols)
+    return labels, tone_bin(profile, 0) + labels, phases
+
+
 def _run_point(demod, profile, snr_db, n_symbols, rng) -> ConfusionMatrix:
     """Confusion counts of ``demod`` over n_symbols fresh random symbols."""
-    m = profile.tone_count
-    labels = rng.integers(0, m, n_symbols)
-    phases = rng.uniform(0.0, 2.0 * np.pi, n_symbols)
-    bins = tone_bin(profile, 0) + labels
-    cm = ConfusionMatrix.empty(m)
+    labels, bins, phases = _draw_symbols(profile, n_symbols, rng)
+    cm = ConfusionMatrix.empty(profile.tone_count)
     for lo in range(0, n_symbols, _CHUNK):
         sel = slice(lo, min(lo + _CHUNK, n_symbols))
         x = noisy_windows(profile, bins[sel], phases[sel], snr_db, rng)
@@ -258,29 +263,29 @@ class LatencyReport:
     symbol_interval_s: float
 
 
-def bench_latency(demod, profile: ModemProfile, n_symbols: int,
-                  warmup: int = 100) -> LatencyReport:
+# Untimed calls before bench_latency's timed ones.
+_WARMUP = 100
+
+
+def bench_latency(demod, profile: ModemProfile, n_symbols: int) -> LatencyReport:
     """Wall-clock per single-symbol demodulation, batch size 1.
 
     ``real_time`` compares the mean against the symbol interval N/fs
-    (0.3715 s for the full profile).  ``warmup`` extra calls, cycling over
+    (0.3715 s for the full profile).  _WARMUP extra calls, cycling over
     the first block, run first and are excluded from the statistics.  The
     windows are synthesized one _BLOCK_ROWS block at a time, outside the
     timed calls, so only one block is held.
     """
     if n_symbols < 100:
         raise ValueError("n_symbols must be >= 100 for stable percentiles")
-    rng = np.random.default_rng(0)
-    labels = rng.integers(0, profile.tone_count, n_symbols)
-    phases = rng.uniform(0.0, 2.0 * np.pi, n_symbols)
-    bins = tone_bin(profile, 0) + labels
+    _, bins, phases = _draw_symbols(profile, n_symbols, np.random.default_rng(0))
 
     elapsed = np.empty(n_symbols)
     for lo in range(0, n_symbols, _BLOCK_ROWS):
         block = tone_windows(profile, bins[lo : lo + _BLOCK_ROWS],
                              phases[lo : lo + _BLOCK_ROWS])
         if lo == 0:
-            for i in range(min(warmup, n_symbols)):
+            for i in range(_WARMUP):
                 demod(block[i % len(block)][None, :])
         for i in range(len(block)):
             start = time.perf_counter()

@@ -49,9 +49,6 @@ class TrainLog:
     accuracy: list = field(default_factory=list)
     seconds: list = field(default_factory=list)
 
-    def __len__(self):
-        return len(self.loss)
-
 
 @dataclass
 class AdamState:

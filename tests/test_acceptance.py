@@ -30,6 +30,7 @@ from mfskmodem.nn import (
 from mfskmodem.profiles import get_profile
 from mfskmodem.signal import Waveform, measure_snr, noisy_windows, synthesize_symbol, tone_bin
 from mfskmodem.theory import (
+    ebn0_to_esn0,
     esn0_to_snr,
     ser_noncoherent_mfsk,
     ser_noncoherent_mfsk_linear,
@@ -54,6 +55,18 @@ def report(number: int, name: str, passed: bool, detail: str) -> None:
     verdict = "PASS" if passed else "FAIL"
     print(f"ACCEPTANCE {number:02d} {name}: {verdict} ({detail})")
     assert passed, f"criterion {number} failed: {detail}"
+
+
+def db_at(rate, target: float, lo: float, hi: float) -> float:
+    """The dB value in [lo, hi] where the decreasing closed-form ``rate``
+    falls to ``target``: the midpoint after 60 halvings."""
+    for _ in range(60):
+        mid = (lo + hi) / 2.0
+        if rate(mid) > target:
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2.0
 
 
 def test_01_architecture_fidelity():
@@ -153,14 +166,8 @@ def test_08_desk_scale_learning(desk_trained_model):
 
     # Operating point: the Es/N0 where the classical baseline sits at
     # SER 0.01 (bisected from the closed form), mapped back to SNR.
-    lo, hi = 0.0, 20.0
-    for _ in range(60):
-        mid = (lo + hi) / 2.0
-        if ser_noncoherent_mfsk(8, mid) > 0.01:
-            lo = mid
-        else:
-            hi = mid
-    snr = esn0_to_snr(REDUCED.modem, (lo + hi) / 2.0)
+    esn0 = db_at(lambda e: ser_noncoherent_mfsk(8, e), 0.01, 0.0, 20.0)
+    snr = esn0_to_snr(REDUCED.modem, esn0)
 
     classical_row = sweep_ber(classical_demodulator(REDUCED.modem), REDUCED.modem,
                               [snr], 50_000, seed=21)[0]
@@ -175,10 +182,9 @@ def test_08_desk_scale_learning(desk_trained_model):
 
 
 def test_09_real_time_contract():
-    classical = bench_latency(classical_demodulator(FULL.modem), FULL.modem,
-                              1000, warmup=100)
+    classical = bench_latency(classical_demodulator(FULL.modem), FULL.modem, 1000)
     cnn_state = build_model(FULL.model, seed=0)
-    cnn = bench_latency(model_demodulator(cnn_state), FULL.modem, 100, warmup=5)
+    cnn = bench_latency(model_demodulator(cnn_state), FULL.modem, 100)
     # The CNN number is informational: GPU builds of this kind of model
     # reach ~218 us/symbol, which is not a realistic CPU target.
     ok = classical.real_time and classical.mean_s < 0.3715
@@ -238,31 +244,20 @@ def test_11_full_profile_reproduction():
     # BER=1e-2 crossing.  The trained demodulator must cross 1e-2 within
     # +2.5 dB of the non-coherent theory curve.
     spec = ds.DatasetSpec(FULL.modem, 100_000, (-30.0, 0.0), seed=DESK_DATA_SEED)
-    x = np.empty((spec.count, FULL.modem.symbol_len), dtype=np.float32)
-    y = np.empty(spec.count, dtype=np.int64)
-    for i in range(spec.count):
-        record = ds.generate_record(spec, i)
-        x[i] = record.samples
-        y[i] = record.label
+    x, y = ds.data_arrays(ds.generate(spec))
     cfg = TrainConfig(epochs=6, batch_size=32, learning_rate=1e-3,
                       seed=DESK_TRAIN_SEED)
     state, log = train(FULL.model, cfg, x, y)
-    assert len(log) == 6
+    assert len(log.loss) == 6
 
     # Theory crossing: BER 1e-2 on the non-coherent limit.
-    lo, hi = 0.0, 10.0
-    for _ in range(60):
-        mid = (lo + hi) / 2.0
-        ser = ser_noncoherent_mfsk(64, mid + 10.0 * math.log10(6))
-        if ser_to_ber(64, ser) > 1e-2:
-            lo = mid
-        else:
-            hi = mid
-    theory_crossing = (lo + hi) / 2.0
+    theory_crossing = db_at(
+        lambda e: ser_to_ber(64, ser_noncoherent_mfsk(64, ebn0_to_esn0(64, e))),
+        1e-2, 0.0, 10.0)
 
     ebn0_grid = [theory_crossing + delta for delta in
                  (-1.0, 0.0, 1.0, 1.5, 2.0, 2.5, 3.0)]
-    snr_grid = [esn0_to_snr(FULL.modem, e + 10.0 * math.log10(6)) for e in ebn0_grid]
+    snr_grid = [esn0_to_snr(FULL.modem, ebn0_to_esn0(64, e)) for e in ebn0_grid]
     rows = sweep_ber(model_demodulator(state), FULL.modem, snr_grid, 10_000,
                      seed=31)
     crossing = None

@@ -5,7 +5,6 @@ import os
 import resource
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -341,20 +340,16 @@ class TestProfileCrossCheck:
         assert "dataset symbol_len 512 does not match profile 'jt65a-full'" in err
         assert not list(tmp_path.iterdir())
 
-    def test_dataset_is_refused_from_its_header(self, tmp_path):
+    def test_dataset_is_refused_from_its_header(self, tmp_path, traced_peak):
         path = tmp_path / "m8.dset"
         ds.write(ds.generate(ds.DatasetSpec(get_profile("reduced-m8").modem, 2000,
                                             (-9.0, -9.0), seed=1)), path)
         payload = path.stat().st_size - 32
-        tracemalloc.start()
-        try:
+        with traced_peak() as peak:
             with pytest.raises(ValueError, match="dataset symbol_len 512 does not match "
                                                  "profile 'jt65a-full'"):
                 cli._read_dataset(path, get_profile("jt65a-full"))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < payload / 10
+        assert peak.bytes < payload / 10
 
     def test_weights_of_another_profile_are_refused(self, workspace, tmp_path, capsys):
         _, _, weights, _ = workspace

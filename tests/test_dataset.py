@@ -2,7 +2,6 @@
 
 import io
 import struct
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -337,7 +336,7 @@ class TestFileFormat:
 
 
 class TestReadMemory:
-    def test_peak_is_the_payload(self, tmp_path):
+    def test_peak_is_the_payload(self, tmp_path, traced_peak):
         # The record array is allocated once and filled from the file: no
         # second copy of the 4.1 MB payload.
         rng = np.random.default_rng(0)
@@ -346,26 +345,18 @@ class TestReadMemory:
         records.samples = rng.standard_normal(records.samples.shape)
         path = tmp_path / "mid.mfskdset"
         write(Dataset(11025, 512, 8, False, records), path)
-        tracemalloc.start()
-        try:
+        with traced_peak() as peak:
             loaded = read(path)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.1 * records.nbytes
+        assert peak.bytes < 1.1 * records.nbytes
         assert loaded.records.tobytes() == records.tobytes()
 
-    def test_huge_declared_count_allocates_nothing(self):
+    def test_huge_declared_count_allocates_nothing(self, traced_peak):
         # 2**30 records of 8 samples (40 GiB) declared by a 40-byte file.
         blob = b"MFSKDSET" + struct.pack("<I", 1) + struct.pack("<IIHHQ", 1000, 8, 2, 0, 2**30)
-        tracemalloc.start()
-        try:
+        with traced_peak() as peak:
             with pytest.raises(TruncationError, match="declares 1073741824 records"):
                 read(io.BytesIO(blob + bytes(8)))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 64 * 1024
+        assert peak.bytes < 64 * 1024
 
     def test_records_are_read_only(self, reduced_spec):
         loaded = read(io.BytesIO(written_bytes(generate(
@@ -417,15 +408,11 @@ class TestDataArrays:
         with pytest.raises(ValueError):
             np.asarray(x, copy=False)
 
-    def test_rows_are_not_copied(self, full_profile, tmp_path):
+    def test_rows_are_not_copied(self, full_profile, tmp_path, traced_peak):
         spec = DatasetSpec(full_profile, 200, (-20.0, -20.0), seed=2, include_sync=True)
         write(generate(spec), tmp_path / "full.mfskdset")
         loaded = read(tmp_path / "full.mfskdset")
-        tracemalloc.start()
-        try:
+        with traced_peak() as peak:
             x, y = data_arrays(loaded)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < loaded.records.nbytes / 100
+        assert peak.bytes < loaded.records.nbytes / 100
         assert x.shape == (y.size, full_profile.symbol_len)

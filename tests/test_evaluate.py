@@ -1,6 +1,5 @@
 """Tests for confusion-matrix metrics, Monte-Carlo sweeps, and the benchmark."""
 
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -60,16 +59,17 @@ def test_a_shifted_tone_plan_reaches_detector_sweep_and_bench(tmp_path):
     assert demod(clean).tolist() == list(range(profile.tone_count))
     row = sweep_ber(demod, profile, [30.0], 500, seed=3)[0]
     assert row.ser == row.ber_measured == 0.0
-    # bench_latency must time clean data tones: peaks in the bins [36, 44).
+    # bench_latency must warm up on and time clean data tones: peaks in the
+    # bins [36, 44).
     windows = []
 
     def spy(batch):
         windows.append(np.array(batch))
         return demod(batch)
 
-    assert bench_latency(spy, profile, 200, warmup=0).n == 200
+    assert bench_latency(spy, profile, 200).n == 200
     peaks = np.argmax(np.abs(np.fft.rfft(np.concatenate(windows), axis=-1)), axis=-1)
-    assert len(peaks) == 200
+    assert len(peaks) == 100 + 200
     assert set(peaks.tolist()) == set(range(36, 44))
 
 
@@ -278,7 +278,7 @@ class TestSweeps:
             sweep_ber(demod, reduced_profile, [-10.0], 0, seed=1)
 
     @pytest.mark.parametrize("detector", ["classical", "cnn"])
-    def test_full_point_stays_near_one_chunk(self, full_profile, detector):
+    def test_full_point_stays_near_one_chunk(self, full_profile, detector, traced_peak):
         # A 2048-symbol jt65a-full point runs in 256-window chunks: 8 MiB of
         # windows, plus a block of noise and of spectra or the CNN's float32
         # cast at a time (about 18 MiB; 66 and 97 MiB in one 2048-window chunk).
@@ -288,13 +288,9 @@ class TestSweeps:
             state = build_model(get_profile("jt65a-full").model, seed=0)
             forward(state, np.zeros(full_profile.symbol_len))  # fold before tracing
             demod = model_demodulator(state)
-        tracemalloc.start()
-        try:
+        with traced_peak() as peak:
             sweep_ber(demod, full_profile, [-20.0], 2048, seed=1)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 24 * 2**20
+        assert peak.bytes < 24 * 2**20
 
 
 class TestCsvOutput:
@@ -329,22 +325,18 @@ class TestCsvOutput:
 class TestBenchLatency:
     def test_classical_reduced_profile(self, reduced_profile):
         demod = classical_demodulator(reduced_profile)
-        report = bench_latency(demod, reduced_profile, 200, warmup=20)
+        report = bench_latency(demod, reduced_profile, 200)
         assert report.n == 200
         assert report.p50_s <= report.p99_s
         assert report.real_time  # sub-millisecond FFTs vs a 46 ms interval
         assert report.symbol_interval_s == pytest.approx(512 / 11025)
 
-    def test_full_profile_holds_one_block(self, full_profile):
+    def test_full_profile_holds_one_block(self, full_profile, traced_peak):
         # 1000 jt65a-full windows are 31 MiB; one 64-row block is 2 MiB.
         demod = classical_demodulator(full_profile)
-        tracemalloc.start()
-        try:
+        with traced_peak() as peak:
             bench_latency(demod, full_profile, 1000)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 4 * 2**20
+        assert peak.bytes < 4 * 2**20
 
     def test_minimum_symbol_count_enforced(self, reduced_profile):
         demod = classical_demodulator(reduced_profile)

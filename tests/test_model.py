@@ -2,7 +2,6 @@
 
 import io
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -111,14 +110,10 @@ class TestBuildModel:
             reference = rng.uniform(-limit, limit, size=shape).astype(np.float32)
             assert np.array_equal(state.tensors[name], reference)
 
-    def test_peak_is_under_two_arenas(self):
-        tracemalloc.start()
-        try:
+    def test_peak_is_under_two_arenas(self, traced_peak):
+        with traced_peak() as peak:
             state = build_model(REDUCED, seed=0)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 2 * state._arena.nbytes
+        assert peak.bytes < 2 * state._arena.nbytes
 
     def test_one_arena_trainables_then_statistics(self):
         state = build_model(TINY, seed=0)
@@ -459,19 +454,15 @@ class TestFoldedForward:
 
 
 class TestForwardMemory:
-    def test_fold_and_oversized_batch_stay_small(self, full_state):
+    def test_fold_and_oversized_batch_stay_small(self, full_state, traced_peak):
         # Unfolded, the (300, 4096, 128) float32 conv activation alone is
         # 629 MB; the fold holds a (4096, 17, 64) float32 array, and the
         # forward itself only (300, 4096) inputs and (300, 64) activations.
         state = full_state.copy()
         batch = noisy_tones(FULL, 300, seed=11).astype(np.float32)
-        tracemalloc.start()
-        try:
+        with traced_peak() as peak:
             probs = forward(state, batch)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 64 * 2**20
+        assert peak.bytes < 64 * 2**20
         np.testing.assert_allclose(probs[128:256], forward(state, batch[128:256]),
                                    rtol=0, atol=1e-6)
 

@@ -1,7 +1,6 @@
 """Tests for the tone plan, symbol synthesis, and the AWGN channel."""
 
 import dataclasses
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -132,7 +131,7 @@ class TestOrthogonality:
             assert abs(np.dot(wa, wb)) / n <= 1e-9
 
 
-class TestApplyAwgn:
+class TestNoiseVariance:
     """The AWGN channel's calibration and refusals: noise_variance and
     noisy_windows."""
 
@@ -194,20 +193,16 @@ class TestNoisyWindows:
         assert channel.tobytes() == oracle.tobytes()
         assert rng.bit_generator.state == twin.bit_generator.state
 
-    def test_one_chunk_peaks_near_its_result(self, full_profile):
+    def test_one_chunk_peaks_near_its_result(self, full_profile, traced_peak):
         # One 2048-window sweep chunk: its 64 MiB result plus one block's
         # noise, not a second batch-sized noise array.
         rows = 2048
         bins = tone_bin(full_profile, 0) + np.arange(rows) % full_profile.tone_count
         phases = np.linspace(0.0, 2.0 * np.pi, rows)
         result_bytes = rows * full_profile.symbol_len * 8
-        tracemalloc.start()
-        try:
+        with traced_peak() as peak:
             noisy_windows(full_profile, bins, phases, -20.0, np.random.default_rng(4))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.1 * result_bytes
+        assert peak.bytes < 1.1 * result_bytes
 
 
 class TestMeasureSnr:

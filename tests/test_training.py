@@ -354,7 +354,7 @@ class TestFoldCacheAfterTraining:
 class TestTrain:
     def test_overfits_noiseless_tones(self, overfit_run):
         x, labels, state, log = overfit_run
-        assert len(log) == 6
+        assert len(log.loss) == 6
         assert log.accuracy[-1] == 1.0
         post = np.mean(np.argmax(forward(state, x), axis=1) == labels)
         assert post == 1.0

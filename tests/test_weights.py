@@ -4,7 +4,6 @@ import io
 import math
 import os
 import struct
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -80,19 +79,7 @@ class TestRoundTrip:
 
 
 class TestLoadMemory:
-    def test_peak_is_the_file_and_the_state(self, tmp_path):
-        # The file's bytes and the state's arena; parsing holds no third copy.
-        path = tmp_path / "reduced.weights"
-        save_weights(build_model(REDUCED, seed=0), path)
-        tracemalloc.start()
-        try:
-            load_weights(path)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 2.25 * path.stat().st_size
-
-    def test_peak_is_one_arena(self, tmp_path):
+    def test_peak_is_one_arena(self, tmp_path, traced_peak):
         # Headers are checked first, then each payload is read into the arena:
         # no second copy of the tensors (8.4 MB of float32 parameters).
         config = ModelConfig(input_len=1024, conv_filters=32, conv_kernel=16,
@@ -100,39 +87,27 @@ class TestLoadMemory:
         path = tmp_path / "mid.weights"
         save_weights(build_model(config, seed=0), path)
         arena_bytes = 4 * sum(math.prod(shape) for _, shape, _ in param_layout(config))
-        tracemalloc.start()
-        try:
+        with traced_peak() as peak:
             load_weights(path)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.1 * arena_bytes
+        assert peak.bytes < 1.1 * arena_bytes
 
-    def test_huge_declared_dims_allocate_nothing(self):
+    def test_huge_declared_dims_allocate_nothing(self, traced_peak):
         # A 4 TiB tensor declared by a 57-byte file is refused from its header.
         blob = (b"MFSKNN01" + struct.pack("<IIH", 1, 1, 13) + b"hidden.weight"
                 + struct.pack("<BB2Q", 0, 2, 2**20, 2**20) + bytes(8))
-        tracemalloc.start()
-        try:
+        with traced_peak() as peak:
             with pytest.raises(TruncationError, match=r"^file ends at byte 57, needed 4398046511153$"):
                 load_weights(io.BytesIO(blob))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 64 * 1024
+        assert peak.bytes < 64 * 1024
 
 
 class TestSaveMemory:
-    def test_tensors_are_written_without_a_copy(self):
+    def test_tensors_are_written_without_a_copy(self, traced_peak):
         state = build_model(REDUCED, seed=0)
         size = len(saved_bytes(state))
-        tracemalloc.start()
-        try:
+        with traced_peak() as peak:
             save_weights(state, os.devnull)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 0.25 * size
+        assert peak.bytes < 0.25 * size
 
 
 class TestLoadErrors:

@@ -11,9 +11,10 @@ that print the same lines wrote the same bytes and refused alike:
     python3 tools/seeded_artifacts.py --src src --out /tmp/new > new.txt
     diff old.txt new.txt
 
-Before its runs it writes three profile files into ``--out``: the README's
-``desk-m4`` profile, one that lacks ``conv_kernel`` and one whose
-``symbol_len`` is fractional; the last two must be refused.  After its
+Before its runs it writes four profile files into ``--out``: the README's
+``desk-m4`` profile, one that lacks ``conv_kernel``, one whose
+``symbol_len`` is fractional and one with no section header; the last
+three must be refused.  After its
 runs it writes a truncated and a bad-magic copy of a dataset the runs made
 and a truncated copy of a weights file, which must be refused too.  The
 training logs are hashed without their wall-clock ``seconds`` column.
@@ -51,6 +52,7 @@ PROFILE_FILES = {
     "desk.ini": DESK_M4,
     "no-kernel.ini": DESK_M4.replace("conv_kernel = 8\n", ""),
     "fractional.ini": DESK_M4.replace("symbol_len = 256", "symbol_len = 256.5"),
+    "nohdr.ini": DESK_M4.replace("[desk-m4]\n", ""),
 }
 
 # (run name, CLI arguments); later runs read the files earlier runs wrote.
@@ -154,6 +156,14 @@ REFUSALS = [
     ("refuse-profile-fractional", ["--profiles-file", "fractional.ini", "synth", "--profile",
                                    "desk-m4", "--count", "1", "--snr", "0", "--seed", "1",
                                    "--out", "refused-fractional.mfskdset"]),
+    ("refuse-profile-no-header", ["--profiles-file", "nohdr.ini", "synth", "--profile",
+                                  "desk-m4", "--count", "1", "--snr", "0", "--seed", "1",
+                                  "--out", "refused-nohdr.mfskdset"]),
+    # 10**11 symbols: refused when the up-front draws cannot be allocated.
+    ("refuse-sweep-huge", ["sweep", "--profile", "reduced-m8", "--classical", "--snr", "-10",
+                           "--n", "100000000000", "--seed", "1", "--out", "refused-huge.csv"]),
+    ("refuse-bench-huge", ["bench", "--profile", "reduced-m8", "--classical",
+                           "--n", "100000000000"]),
     ("refuse-demod-cut", ["demod", "--profile", "reduced-m8", "--classical",
                           "--dataset", "cut.mfskdset", "--out-report", "refused-cut.report"]),
     ("refuse-demod-magic", ["demod", "--profile", "reduced-m8", "--classical",
