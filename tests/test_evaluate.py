@@ -1,6 +1,5 @@
 """Tests for confusion-matrix metrics, Monte-Carlo sweeps, and the benchmark."""
 
-
 import numpy as np
 import pytest
 
