@@ -23,8 +23,8 @@ import numpy as np
 from . import dataset as ds
 from .analysis import autocorrelation, classical_demodulator, energy_spectrum
 from .errors import FileFormatError
-from .evaluate import (_CHUNK, ConfusionMatrix, accumulate_many, bench_latency, metrics,
-                       sweep_ber, write_ber_csv, write_lines, write_ser_csv)
+from .evaluate import (ConfusionMatrix, accumulate_many, bench_latency, metrics, sweep_ber,
+                       write_ber_csv, write_lines, write_ser_csv)
 from .nn import TrainConfig, load_weights, model_demodulator, save_weights, train
 from .profiles import get_profile
 from .signal import SYNC, Waveform, lowpass, noisy_windows, tone_bin, tone_windows
@@ -244,8 +244,8 @@ def _cmd_demod(args) -> int:
         print(f"skipped {skipped} sync records")
 
     cm = ConfusionMatrix.empty(profile.modem.tone_count)
-    for lo in range(0, y.size, _CHUNK):
-        sel = slice(lo, lo + _CHUNK)
+    for lo in range(0, y.size, 1024):
+        sel = slice(lo, lo + 1024)
         accumulate_many(cm, y[sel], np.asarray(demod(x[sel])))
     report = metrics(cm)
     write_lines(args.out_report, report.to_text().splitlines())
