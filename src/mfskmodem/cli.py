@@ -30,6 +30,8 @@ from .profiles import get_profile
 from .signal import SYNC, Waveform, lowpass, noisy_windows, tone_bin, tone_windows
 from .theory import ebn0_to_esn0, ser_noncoherent_mfsk, ser_noncoherent_mfsk_linear, ser_to_ber
 
+_GRID_MAX_POINTS = 10**6  # the most steps, (hi - lo) / step, a lo:hi:step grid may span
+
 
 class ConfigError(Exception):
     """Bad profile name, profile file or training setting: a usage-level failure (exit 2)."""
@@ -77,12 +79,14 @@ def _grid(text: str):
     try:
         if ":" in text:
             lo, hi, step = map(_finite_db, text.split(":"))
-            if step <= 0 or hi < lo:
+            if step <= 0 or hi < lo or (hi - lo) / step > _GRID_MAX_POINTS:
                 raise ValueError
             points = []
             value = lo
             while value <= hi + 1e-9:
                 points.append(round(value, 12))
+                if value + step == value:  # a step below the float spacing never ends
+                    raise ValueError
                 value += step
             return points
         return [_finite_db(v) for v in text.split(",")]

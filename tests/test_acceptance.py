@@ -5,6 +5,7 @@ training, hours on a CPU) is opt-in via MFSKMODEM_FULL_ACCEPTANCE=1; all
 other criteria complete in minutes on a desk machine.
 """
 
+import io
 import math
 import os
 
@@ -17,7 +18,7 @@ from mfskmodem.cli import main
 from mfskmodem.errors import MagicError, TruncationError
 from mfskmodem.evaluate import bench_latency, sweep_ber
 from mfskmodem.nn import (
-    ModelConfig,
+    GRAD_CHECK_CONFIG,
     TrainConfig,
     build_model,
     grad_check,
@@ -204,14 +205,12 @@ def test_10_persistence(tmp_path):
     ds.write(round_trip, second_path)
     dataset_ok = second_path.read_bytes() == blob
 
-    state = build_model(ModelConfig(64, 4, 8, 8, 4), seed=8)
+    state = build_model(GRAD_CHECK_CONFIG, seed=8)
     weights_path = tmp_path / "model.weights"
     save_weights(state, weights_path)
     loaded = load_weights(weights_path)
     weights_ok = all(np.array_equal(loaded.tensors[n], state.tensors[n])
                      for n in state.tensors)
-
-    import io
 
     errors_ok = True
     bad_magic = b"NOTMAGIC" + blob[8:]

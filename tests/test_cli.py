@@ -279,6 +279,13 @@ class TestGrid:
         ["sweep", "--profile", "reduced-m8", "--classical", "--n", "1", "--seed", "1",
          "--snr", "0:inf:1", "--out", "sweep.csv"],
         ["theory", "--ebn0", "-inf:0:1", "--out", "theory.csv"],
+        # Finite bounds, but more than 10**6 points, or a step that 1e20 absorbs.
+        ["sweep", "--profile", "reduced-m8", "--classical", "--n", "1", "--seed", "1",
+         "--snr", "0:1e300:1", "--out", "sweep.csv"],
+        ["sweep", "--profile", "reduced-m8", "--classical", "--n", "1", "--seed", "1",
+         "--snr", "0:1:1e-300", "--out", "sweep.csv"],
+        ["theory", "--ebn0", "0:1e300:1", "--out", "theory.csv"],
+        ["theory", "--ebn0", "1e20:1e20:1", "--out", "theory.csv"],
     ])
     def test_infinite_bound_is_usage_error(self, tmp_path, argv):
         # A child process capped at 10 s and 1 GiB of address space: a grid

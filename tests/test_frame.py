@@ -1,13 +1,23 @@
-"""Tests for ``errors.Frame`` through both readers: sources, short reads, closing."""
+"""Tests for ``errors.Frame`` through both readers: the shared contract of
+magic, version, truncation and trailing bytes, byte mutations, sources, short
+reads and closing."""
 
 import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mfskmodem import errors
 from mfskmodem.dataset import DatasetSpec, generate, read, write
-from mfskmodem.errors import FileFormatError, TruncationError
+from mfskmodem.errors import (
+    FileFormatError,
+    InconsistencyError,
+    MagicError,
+    TruncationError,
+    VersionError,
+)
 from mfskmodem.nn import ModelConfig, build_model, load_weights, save_weights
 from mfskmodem.signal import ModemProfile
 
@@ -18,12 +28,16 @@ def _bytes_of(save, obj) -> bytes:
     return buffer.getvalue()
 
 
+# Small enough that a mutation often lands in a header: four 8-sample records,
+# two of them sync records, in 192 bytes; a model whose headers, names and dims
+# are a third of its 712 bytes.
 DATASET_BLOB = _bytes_of(write, generate(DatasetSpec(
     ModemProfile(1000.0, 8, 2, 0, 1, 500.0), 4, (-5.0, 5.0), seed=2, include_sync=True)))
 WEIGHTS_BLOB = _bytes_of(save_weights, build_model(
     ModelConfig(input_len=4, conv_filters=2, conv_kernel=2, hidden_units=2, classes=2), seed=0))
 
-# (reader, a good file, what the reader returned as bytes again)
+# The kind each reader names in its errors -> (reader, a good file, what the
+# reader returned as bytes again).
 READERS = {
     "dataset": (read, DATASET_BLOB, lambda ds: _bytes_of(write, ds)),
     "weights": (load_weights, WEIGHTS_BLOB, lambda state: _bytes_of(save_weights, state)),
@@ -33,6 +47,51 @@ READERS = {
 @pytest.fixture(params=sorted(READERS))
 def reader(request):
     return READERS[request.param]
+
+
+def _version_7(blob):
+    return blob[:8] + (7).to_bytes(4, "little") + blob[12:]
+
+
+@pytest.mark.parametrize("damage, error, match", [
+    pytest.param(lambda blob: b"", MagicError, "^not a {kind} file", id="empty"),
+    pytest.param(lambda blob: bytes([blob[0] ^ 0xFF]) + blob[1:], MagicError,
+                 "^not a {kind} file", id="first-byte-flipped"),
+    pytest.param(_version_7, VersionError, "^unsupported {kind} version 7$", id="version-7"),
+    # The version is checked as soon as its four bytes are in.
+    pytest.param(lambda blob: _version_7(blob[:12]), VersionError,
+                 "^unsupported {kind} version 7$", id="version-7-in-12-bytes"),
+    pytest.param(lambda blob: blob[:-1], TruncationError, None, id="last-byte-cut"),
+    pytest.param(lambda blob: blob + bytes(3), InconsistencyError,
+                 "^3 trailing bytes after the declared records$", id="3-trailing-bytes"),
+])
+@pytest.mark.parametrize("kind", sorted(READERS))
+def test_frame_contract(kind, damage, error, match):
+    load, blob, _ = READERS[kind]
+    with pytest.raises(error, match=match and match.format(kind=kind)):
+        load(io.BytesIO(damage(blob)))
+
+
+@pytest.mark.parametrize("kind", sorted(READERS))
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_mutation_fails_cleanly_or_round_trips(kind, data):
+    # Up to three overwritten bytes anywhere, optionally truncated: the reader
+    # raises only FileFormatError, or what it loads writes back to the same
+    # bytes.
+    load, blob, dump = READERS[kind]
+    positions = st.integers(0, len(blob) - 1)
+    edits = data.draw(st.lists(st.tuples(positions, st.integers(0, 255)), max_size=3))
+    keep = data.draw(st.one_of(st.none(), positions))
+    mutated = bytearray(blob)
+    for position, value in edits:
+        mutated[position] = value
+    mutated = bytes(mutated[:keep])
+    try:
+        loaded = load(io.BytesIO(mutated))
+    except FileFormatError:
+        return
+    assert dump(loaded) == mutated
 
 
 class ShortRead(io.BytesIO):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from mfskmodem.nn import (
+    GRAD_CHECK_CONFIG,
     ModelConfig,
     backward,
     build_model,
@@ -27,13 +28,11 @@ from mfskmodem.nn.model import (
     _mutable,
     param_layout,
 )
+from mfskmodem.profiles import get_profile
 
-FULL = ModelConfig(input_len=4096, conv_filters=128, conv_kernel=16,
-                   hidden_units=64, classes=64)
-REDUCED = ModelConfig(input_len=512, conv_filters=32, conv_kernel=16,
-                      hidden_units=32, classes=8)
-TINY = ModelConfig(input_len=64, conv_filters=4, conv_kernel=8,
-                   hidden_units=8, classes=4)
+FULL = get_profile("jt65a-full").model
+REDUCED = get_profile("reduced-m8").model
+TINY = GRAD_CHECK_CONFIG  # N=64, F=4, K=8, H=8, M=4
 
 
 def layer_by_layer_count(cfg: ModelConfig):

@@ -15,8 +15,8 @@ Before its runs it writes four profile files into ``--out``: the README's
 ``desk-m4`` profile, one that lacks ``conv_kernel``, one whose
 ``symbol_len`` is fractional and one with no section header; the last
 three must be refused.  After its
-runs it writes a truncated and a bad-magic copy of a dataset the runs made
-and a truncated copy of a weights file, which must be refused too.  The
+runs it writes a truncated and a bad-magic copy of a dataset and of a
+weights file the runs made, which must be refused too.  The
 training logs are hashed without their wall-clock ``seconds`` column.
 Compare hashes made on one machine: ``sin`` may round differently on
 another CPU's SIMD path.
@@ -134,6 +134,7 @@ MALFORMED = {
     "cut.mfskdset": ("m8.mfskdset", lambda data: data[:-100]),
     "notmagic.mfskdset": ("m8.mfskdset", lambda data: b"NOTMAGIC" + data[8:]),
     "cut.weights": ("m8.weights", lambda data: data[:-16]),
+    "notmagic.weights": ("m8.weights", lambda data: b"NOTMAGIC" + data[8:]),
 }
 
 # Runs the CLI must refuse; they run after RUNS, whose files they read.  Each
@@ -172,6 +173,9 @@ REFUSALS = [
     ("refuse-sweep-cut-weights", ["sweep", "--profile", "reduced-m8", "--weights", "cut.weights",
                                   "--mode", "ber", "--snr", "-10", "--n", "100", "--seed", "4",
                                   "--out", "refused-sweep.csv"]),
+    ("refuse-demod-magic-weights", ["demod", "--profile", "reduced-m8",
+                                    "--weights", "notmagic.weights", "--dataset", "m8.mfskdset",
+                                    "--out-report", "refused-magic-weights.report"]),
 ]
 
 
