@@ -7,50 +7,36 @@ closed-form limit for non-coherent orthogonal MFSK and anchors every
 Monte-Carlo acceptance check in this package.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .signal import _BLOCK_ROWS, ModemProfile, Waveform, _is_pow2, tone_bin, window_batch
+from .signal import _BLOCK_ROWS, ModemProfile, _is_pow2, tone_bin, window_batch
 
 
-@dataclass
-class Spectrum:
-    """One-sided energy spectrum: energy per DFT bin plus the bin width."""
-
-    bin_energies: np.ndarray
-    bin_width_hz: float
-
-    def peak_bin(self) -> int:
-        return int(np.argmax(self.bin_energies))
-
-
-def energy_spectrum(waveform: Waveform) -> Spectrum:
-    """Energy spectral density over the waveform's DFT bins.
+def energy_spectrum(samples: np.ndarray) -> np.ndarray:
+    """One-sided energy spectral density, one energy per DFT bin 0..N/2; bin i
+    lies at i * fs / N.
 
     Input length must be a power of two (exact-length FFT, no window
     function, no zero padding).  Bin energies satisfy Parseval: their sum
     equals the time-domain energy sum(x**2).
     """
-    n = len(waveform)
+    n = samples.size
     if not _is_pow2(n):
         raise ValueError(f"waveform length {n} is not a power of two")
-    spectrum = np.fft.rfft(waveform.samples)
-    energies = np.abs(spectrum) ** 2 / n
+    energies = np.abs(np.fft.rfft(samples)) ** 2 / n
     # One-sided: interior bins carry the energy of both DFT halves.
     energies[1:-1] *= 2.0
-    return Spectrum(energies, waveform.sample_rate_hz / n)
+    return energies
 
 
-def autocorrelation(waveform: Waveform, max_lag: int) -> np.ndarray:
+def autocorrelation(samples: np.ndarray, max_lag: int) -> np.ndarray:
     """Biased sample autocorrelation for lags 0..max_lag, normalized to r[0] = 1."""
-    n = len(waveform)
+    n = samples.size
     if not 0 <= max_lag < n:
         raise ValueError(f"max_lag must be in [0, {n}), got {max_lag}")
-    x = waveform.samples
     # FFT-based full autocorrelation; pad to the next power of two >= 2n.
     size = 1 << int(2 * n - 1).bit_length()
-    spectrum = np.fft.rfft(x, size)
+    spectrum = np.fft.rfft(samples, size)
     r = np.fft.irfft(spectrum * np.conj(spectrum), size)[: max_lag + 1]
     if r[0] == 0.0:
         raise ValueError("autocorrelation of an all-zero waveform is undefined")

@@ -27,7 +27,7 @@ from .evaluate import (ConfusionMatrix, accumulate_many, bench_latency, metrics,
                        write_ber_csv, write_lines, write_ser_csv)
 from .nn import TrainConfig, load_weights, model_demodulator, save_weights, train
 from .profiles import get_profile
-from .signal import SYNC, Waveform, lowpass, noisy_windows, tone_bin, tone_windows
+from .signal import SYNC, lowpass, noisy_windows, tone_bin, tone_windows
 from .theory import ebn0_to_esn0, ser_noncoherent_mfsk, ser_noncoherent_mfsk_linear, ser_to_ber
 
 _GRID_MAX_POINTS = 10**6  # the most steps, (hi - lo) / step, a lo:hi:step grid may span
@@ -180,7 +180,7 @@ def _cmd_analyze(args) -> int:
                 f"record index {args.index} out of range [0, {len(loaded.records)})"
             )
         record = loaded.records[args.index]
-        waveform = Waveform(record.samples.astype(np.float64), loaded.sample_rate_hz)
+        samples, rate = record.samples.astype(np.float64), loaded.sample_rate_hz
         print(f"record={args.index} label={record.label} snr_db={record.snr_db:.2f}")
     else:
         rng = np.random.default_rng(_resolve_seed(args))
@@ -188,24 +188,24 @@ def _cmd_analyze(args) -> int:
         bins = [tone_bin(profile.modem, SYNC if args.sync else args.tone)]
         x = (tone_windows(profile.modem, bins, phase) if args.snr_db is None
              else noisy_windows(profile.modem, bins, phase, args.snr_db, rng))
-        waveform = Waveform(x[0], profile.modem.sample_rate_hz)
+        samples, rate = x[0], profile.modem.sample_rate_hz
     if args.lowpass:
-        waveform = lowpass(waveform, profile.modem.ref_bandwidth_hz)
+        samples = lowpass(samples, rate, profile.modem.ref_bandwidth_hz)
 
-    excerpt = waveform.samples if args.excerpt is None else waveform.samples[: args.excerpt]
+    excerpt = samples if args.excerpt is None else samples[: args.excerpt]
     write_lines(f"{args.out_prefix}_waveform.csv",
                 ["sample,value"] + [f"{i},{value:.10g}" for i, value in enumerate(excerpt)])
 
-    spectrum = energy_spectrum(waveform)
+    energies = energy_spectrum(samples)
+    bin_width_hz = rate / samples.size
     write_lines(f"{args.out_prefix}_esd.csv", ["bin,frequency_hz,energy"] + [
-        f"{i},{i * spectrum.bin_width_hz:.6f},{energy:.10g}"
-        for i, energy in enumerate(spectrum.bin_energies)])
+        f"{i},{i * bin_width_hz:.6f},{energy:.10g}" for i, energy in enumerate(energies)])
 
-    acf = autocorrelation(waveform, min(args.max_lag, len(waveform) - 1))
+    acf = autocorrelation(samples, min(args.max_lag, samples.size - 1))
     write_lines(f"{args.out_prefix}_autocorr.csv",
                 ["lag,value"] + [f"{lag},{value:.10g}" for lag, value in enumerate(acf)])
 
-    print(f"esd_peak_bin={spectrum.peak_bin()}")
+    print(f"esd_peak_bin={int(np.argmax(energies))}")
     return 0
 
 

@@ -80,29 +80,6 @@ class ModemProfile:
         return self.symbol_len / self.sample_rate_hz
 
 
-@dataclass
-class Waveform:
-    """A real-valued sample sequence tagged with its sample rate."""
-
-    samples: np.ndarray
-    sample_rate_hz: float
-
-    def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=np.float64)
-        if self.samples.ndim != 1 or self.samples.size == 0:
-            raise ValueError("samples must be a non-empty 1-D sequence")
-        if not np.all(np.isfinite(self.samples)):
-            raise ValueError("samples must all be finite")
-        if not (np.isfinite(self.sample_rate_hz) and self.sample_rate_hz > 0):
-            raise ValueError("sample_rate_hz must be finite and positive")
-
-    def __len__(self) -> int:
-        return self.samples.size
-
-    def mean_power(self) -> float:
-        return float(np.mean(self.samples**2))
-
-
 def tone_bin(profile: ModemProfile, tone) -> int:
     """DFT bin index for ``tone``: an integer in [0, tone_count) or SYNC."""
     if isinstance(tone, str):
@@ -144,14 +121,14 @@ def window_batch(batch, symbol_len: int) -> np.ndarray:
     return batch
 
 
-def synthesize_symbol(profile: ModemProfile, tone, phase: float = 0.0) -> Waveform:
-    """One symbol interval of ``tone``: the unit tone sin(2*pi*f*n/fs + phase).
+def synthesize_symbol(profile: ModemProfile, tone, phase: float = 0.0) -> np.ndarray:
+    """One symbol interval of ``tone``, the (symbol_len,) unit tone
+    sin(2*pi*f*n/fs + phase).
 
     Because the tone is bin-aligned the window holds an integer number of
     cycles and the mean power is exactly 1/2 (up to rounding).
     """
-    x = tone_windows(profile, [tone_bin(profile, tone)], phase)[0]
-    return Waveform(x, profile.sample_rate_hz)
+    return tone_windows(profile, [tone_bin(profile, tone)], phase)[0]
 
 
 def noise_variance(profile: ModemProfile, snr_db: float) -> float:
@@ -192,31 +169,30 @@ def noisy_windows(profile: ModemProfile, bins, phases, snr_db: float,
     return x
 
 
-def measure_snr(noisy: Waveform, clean: Waveform, ref_bandwidth_hz: float) -> float:
-    """Reference-bandwidth SNR in dB of ``noisy`` against the known ``clean``.
+def measure_snr(noisy, clean, profile: ModemProfile) -> float:
+    """Reference-bandwidth SNR in dB of the samples ``noisy`` against the known
+    ``clean`` ones, both at ``profile``'s rate.
 
-    Inverse of noisy_windows' convention: the residual's variance is scaled
-    by B / (fs/2) before the ratio.  Saturates at SNR_SATURATION_DB instead
+    Inverse of noise_variance: the residual's variance is scaled by
+    B / (fs/2) before the ratio.  Saturates at SNR_SATURATION_DB instead
     of returning +inf when the residual (or its variance) vanishes.
     """
-    if len(noisy) != len(clean):
+    noisy = np.asarray(noisy, dtype=np.float64)
+    clean = np.asarray(clean, dtype=np.float64)
+    if noisy.size != clean.size:
         raise ValueError("noisy and clean waveforms must have equal length")
-    if noisy.sample_rate_hz != clean.sample_rate_hz:
-        raise ValueError("noisy and clean waveforms must share a sample rate")
-    clean_power = clean.mean_power()
+    clean_power = float(np.mean(clean**2))
     if clean_power == 0.0:
         raise ValueError("clean reference has zero power")
-    residual = noisy.samples - clean.samples
-    var = float(np.var(residual))
+    var = float(np.var(noisy - clean))
     if var == 0.0:
         return SNR_SATURATION_DB
-    snr = 10.0 * np.log10(
-        clean_power / (var * ref_bandwidth_hz / (clean.sample_rate_hz / 2.0))
-    )
+    snr = 10.0 * np.log10(clean_power / (var * profile.ref_bandwidth_hz
+                                         / (profile.sample_rate_hz / 2.0)))
     return float(min(snr, SNR_SATURATION_DB))
 
 
-def lowpass(waveform: Waveform, cutoff_hz: float) -> Waveform:
+def lowpass(samples: np.ndarray, sample_rate_hz: float, cutoff_hz: float) -> np.ndarray:
     """Brick-wall low-pass: zero every DFT bin strictly above ``cutoff_hz``.
 
     Provided for figure reproduction only; the synthesis/dataset path keeps
@@ -224,7 +200,6 @@ def lowpass(waveform: Waveform, cutoff_hz: float) -> Waveform:
     """
     if cutoff_hz <= 0:
         raise ValueError("cutoff_hz must be positive")
-    spectrum = np.fft.rfft(waveform.samples)
-    freqs = np.fft.rfftfreq(waveform.samples.size, d=1.0 / waveform.sample_rate_hz)
-    spectrum[freqs > cutoff_hz] = 0.0
-    return Waveform(np.fft.irfft(spectrum, n=waveform.samples.size), waveform.sample_rate_hz)
+    spectrum = np.fft.rfft(samples)
+    spectrum[np.fft.rfftfreq(samples.size, d=1.0 / sample_rate_hz) > cutoff_hz] = 0.0
+    return np.fft.irfft(spectrum, n=samples.size)

@@ -52,7 +52,11 @@ def ser_noncoherent_mfsk(tone_count: int, es_n0_db: float) -> float:
     """
     if not math.isfinite(es_n0_db):
         raise ValueError("es_n0_db must be finite")
-    return ser_noncoherent_mfsk_linear(tone_count, 10.0 ** (es_n0_db / 10.0))
+    try:
+        es_n0 = 10.0 ** (es_n0_db / 10.0)
+    except OverflowError:
+        raise ValueError(f"es_n0_db {es_n0_db:g} gives no finite linear Es/N0") from None
+    return ser_noncoherent_mfsk_linear(tone_count, es_n0)
 
 
 def bits_per_symbol(tone_count: int) -> int:

@@ -5,7 +5,18 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from mfskmodem.profiles import get_profile
+from mfskmodem.profiles import PROFILE_KEYS, get_profile
+
+# The README's desk-m4 profile, as profile-file keys and values.
+DESK_M4 = dict(zip(PROFILE_KEYS, (8000, 256, 4, 20, 2, 1000, 8, 8, 8)))
+
+
+def write_profiles(path, sections):
+    """Write a profile file of ``sections``, {name: {key: value}}, to ``path``."""
+    path.write_text("".join(
+        f"[{name}]\n" + "".join(f"{key} = {value}\n" for key, value in keys.items())
+        for name, keys in sections.items()))
+    return path
 
 
 @pytest.fixture(scope="session")

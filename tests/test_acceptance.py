@@ -29,7 +29,7 @@ from mfskmodem.nn import (
     train,
 )
 from mfskmodem.profiles import get_profile
-from mfskmodem.signal import Waveform, measure_snr, noisy_windows, synthesize_symbol, tone_bin
+from mfskmodem.signal import measure_snr, noisy_windows, synthesize_symbol, tone_bin
 from mfskmodem.theory import (
     ebn0_to_esn0,
     esn0_to_snr,
@@ -95,16 +95,14 @@ def test_02_theory_simulation_triangle():
 
 def test_03_snr_calibration():
     # Ten windows of tone 9 through the channel every command uses.
-    base = synthesize_symbol(FULL.modem, 9, phase=0.8)
-    clean = Waveform(np.tile(base.samples, 10), FULL.modem.sample_rate_hz)
+    clean = np.tile(synthesize_symbol(FULL.modem, 9, phase=0.8), 10)
     bins = [tone_bin(FULL.modem, 9)] * 10
     ok = True
     details = []
     for target in (-30.0, -25.0, -20.0, -10.0, 0.0):
         rng = np.random.default_rng(1000 + int(target))
         channel = noisy_windows(FULL.modem, bins, 0.8, target, rng)
-        noisy = Waveform(channel.ravel(), FULL.modem.sample_rate_hz)
-        measured = measure_snr(noisy, clean, FULL.modem.ref_bandwidth_hz)
+        measured = measure_snr(channel.ravel(), clean, FULL.modem)
         ok = ok and abs(measured - target) <= 0.2
         details.append(f"{target:g}->{measured:.3f}")
     report(3, "snr calibration +/-0.2 dB", ok, " ".join(details))

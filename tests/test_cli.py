@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import DESK_M4, write_profiles
 from mfskmodem import cli
 from mfskmodem import dataset as ds
 from mfskmodem.cli import main
@@ -75,9 +76,8 @@ class TestSynth:
         assert "unknown profile" in err
 
     def test_bad_profile_value_names_its_section_and_key(self, tmp_path, capsys):
-        config = tmp_path / "fractional.ini"
-        config.write_text("[desk-m4]\n" + "".join(
-            f"{key} = {value}\n" for key, value in {**DESK_M4, "symbol_len": "256.5"}.items()))
+        config = write_profiles(tmp_path / "fractional.ini",
+                                {"desk-m4": {**DESK_M4, "symbol_len": "256.5"}})
         out_file = tmp_path / "f.dset"
         code, _, err = run(capsys, "--profiles-file", str(config), "synth", "--profile",
                            "desk-m4", "--count", "1", "--snr", "0", "--seed", "1",
@@ -368,12 +368,9 @@ class TestProfileCrossCheck:
 
     def test_mismatched_field_is_named(self, workspace, tmp_path, capsys):
         _, train_set, _, _ = workspace
-        config = tmp_path / "profiles.ini"
-        config.write_text(
-            "[m8-at-8k]\nsample_rate_hz = 8000\nsymbol_len = 512\ntone_count = 8\n"
-            "sync_bin = 59\ntone_offset = 2\nref_bandwidth_hz = 2500\n"
-            "conv_filters = 4\nconv_kernel = 4\nhidden_units = 4\n"
-        )
+        # The dataset's window and alphabet at 8000 Hz: only the rate differs from its header.
+        config = write_profiles(tmp_path / "profiles.ini",
+                                {"m8-at-8k": {**DESK_M4, "symbol_len": 512, "tone_count": 8}})
         code, _, err = run(capsys, "--profiles-file", str(config), "demod",
                            "--profile", "m8-at-8k", "--classical", "--dataset",
                            str(train_set), "--out-report", str(tmp_path / "r.txt"))
@@ -414,6 +411,13 @@ class TestTheory:
         assert err == "error: tone_count must be a power of two >= 2\n"
         assert not out.exists()
 
+    def test_unrepresentable_ebn0_is_one_error_line(self, tmp_path, capsys):
+        out = tmp_path / "huge.csv"
+        code, _, err = run(capsys, "theory", "--ebn0", "4000", "--out", str(out))
+        assert code == 1
+        assert err == "error: es_n0_db 4007.78 gives no finite linear Es/N0\n"
+        assert not out.exists()
+
 
 class TestBench:
     def test_minimum_count_is_usage_error(self):
@@ -447,26 +451,9 @@ class TestHugeCount:
         assert list(tmp_path.iterdir()) == []
 
 
-DESK_M4 = {"sample_rate_hz": 8000, "symbol_len": 256, "tone_count": 4, "sync_bin": 20,
-           "tone_offset": 2, "ref_bandwidth_hz": 1000, "conv_filters": 8,
-           "conv_kernel": 8, "hidden_units": 8}
-
-
 class TestProfilesFile:
     def test_custom_profile_loads(self, tmp_path, capsys):
-        config = tmp_path / "profiles.ini"
-        config.write_text(
-            "[desk-m4]\n"
-            "sample_rate_hz = 8000\n"
-            "symbol_len = 256\n"
-            "tone_count = 4\n"
-            "sync_bin = 20\n"
-            "tone_offset = 2\n"
-            "ref_bandwidth_hz = 1000\n"
-            "conv_filters = 8\n"
-            "conv_kernel = 8\n"
-            "hidden_units = 8\n"
-        )
+        config = write_profiles(tmp_path / "profiles.ini", {"desk-m4": DESK_M4})
         out_file = tmp_path / "d.dset"
         code, out, _ = run(capsys, "--profiles-file", str(config), "synth",
                            "--profile", "desk-m4", "--count", "3", "--snr", "-5",
@@ -477,11 +464,8 @@ class TestProfilesFile:
     @pytest.mark.parametrize("line", ["sample_rate_hz = nan", "sample_rate_hz = inf",
                                       "ref_bandwidth_hz = inf", "tone_count = 1"])
     def test_unrunnable_value_is_config_error(self, tmp_path, capsys, line):
-        key = line.split(" = ")[0]
-        config = tmp_path / "profiles.ini"
-        config.write_text("[bad]\n" + "".join(
-            f"{line}\n" if name == key else f"{name} = {value}\n"
-            for name, value in DESK_M4.items()))
+        key, value = line.split(" = ")
+        config = write_profiles(tmp_path / "profiles.ini", {"bad": {**DESK_M4, key: value}})
         out_file = tmp_path / "e.dset"
         code, _, err = run(capsys, "--profiles-file", str(config), "synth",
                            "--profile", "bad", "--count", "1", "--snr", "-5",
@@ -520,10 +504,8 @@ class TestProfilesFile:
         assert "missing keys" in err
 
     def test_misspelled_key_is_config_error(self, tmp_path, capsys):
-        config = tmp_path / "profiles.ini"
-        config.write_text("[desk-m4]\n" + "".join(f"{name} = {value}\n"
-                                                   for name, value in DESK_M4.items())
-                          + "hiden_units = 99\n")
+        config = write_profiles(tmp_path / "profiles.ini",
+                                {"desk-m4": {**DESK_M4, "hiden_units": 99}})
         out_file = tmp_path / "e.dset"
         code, out, err = run(capsys, "--profiles-file", str(config), "synth",
                              "--profile", "desk-m4", "--count", "1", "--snr", "-5",

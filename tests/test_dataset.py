@@ -25,7 +25,6 @@ from mfskmodem.dataset import _draw, _record_rng
 from mfskmodem.errors import InconsistencyError, TruncationError
 from mfskmodem.signal import (
     SYNC,
-    Waveform,
     measure_snr,
     noise_variance,
     synthesize_symbol,
@@ -61,7 +60,7 @@ class TestGenerate:
             labels.add(label)
             tone = SYNC if label == SYNC_LABEL else label
             sigma = np.sqrt(noise_variance(spec.profile, snr_db))
-            noisy = (synthesize_symbol(spec.profile, tone, phase).samples
+            noisy = (synthesize_symbol(spec.profile, tone, phase)
                      + rng.normal(0.0, sigma, spec.profile.symbol_len))
             assert np.array_equal(generate_record(spec, index).samples,
                                   noisy.astype(np.float32))
@@ -124,9 +123,7 @@ class TestGenerate:
             record = generate_record(spec, index)
             label, phase, _ = record_params(spec, index)
             clean = synthesize_symbol(full_profile, label, phase)
-            noisy = Waveform(record.samples.astype(np.float64),
-                             full_profile.sample_rate_hz)
-            measured = measure_snr(noisy, clean, full_profile.ref_bandwidth_hz)
+            measured = measure_snr(record.samples, clean, full_profile)
             assert measured == pytest.approx(record.snr_db, abs=0.5)
 
     def test_invalid_spec_rejected(self, reduced_spec):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import DESK_M4, write_profiles
 from mfskmodem.analysis import classical_demodulator
 from mfskmodem.evaluate import (
     BER_CSV_HEADER,
@@ -46,14 +47,11 @@ def test_both_detectors_keep_one_batch_contract(reduced_profile, rng, detector):
 def test_a_shifted_tone_plan_reaches_detector_sweep_and_bench(tmp_path):
     """sync_bin 31 and tone_offset 5, unlike both builtins: the classical
     detector, the sweep and the latency bench must place data tone 0 on bin 36."""
-    config = tmp_path / "profiles.ini"
-    config.write_text(
-        "[shifted]\nsample_rate_hz = 8000\nsymbol_len = 256\ntone_count = 8\n"
-        "sync_bin = 31\ntone_offset = 5\nref_bandwidth_hz = 2500\n"
-        "conv_filters = 4\nconv_kernel = 8\nhidden_units = 8\n")
+    config = write_profiles(tmp_path / "profiles.ini", {"shifted": {
+        **DESK_M4, "tone_count": 8, "sync_bin": 31, "tone_offset": 5, "ref_bandwidth_hz": 2500}})
     profile = get_profile("shifted", config).modem
     demod = classical_demodulator(profile)
-    clean = np.stack([synthesize_symbol(profile, tone, phase=0.4 * tone).samples
+    clean = np.stack([synthesize_symbol(profile, tone, phase=0.4 * tone)
                       for tone in range(profile.tone_count)])
     assert demod(clean).tolist() == list(range(profile.tone_count))
     row = sweep_ber(demod, profile, [30.0], 500, seed=3)[0]

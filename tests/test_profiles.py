@@ -2,16 +2,8 @@
 
 import pytest
 
-from mfskmodem.profiles import PROFILE_KEYS, load_profiles
-
-DESK_M4 = dict(zip(PROFILE_KEYS, (8000, 256, 4, 20, 2, 1000, 8, 8, 8)))
-
-
-def write_profiles(path, sections):
-    path.write_text("".join(
-        f"[{name}]\n" + "".join(f"{key} = {value}\n" for key, value in keys.items())
-        for name, keys in sections.items()))
-    return path
+from conftest import DESK_M4, write_profiles
+from mfskmodem.profiles import load_profiles
 
 
 def test_file_profile_joins_the_builtins(tmp_path):

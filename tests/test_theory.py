@@ -107,6 +107,8 @@ class TestSerNoncoherentMfsk:
             ser_noncoherent_mfsk(64, float("inf"))
         with pytest.raises(ValueError, match="finite"):
             ser_noncoherent_mfsk_linear(64, float("nan"))
+        with pytest.raises(ValueError, match="^es_n0_db 4000 gives no finite linear Es/N0$"):
+            ser_noncoherent_mfsk(64, 4000.0)
 
 
 class TestSerToBer:

@@ -44,7 +44,7 @@ def overfit_data(count=200, seed=0):
     rng = np.random.default_rng(seed)
     labels = rng.integers(0, 4, count)
     x = np.stack([
-        synthesize_symbol(OVERFIT_PROFILE, int(s), phase=p).samples
+        synthesize_symbol(OVERFIT_PROFILE, int(s), phase=p)
         for s, p in zip(labels, rng.uniform(0, 2 * np.pi, count))
     ]).astype(np.float32)
     return x, labels
@@ -410,9 +410,9 @@ class TestPredict:
     def test_trained_model_decodes_every_tone(self, overfit_run):
         _, _, state, _ = overfit_run
         for s in range(4):
-            w = synthesize_symbol(OVERFIT_PROFILE, s, phase=2.2)
-            decoded = model_demodulator(state)(w.samples[None, :])
-            probs = forward(state, w.samples[None, :])[0]
+            w = synthesize_symbol(OVERFIT_PROFILE, s, phase=2.2)[None, :]
+            decoded = model_demodulator(state)(w)
+            probs = forward(state, w)[0]
             assert decoded.tolist() == [s]
             assert probs.sum() == pytest.approx(1.0, abs=1e-6)
 

@@ -144,6 +144,8 @@ REFUSALS = [
     ("refuse-synth-snr", ["synth", "--profile", "reduced-m8", "--count", "3", "--snr", "4000",
                           "--seed", "1", "--out", "refused-synth.mfskdset"]),
     ("refuse-theory-m1", ["theory", "--m", "1", "--ebn0", "0", "--out", "refused-theory.csv"]),
+    # A grid of 10**300 points: refused as a usage error before any point runs.
+    ("refuse-theory-grid", ["theory", "--ebn0", "0:1e300:1", "--out", "refused-grid.csv"]),
     ("refuse-demod-profile", ["demod", "--profile", "jt65a-full", "--classical",
                               "--dataset", "m8.mfskdset", "--out-report", "refused-demod.report"]),
     ("refuse-profile-name", ["synth", "--profile", "nope", "--count", "1", "--snr", "0",
