@@ -23,8 +23,8 @@ import numpy as np
 from . import dataset as ds
 from .analysis import autocorrelation, classical_demodulator, energy_spectrum
 from .errors import FileFormatError
-from .evaluate import (ConfusionMatrix, accumulate_many, bench_latency, metrics, sweep_ber,
-                       write_ber_csv, write_lines, write_ser_csv)
+from .evaluate import (DEMOD_BATCH, ConfusionMatrix, accumulate_many, bench_latency, metrics,
+                       sweep_ber, write_ber_csv, write_lines, write_ser_csv)
 from .nn import TrainConfig, load_weights, model_demodulator, save_weights, train
 from .profiles import get_profile
 from .signal import SYNC, lowpass, noisy_windows, tone_bin, tone_windows
@@ -175,13 +175,12 @@ def _cmd_analyze(args) -> int:
     profile = _profile(args)
     if args.dataset is not None:
         loaded = _read_dataset(args.dataset, profile)
-        if not 0 <= args.index < len(loaded.records):
-            raise ValueError(
-                f"record index {args.index} out of range [0, {len(loaded.records)})"
-            )
-        record = loaded.records[args.index]
-        samples, rate = record.samples.astype(np.float64), loaded.sample_rate_hz
-        print(f"record={args.index} label={record.label} snr_db={record.snr_db:.2f}")
+        count = len(loaded.label)
+        if not 0 <= args.index < count:
+            raise ValueError(f"record index {args.index} out of range [0, {count})")
+        samples, rate = loaded.samples(args.index).astype(np.float64), loaded.sample_rate_hz
+        print(f"record={args.index} label={loaded.label[args.index]} "
+              f"snr_db={loaded.snr_db[args.index]:.2f}")
     else:
         rng = np.random.default_rng(_resolve_seed(args))
         phase = rng.uniform(0.0, 2.0 * np.pi)
@@ -243,13 +242,13 @@ def _cmd_demod(args) -> int:
     demod = _build_demod(args, profile)
     loaded = _read_dataset(args.dataset, profile)
     x, y = ds.data_arrays(loaded)
-    skipped = len(loaded.records) - y.size
+    skipped = len(loaded.label) - y.size
     if skipped:
         print(f"skipped {skipped} sync records")
 
     cm = ConfusionMatrix.empty(profile.modem.tone_count)
-    for lo in range(0, y.size, 1024):
-        sel = slice(lo, lo + 1024)
+    for lo in range(0, y.size, DEMOD_BATCH):
+        sel = slice(lo, lo + DEMOD_BATCH)
         accumulate_many(cm, y[sel], np.asarray(demod(x[sel])))
     report = metrics(cm)
     write_lines(args.out_report, report.to_text().splitlines())

@@ -23,15 +23,21 @@ File layout (all integers little-endian):
 Samples are stored as IEEE-754 binary32, matching the network's training
 dtype and halving file size versus float64.
 
-In memory the records keep this layout: ``Dataset.records`` is a numpy
-record array of ``record_dtype(symbol_len)``, so ``read`` and ``write`` move
-the payload in one piece, and ``r.label`` works on one record or on all.
-``read`` checks the header against the file size before it allocates that
-array, then reads the payload straight into it: it holds one copy.
-``data_arrays`` adds none: its ``x`` is a ``RowView`` that gathers the
-data-tone rows of ``records.samples`` only as a caller indexes them.
+In memory a record keeps this layout: ``record_dtype(symbol_len)``.
+``generate`` returns a ``Dataset`` that holds its record array.  ``read``
+checks the header against the file size, then checks every label and sample
+in one sequential pass over blocks of at most ``_BLOCK_BYTES``, and keeps
+only each record's ``snr_db`` and ``label``: the rows stay in the file.
+Both kinds give their rows the same way: ``Dataset.samples`` gathers the
+rows a caller asks for (from a file, one sorted run of consecutive records
+at a time), and ``write`` streams the records block by block.
+``data_arrays``' ``x`` is a ``RowView`` that gathers rows only as a caller
+indexes them, so ``demod``, ``train`` and ``analyze`` hold one batch of
+rows, not the file.
 """
 
+import contextlib
+import os
 import struct
 from dataclasses import dataclass
 
@@ -47,6 +53,9 @@ VERSION = 1
 SYNC_LABEL = 0xFFFF
 
 _HEADER = "<II HH Q"  # after the magic and the u32 version
+
+# The most record bytes that read's check, or one run of a gather, reads at a time.
+_BLOCK_BYTES = 1 << 20
 
 
 def record_dtype(symbol_len: int) -> np.dtype:
@@ -78,15 +87,115 @@ class DatasetSpec:
             raise ValueError("snr_range must be finite with lo <= hi")
 
 
-@dataclass
 class Dataset:
-    """Records plus the header fields the file format preserves."""
+    """A dataset's header fields, each record's ``snr_db`` and ``label``, and the
+    source of its rows.
 
-    sample_rate_hz: int
-    symbol_len: int
-    tone_count: int
-    include_sync: bool
-    records: np.recarray  # of record_dtype(symbol_len)
+    ``records`` is a record array of ``record_dtype(symbol_len)`` held in
+    memory.  With ``file``, read's ``(source, start, payload offset)`` of a
+    checked file, ``records`` holds only the ``snr_db`` and ``label`` fields,
+    and every row is read from the file when it is gathered: a path is
+    reopened for each gather, and a caller's seekable file is used as given,
+    so it must stay open and unchanged.
+    """
+
+    def __init__(self, sample_rate_hz: int, symbol_len: int, tone_count: int,
+                 include_sync: bool, records, file=None):
+        self.sample_rate_hz = sample_rate_hz
+        self.symbol_len = symbol_len
+        self.tone_count = tone_count
+        self.include_sync = include_sync
+        if file is None:
+            records = np.ascontiguousarray(records, record_dtype(symbol_len))
+        self._array = records if file is None else None
+        self._file = file
+        self.snr_db, self.label = records["snr_db"], records["label"]
+        self._block = max(1, _BLOCK_BYTES // record_dtype(symbol_len).itemsize)
+
+    @property
+    def records(self) -> np.recarray:
+        """Every record: the array held in memory, or a read-only array of the
+        whole file's records, read for each access."""
+        if self._file is None:
+            return self._array.view(np.recarray)
+        count = len(self.label)
+        records = np.empty(count, record_dtype(self.symbol_len))
+        with self._fetcher(min(count, self._block)) as fetch:
+            for lo, hi in _spans(count, self._block):
+                records[lo:hi] = fetch(lo, hi)
+        records = records.view(np.recarray)
+        records.flags.writeable = False
+        return records
+
+    def samples(self, rows) -> np.ndarray:
+        """The float32 samples of record ``rows``, an integer (one read-only row)
+        or an integer array (a new array of rows), in the order asked.
+
+        From a file the rows are gathered one sorted run of consecutive
+        records at a time, each run at most one block, read into one reused
+        buffer.
+        """
+        wanted = np.asarray(rows, dtype=np.intp)
+        count = len(self.label)
+        if wanted.size and not (0 <= wanted.min() and wanted.max() < count):
+            raise IndexError(f"record index outside [0, {count})")
+        if self._file is None:  # one fancy index, with no Python step per run
+            out = self._array["samples"][wanted]
+        else:
+            out = np.empty(wanted.shape + (self.symbol_len,), np.float32)
+            flat = out.reshape(-1, self.symbol_len)
+            with self._fetcher(min(wanted.size, self._block)) as fetch:
+                for positions, lo, hi in _runs(wanted.ravel(), self._block):
+                    flat[positions] = fetch(lo, hi)["samples"]
+        if wanted.ndim == 0:
+            out.flags.writeable = False
+        return out
+
+    @contextlib.contextmanager
+    def _fetcher(self, capacity: int):
+        """The one row source: ``fetch(lo, hi)`` gives records ``lo..hi-1``, at
+        most ``capacity`` of them, from the array in memory or read from the
+        file into one reused buffer.  A path is open only inside the block."""
+        if self._file is None:
+            yield lambda lo, hi: self._array[lo:hi]
+            return
+        source, start, offset = self._file
+        if hasattr(source, "read"):
+            source.seek(start)
+        with Frame(source, MAGIC, VERSION, "dataset") as frame:
+            yield _reader(frame, offset, record_dtype(self.symbol_len), capacity)
+
+
+def _reader(frame, offset: int, dtype: np.dtype, capacity: int):
+    """``fetch(lo, hi)``: records ``lo..hi-1`` of the payload at ``offset``, read
+    into one buffer of ``capacity`` records that each call reuses."""
+    buffer = np.empty(capacity, dtype)
+
+    def fetch(lo, hi):
+        block = buffer[: hi - lo]
+        frame.readinto(offset + lo * dtype.itemsize, block)
+        return block
+
+    return fetch
+
+
+def _spans(count: int, block: int):
+    """(lo, hi) of each block of ``count`` records, in order."""
+    return ((lo, min(lo + block, count)) for lo in range(0, count, block))
+
+
+def _runs(rows: np.ndarray, block: int):
+    """(positions, lo, hi) for each run of at most ``block`` consecutive records
+    ``lo..hi-1``, which are ``rows[positions]``, in file order."""
+    order = np.argsort(rows, kind="stable")
+    ordered = rows[order]
+    first = 0
+    for end in (np.flatnonzero(np.diff(ordered) != 1) + 1).tolist() + [rows.size]:
+        for a in range(first, end, block):
+            b = min(a + block, end)
+            lo = int(ordered[a])
+            yield order[a:b], lo, lo + b - a
+        first = end
 
 
 def record_params(spec: DatasetSpec, index: int):
@@ -170,10 +279,12 @@ def write(dataset: Dataset, destination) -> None:
 
 
 def _write(dataset: Dataset, handle):
-    records = np.ascontiguousarray(dataset.records, dtype=record_dtype(dataset.symbol_len))
+    count = len(dataset.label)
     write_header(handle, dataset.sample_rate_hz, dataset.symbol_len,
-                 dataset.tone_count, dataset.include_sync, len(records))
-    handle.write(records)
+                 dataset.tone_count, dataset.include_sync, count)
+    with dataset._fetcher(min(count, dataset._block)) as fetch:
+        for lo, hi in _spans(count, dataset._block):
+            handle.write(fetch(lo, hi))
 
 
 def write_header(handle, sample_rate_hz: int, symbol_len: int, tone_count: int,
@@ -193,19 +304,21 @@ def write_record(handle, symbol_len: int, record: np.record) -> None:
 
 
 def read(source, check=None) -> Dataset:
-    """Read a dataset file (path or seekable binary file) into memory; records
-    are a read-only array, filled straight from the file once the header
-    checks pass.
+    """Check a dataset file (path or seekable binary file) and return it as a
+    file-backed ``Dataset``: each record's ``snr_db`` and ``label`` in memory,
+    its samples read from the file as they are gathered.
 
     Raises MagicError, VersionError, TruncationError (from ``errors.Frame``)
     or InconsistencyError depending on how the file is malformed, including
     a header flag other than bit 0, a label that is neither a data tone nor
-    a sync record the header allows, and a non-finite sample.
+    a sync record the header allows, and a non-finite sample.  A label fault
+    is reported before a non-finite sample, each at its first record.  A
+    gather from a file cut after ``read`` raises TruncationError.
 
     ``check(sample_rate_hz, symbol_len, tone_count)``, when given, runs on the
-    header's fields after those header checks and before the record array is
-    allocated; what it raises propagates, so a caller can refuse a file of the
-    wrong shape without reading its payload.
+    header's fields after those header checks and before any record is read;
+    what it raises propagates, so a caller can refuse a file of the wrong
+    shape without reading its payload.
     """
     with Frame(source, MAGIC, VERSION, "dataset") as frame:
         rate, symbol_len, tones, flags, count = frame.unpack(_HEADER)
@@ -225,52 +338,63 @@ def read(source, check=None) -> Dataset:
         frame.end()
         if check is not None:
             check(rate, symbol_len, tones)
-        records = np.empty(count, record_dtype(symbol_len))
-        frame.readinto(offset, records)
-    records = records.view(np.recarray)
-    records.flags.writeable = False
-    include_sync = bool(flags & 1)
-    allowed = (records.label < tones) | ((records.label == SYNC_LABEL) & include_sync)
-    if not allowed.all():
-        i = np.argmin(allowed)
-        raise InconsistencyError(f"record {i} has label {records.label[i]}, outside [0, {tones})"
-                                 + ("" if include_sync else " and the sync flag is clear"))
-    row = _first_nonfinite(records.samples)
-    if row is not None:
-        raise InconsistencyError(f"record {row} has a non-finite sample")
-    return Dataset(rate, symbol_len, tones, include_sync, records)
+        include_sync = bool(flags & 1)
+        heads = np.empty(count, [("snr_db", "<f4"), ("label", "<u2")])
+        block = max(1, _BLOCK_BYTES // record_bytes)
+        fetch = _reader(frame, offset, record_dtype(symbol_len), min(count, block))
+        nonfinite = None
+        for lo, hi in _spans(count, block):
+            records = fetch(lo, hi)
+            labels = records["label"]
+            allowed = (labels < tones) | ((labels == SYNC_LABEL) & include_sync)
+            if not allowed.all():
+                i = np.argmin(allowed)
+                raise InconsistencyError(
+                    f"record {lo + i} has label {labels[i]}, outside [0, {tones})"
+                    + ("" if include_sync else " and the sync flag is clear"))
+            if nonfinite is None:
+                row = _first_nonfinite(records["samples"])
+                nonfinite = None if row is None else lo + row
+            heads["snr_db"][lo:hi] = records["snr_db"]
+            heads["label"][lo:hi] = labels
+    if nonfinite is not None:
+        raise InconsistencyError(f"record {nonfinite} has a non-finite sample")
+    heads.flags.writeable = False
+    if not hasattr(source, "read"):
+        source = os.path.abspath(source)
+    return Dataset(rate, symbol_len, tones, include_sync, heads,
+                   file=(source, frame.start, offset))
 
 
 def label_histogram(dataset: Dataset) -> dict:
     """Exact per-label record counts; sync records keyed by SYNC_LABEL."""
-    if len(dataset.records) == 0:
+    if len(dataset.label) == 0:
         raise ValueError("dataset is empty")
-    labels, counts = np.unique(dataset.records.label, return_counts=True)
+    labels, counts = np.unique(dataset.label, return_counts=True)
     return {int(label): int(n) for label, n in zip(labels, counts)}
 
 
 class RowView:
-    """Read-only rows ``samples[index]`` of a 2-D array, gathered only when indexed.
+    """Read-only rows ``dataset.samples(index[key])``, gathered only when indexed.
 
-    ``view[key]`` is ``samples[index[key]]``: one row for an integer, a new
-    array of rows for a slice or an integer array.  ``shape``, ``dtype``,
-    ``ndim`` and ``len`` are those of the gathered array; ``np.asarray(view)``
-    gathers every row.
+    ``view[key]`` gathers the rows of records ``index[key]``: one read-only
+    row for an integer, a new array of rows for a slice or an integer array.
+    ``shape``, ``dtype``, ``ndim`` and ``len`` are those of the gathered
+    array; ``np.asarray(view)`` gathers every row.
     """
 
-    def __init__(self, samples: np.ndarray, index: np.ndarray):
-        self._samples = samples.view()
-        self._samples.flags.writeable = False
+    def __init__(self, dataset: Dataset, index: np.ndarray):
+        self._dataset = dataset
         self._index = index
-        self.shape = (index.size,) + samples.shape[1:]
-        self.dtype = samples.dtype
-        self.ndim = samples.ndim
+        self.shape = (index.size, dataset.symbol_len)
+        self.dtype = np.dtype(np.float32)
+        self.ndim = 2
 
     def __len__(self):
         return self.shape[0]
 
     def __getitem__(self, key):
-        return self._samples[self._index[key]]
+        return self._dataset.samples(self._index[key])
 
     def __array__(self, dtype=None, copy=None):
         if copy is False:
@@ -282,11 +406,10 @@ def data_arrays(dataset: Dataset):
     """(x, y): the data-tone records' float32 samples and integer labels.
 
     Sync records are excluded; the network's output alphabet covers the
-    data tones only.  ``x`` is a ``RowView`` of ``records.samples``, so no
-    sample is copied until a caller indexes rows; ``y`` is an int64 array.
+    data tones only.  ``x`` is a ``RowView`` of the dataset, so no sample is
+    read or copied until a caller indexes rows; ``y`` is an int64 array.
     """
-    records = dataset.records
-    index = np.flatnonzero(records.label != SYNC_LABEL)
+    index = np.flatnonzero(dataset.label != SYNC_LABEL)
     if index.size == 0:
         raise ValueError("dataset has no data-tone records")
-    return RowView(records.samples, index), records.label[index].astype(np.int64)
+    return RowView(dataset, index), dataset.label[index].astype(np.int64)

@@ -28,6 +28,11 @@ BER_CSV_HEADER = "snr_db,ebn0_db,ber_measured,ber_from_ser,ber_theory,n"
 # 64 cut it further but cost about 3% symbols/s.
 _CHUNK = 256
 
+# Rows of a dataset file that `demod` gathers and demodulates per call.  The
+# gathered batch bounds demod's memory: at symbol_len 4096 it is 16 MiB of
+# float32 rows, whatever the file's size.
+DEMOD_BATCH = 1024
+
 
 @dataclass
 class ConfusionMatrix:

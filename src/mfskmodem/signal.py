@@ -157,15 +157,20 @@ def noisy_windows(profile: ModemProfile, bins, phases, snr_db: float,
     white noise calibrated to ``snr_db``, drawn from ``rng`` after the caller's
     own draws.  Datasets, sweeps and ``analyze`` all go through here.
 
-    The noise is added one _BLOCK_ROWS block of rows at a time, so the only
-    batch-sized array is the result.  Generator.normal keeps no state between
-    calls: block by block it draws the same stream, and gives the same bits,
-    as one (B, N) draw."""
+    The noise is added one _BLOCK_ROWS block of rows at a time, through one
+    scratch block, so the only batch-sized array is the result.  Generator
+    draws keep no state between calls: block by block the standard normals,
+    scaled by sigma, are the same stream, and give the same bits, as one
+    ``rng.normal(0.0, sigma, (B, N))`` draw."""
     x = tone_windows(profile, bins, phases)
     sigma = np.sqrt(noise_variance(profile, snr_db))
+    scratch = np.empty((min(x.shape[0], _BLOCK_ROWS),) + x.shape[1:])
     for lo in range(0, x.shape[0], _BLOCK_ROWS):
         rows = x[lo : lo + _BLOCK_ROWS]
-        rows += rng.normal(0.0, sigma, rows.shape)
+        noise = scratch[: rows.shape[0]]
+        rng.standard_normal(out=noise)
+        noise *= sigma
+        rows += noise
     return x
 
 

@@ -14,6 +14,7 @@ from conftest import DESK_M4, write_profiles
 from mfskmodem import cli
 from mfskmodem import dataset as ds
 from mfskmodem.cli import main
+from mfskmodem.evaluate import DEMOD_BATCH
 from mfskmodem.profiles import get_profile
 from mfskmodem.signal import tone_bin
 
@@ -242,6 +243,42 @@ class TestTrainAndDemod:
                          "--out-report", str(report))
         assert code == 0
         assert parse_report(report)["accuracy"] > 0.5
+
+
+@pytest.fixture(scope="module")
+def full_file(tmp_path_factory):
+    """A 35 MB jt65a-full dataset with sync records: two demod batches and more."""
+    path = tmp_path_factory.mktemp("full") / "full.dset"
+    assert main(["synth", "--profile", "jt65a-full", "--count", str(2 * DEMOD_BATCH + 100),
+                 "--snr", "-26..-16", "--include-sync", "--seed", "7", "--out", str(path)]) == 0
+    return path
+
+
+class TestFileBackedRows:
+    def test_demod_holds_a_batch_not_the_file(self, full_file, tmp_path, capsys, traced_peak):
+        # One gathered batch of float32 rows, plus the detector's 64-row
+        # blocks of float64 windows and spectra.
+        batch_bytes = DEMOD_BATCH * 4096 * 4
+        with traced_peak() as peak:
+            code, out, _ = run(capsys, "demod", "--profile", "jt65a-full", "--classical",
+                               "--dataset", str(full_file), "--out-report",
+                               str(tmp_path / "r.txt"))
+        assert code == 0
+        y = ds.data_arrays(ds.read(full_file))[1]
+        assert f"symbols={y.size} " in out
+        assert peak.bytes < batch_bytes + 8 * 2**20 < full_file.stat().st_size
+
+    def test_analyze_gathers_only_its_record(self, full_file, tmp_path, capsys, traced_peak):
+        with traced_peak() as peak:
+            code, out, _ = run(capsys, "analyze", "--profile", "jt65a-full", "--dataset",
+                               str(full_file), "--index", "5", "--out-prefix",
+                               str(tmp_path / "a"))
+        assert code == 0
+        assert peak.bytes < 2 * 2**20
+        record = ds.read(full_file).records[5]
+        assert out.startswith(f"record=5 label={record.label} snr_db={record.snr_db:.2f}\n")
+        waveform = np.loadtxt(tmp_path / "a_waveform.csv", delimiter=",", skiprows=1)
+        assert np.allclose(waveform[:, 1], record.samples, rtol=1e-9, atol=0.0)  # %.10g
 
 
 class TestSweep:

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mfskmodem import errors
+from mfskmodem import dataset, errors
+from mfskmodem.cli import main
 from mfskmodem.dataset import DatasetSpec, generate, read, write
 from mfskmodem.errors import (
     FileFormatError,
@@ -180,11 +181,65 @@ def test_a_path_the_reader_opened_is_closed(reader, damage, tmp_path, monkeypatc
 
     monkeypatch.setattr(errors, "open", spy, raising=False)
     if damage == "none":
-        assert dump(load(path)) == blob
+        loaded = load(path)
+        assert len(opened) == 1 and opened[0].closed
+        # Each gather of a dataset's rows reopens the path, and closes it.
+        assert dump(loaded) == blob
     else:
         with pytest.raises(FileFormatError):
             load(path)
-    assert len(opened) == 1 and opened[0].closed
+        assert len(opened) == 1
+    assert all(handle.closed for handle in opened)
+
+
+@pytest.mark.parametrize("source", ["path", "caller-file"])
+def test_a_dataset_cut_after_read_fails_its_gather(source, tmp_path, monkeypatch):
+    # read checked every record; the file loses its last byte before the
+    # rows are gathered, and the gather that reaches it is a TruncationError.
+    path = tmp_path / "file"
+    path.write_bytes(DATASET_BLOB)
+    opened = []
+
+    def spy(*args, **kwargs):
+        opened.append(open(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(errors, "open", spy, raising=False)
+    caller_file = io.BytesIO(DATASET_BLOB)
+    loaded = read(path if source == "path" else caller_file)
+    with open(path, "r+b") as cut:
+        cut.truncate(len(DATASET_BLOB) - 1)
+    caller_file.truncate(len(DATASET_BLOB) - 1)
+    last = len(loaded.label) - 1
+    for gather in (lambda: loaded.samples(last), lambda: _bytes_of(write, loaded)):
+        with pytest.raises(TruncationError, match=f"needed {len(DATASET_BLOB)}$"):
+            gather()
+    assert all(handle.closed for handle in opened)
+    assert not caller_file.closed
+
+
+def test_demod_of_a_dataset_cut_after_read_writes_nothing(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "m8.dset"
+    assert main(["synth", "--profile", "reduced-m8", "--count", "40", "--snr", "-9",
+                 "--seed", "1", "--out", str(path)]) == 0
+    capsys.readouterr()
+    checked = dataset.read
+
+    def read_then_cut(source, check=None):
+        loaded = checked(source, check)
+        with open(source, "r+b") as cut:
+            cut.truncate(path.stat().st_size - 1)
+        return loaded
+
+    monkeypatch.setattr(dataset, "read", read_then_cut)
+    report = tmp_path / "report.txt"
+    code = main(["demod", "--profile", "reduced-m8", "--classical", "--dataset", str(path),
+                 "--out-report", str(report), "--out-confusion", str(tmp_path / "cm.csv")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: file ends at byte ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m8.dset"]
 
 
 def test_a_caller_file_is_left_open(reader):

@@ -187,6 +187,22 @@ class TestNoisyWindows:
         assert channel.tobytes() == oracle.tobytes()
         assert rng.bit_generator.state == twin.bit_generator.state
 
+    def test_scaled_standard_normals_are_the_normal_draw_over_seeds(self, full_profile):
+        # Four blocks at each of 20 seeds and SNRs: the standard normals,
+        # scaled in place, give the bits of Generator.normal's draw and leave
+        # the stream where it leaves it.
+        rows = 4 * _BLOCK_ROWS
+        bins = tone_bin(full_profile, 0) + np.arange(rows) % full_profile.tone_count
+        for seed in range(20):
+            snr_db = -30.0 + 1.5 * seed
+            rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+            channel = noisy_windows(full_profile, bins, 0.3, snr_db, rng)
+            oracle = tone_windows(full_profile, bins, 0.3)
+            oracle += twin.normal(0.0, np.sqrt(noise_variance(full_profile, snr_db)),
+                                  oracle.shape)
+            assert channel.tobytes() == oracle.tobytes(), seed
+            assert rng.bit_generator.state == twin.bit_generator.state, seed
+
     def test_one_chunk_peaks_near_its_result(self, full_profile, traced_peak):
         # One 2048-window sweep chunk: its 64 MiB result plus one block's
         # noise, not a second batch-sized noise array.

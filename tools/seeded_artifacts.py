@@ -144,6 +144,8 @@ REFUSALS = [
     ("refuse-synth-snr", ["synth", "--profile", "reduced-m8", "--count", "3", "--snr", "4000",
                           "--seed", "1", "--out", "refused-synth.mfskdset"]),
     ("refuse-theory-m1", ["theory", "--m", "1", "--ebn0", "0", "--out", "refused-theory.csv"]),
+    # An Eb/N0 whose linear Es/N0 overflows a float: one error line, no file.
+    ("refuse-theory-overflow", ["theory", "--ebn0", "4000", "--out", "refused-overflow.csv"]),
     # A grid of 10**300 points: refused as a usage error before any point runs.
     ("refuse-theory-grid", ["theory", "--ebn0", "0:1e300:1", "--out", "refused-grid.csv"]),
     ("refuse-demod-profile", ["demod", "--profile", "jt65a-full", "--classical",
