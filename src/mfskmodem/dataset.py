@@ -107,6 +107,8 @@ class Dataset:
         self.include_sync = include_sync
         if file is None:
             records = np.ascontiguousarray(records, record_dtype(symbol_len))
+            self._rows = records["samples"].view()
+            self._rows.flags.writeable = False
         self._array = records if file is None else None
         self._file = file
         self.snr_db, self.label = records["snr_db"], records["label"]
@@ -128,27 +130,27 @@ class Dataset:
         return records
 
     def samples(self, rows) -> np.ndarray:
-        """The float32 samples of record ``rows``, an integer (one read-only row)
-        or an integer array (a new array of rows), in the order asked.
+        """The float32 samples of record ``rows``, indexed as numpy indexes: an
+        integer gives one read-only row, an integer array a new array of rows
+        in the order asked.
 
-        From a file the rows are gathered one sorted run of consecutive
-        records at a time, each run at most one block, read into one reused
-        buffer.
+        In memory that is one index of the read-only samples.  From a file
+        the rows are gathered one sorted run of consecutive records at a
+        time, each run at most one block, read into one reused buffer.
         """
+        if self._file is None:
+            return self._rows[rows]
         wanted = np.asarray(rows, dtype=np.intp)
         count = len(self.label)
-        if wanted.size and not (0 <= wanted.min() and wanted.max() < count):
-            raise IndexError(f"record index outside [0, {count})")
-        if self._file is None:  # one fancy index, with no Python step per run
-            out = self._array["samples"][wanted]
-        else:
-            out = np.empty(wanted.shape + (self.symbol_len,), np.float32)
-            flat = out.reshape(-1, self.symbol_len)
-            with self._fetcher(min(wanted.size, self._block)) as fetch:
-                for positions, lo, hi in _runs(wanted.ravel(), self._block):
-                    flat[positions] = fetch(lo, hi)["samples"]
-        if wanted.ndim == 0:
-            out.flags.writeable = False
+        if wanted.size and not (-count <= wanted.min() and wanted.max() < count):
+            raise IndexError(f"record index outside [-{count}, {count})")
+        wanted = np.where(wanted < 0, wanted + count, wanted)
+        out = np.empty(wanted.shape + (self.symbol_len,), np.float32)
+        flat = out.reshape(-1, self.symbol_len)
+        with self._fetcher(min(wanted.size, self._block)) as fetch:
+            for positions, lo, hi in _runs(wanted.ravel(), self._block):
+                flat[positions] = fetch(lo, hi)["samples"]
+        out.flags.writeable = wanted.ndim > 0
         return out
 
     @contextlib.contextmanager
@@ -384,7 +386,7 @@ class RowView:
     """
 
     def __init__(self, dataset: Dataset, index: np.ndarray):
-        self._dataset = dataset
+        self._gather = dataset.samples
         self._index = index
         self.shape = (index.size, dataset.symbol_len)
         self.dtype = np.dtype(np.float32)
@@ -394,7 +396,7 @@ class RowView:
         return self.shape[0]
 
     def __getitem__(self, key):
-        return self._dataset.samples(self._index[key])
+        return self._gather(self._index[key])
 
     def __array__(self, dtype=None, copy=None):
         if copy is False:

@@ -332,6 +332,29 @@ class TestDataArrays:
         with pytest.raises(ValueError):
             np.asarray(x, copy=False)
 
+    def test_file_rows_index_as_the_memory_rows(self, reduced_spec, tmp_path):
+        # 1,200 records span three 1 MiB blocks: gathers from the file come
+        # back in the order asked, across runs, blocks, gaps and repeats.
+        ds = generate(DatasetSpec(reduced_spec.profile, 1200, (-9.0, -9.0), seed=4,
+                                  include_sync=True))
+        write(ds, tmp_path / "set.mfskdset")
+        loaded = read(tmp_path / "set.mfskdset")
+        memory, y = data_arrays(ds)
+        file, y_file = data_arrays(loaded)
+        assert np.array_equal(y_file, y)
+        shuffled = np.random.default_rng(0).permutation(y.size)
+        for key in (0, -1, slice(None), slice(400, 1100), slice(None, None, 7), shuffled[:32],
+                    shuffled, np.array([900, 3, 900, 4, 5, 2, 1000])):
+            assert file[key].tobytes() == memory[key].tobytes()
+        with pytest.raises(ValueError):
+            file[0][0] = 1.0
+        # Dataset.samples indexes all records as numpy does, from either source.
+        for rows in (-1, [-1, 0, -1200]):
+            assert loaded.samples(rows).tobytes() == ds.samples(rows).tobytes()
+        for source in (ds, loaded):
+            with pytest.raises(IndexError):
+                source.samples([0, 1200])
+
     def test_rows_are_not_copied(self, full_profile, tmp_path, traced_peak):
         spec = DatasetSpec(full_profile, 200, (-20.0, -20.0), seed=2, include_sync=True)
         write(generate(spec), tmp_path / "full.mfskdset")
