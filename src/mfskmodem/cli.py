@@ -7,7 +7,9 @@ Exit codes: 0 success, 1 runtime failure, 2 usage or configuration error.
 Importing this module loads numpy and its OpenBLAS.  ``--threads`` (or
 the MFSKMODEM_THREADS environment variable) sets that loaded OpenBLAS
 for the command, and the previous count comes back when ``main``
-returns.  ``--threads 1`` is the bit-reproducible reference mode.
+returns.  ``sweep`` runs its points on that many threads instead, with
+OpenBLAS at one thread each.  ``--threads 1`` is the bit-reproducible
+reference mode.
 """
 
 import argparse
@@ -37,14 +39,23 @@ class ConfigError(Exception):
     """Bad profile name, profile file or training setting: a usage-level failure (exit 2)."""
 
 
-def _positive_int(text: str) -> int:
+def _int_at_least(text: str, low: int) -> int:
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
-    if value < 1:
-        raise argparse.ArgumentTypeError("value must be >= 1")
+    if value < low:
+        raise argparse.ArgumentTypeError(f"value must be >= {low}")
     return value
+
+
+def _positive_int(text: str) -> int:
+    return _int_at_least(text, 1)
+
+
+def _seed(text: str) -> int:
+    """A --seed: numpy's seed sequences take only non-negative integers."""
+    return _int_at_least(text, 0)
 
 
 def _bench_count(text: str) -> int:
@@ -262,7 +273,10 @@ def _cmd_sweep(args) -> int:
     profile = _profile(args)
     demod = _build_demod(args, profile)
     seed = _resolve_seed(args)
-    rows = sweep_ber(demod, profile.modem, args.snr, args.n, seed)
+    workers = _thread_count(args.threads)
+    # Each pool thread runs whole points; OpenBLAS gets one thread per point.
+    with _pinned_threads(1 if workers > 1 else None):
+        rows = sweep_ber(demod, profile.modem, args.snr, args.n, seed, workers=workers)
     if args.mode == "ser":
         write_ser_csv(rows, args.out)
         for row in rows:
@@ -325,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=_positive_int, required=True)
     p.add_argument("--snr", type=_snr_spec, required=True,
                    help="fixed dB value or lo..hi uniform range")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=None)
     p.add_argument("--include-sync", action="store_true")
     p.add_argument("--out", required=True)
 
@@ -337,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--index", type=int, default=0, help="record index within --dataset")
     p.add_argument("--snr-db", type=_finite_db, default=None,
                    help="add noise at this SNR (synthesis path; omit for noiseless)")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=None)
     p.add_argument("--lowpass", action="store_true",
                    help="brick-wall low-pass at the reference bandwidth")
     p.add_argument("--excerpt", type=_positive_int, default=None,
@@ -350,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=_positive_int, default=6)
     p.add_argument("--batch-size", type=_positive_int, default=32)
     p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=None)
     p.add_argument("--out-weights", required=True)
     p.add_argument("--out-log", required=True)
 
@@ -371,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="dB points: list (-25,-20) or range lo:hi:step")
     p.add_argument("--n", type=_positive_int, required=True,
                    help="symbols per SNR point")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=None)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("theory", help="closed-form SER/BER curve CSV")
@@ -415,15 +429,31 @@ def _openblas_thread_api():
     return None
 
 
-@contextlib.contextmanager
-def _pinned_threads(threads):
-    """Run the body with ``threads`` threads in the loaded OpenBLAS, then
-    restore its previous count; without a loaded OpenBLAS, just run it."""
+def _requested_threads(threads):
+    """The ``--threads`` value, else MFSKMODEM_THREADS, else None."""
     if threads is None and "MFSKMODEM_THREADS" in os.environ:
         try:
             threads = _positive_int(os.environ["MFSKMODEM_THREADS"])
         except argparse.ArgumentTypeError as exc:
             raise ConfigError(f"MFSKMODEM_THREADS: {exc}")
+    return threads
+
+
+def _thread_count(threads) -> int:
+    """The thread count in effect: the requested ``threads``, else the loaded
+    OpenBLAS's count, else 1; at most the CPUs this process may run on."""
+    if threads is None:
+        api = _openblas_thread_api()
+        threads = 1 if api is None else api[0]()
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return min(threads, cpus or 1)
+
+
+@contextlib.contextmanager
+def _pinned_threads(threads):
+    """Run the body with ``threads`` threads in the loaded OpenBLAS, then
+    restore its previous count; with ``threads`` None or without a loaded
+    OpenBLAS, just run it."""
     api = None if threads is None else _openblas_thread_api()
     if api is None:
         yield
@@ -459,6 +489,7 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     args = build_parser().parse_args(_join_dash_values(list(argv)))
     try:
+        args.threads = _requested_threads(args.threads)
         with _pinned_threads(args.threads):
             return args.func(args)
     except ConfigError as exc:

@@ -7,6 +7,7 @@ and nn.model_demodulator for the two provided ones.
 """
 
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -17,16 +18,6 @@ from .theory import (bits_per_symbol, ebn0_to_esn0, ser_noncoherent_mfsk, ser_to
 
 SER_CSV_HEADER = "snr_db,ser,stderr,n"
 BER_CSV_HEADER = "snr_db,ebn0_db,ber_measured,ber_from_ser,ber_theory,n"
-
-# Symbols synthesized and demodulated per chunk during sweeps, a multiple
-# of _BLOCK_ROWS so the detector's blocks fall on the same rows for any
-# chunk size.  At symbol_len 4096 the chunk's (256, 4096) float64 windows
-# are 8 MiB, plus one block of noise and of spectra (or the CNN's float32
-# cast) at a time: a jt65a-full point peaks near 18 MiB with either
-# detector, against 66 MiB (96 MiB for the CNN) at 2048 windows.  Measured
-# on jt65a-full, 256 halved the sweep's peak RSS at no loss of symbols/s;
-# 64 cut it further but cost about 3% symbols/s.
-_CHUNK = 256
 
 # Rows of a dataset file that `demod` gathers and demodulates per call.  The
 # gathered batch bounds demod's memory: at symbol_len 4096 it is 16 MiB of
@@ -197,44 +188,61 @@ def _draw_symbols(profile, n_symbols, rng):
 
 
 def _run_point(demod, profile, snr_db, n_symbols, rng) -> ConfusionMatrix:
-    """Confusion counts of ``demod`` over n_symbols fresh random symbols."""
+    """Confusion counts of ``demod`` over n_symbols fresh random symbols,
+    synthesized, made noisy, demodulated and counted one _BLOCK_ROWS block at
+    a time: at symbol_len 4096 a block is 2 MiB of windows, plus one block of
+    noise and of spectra or the CNN's float32 cast."""
     labels, bins, phases = _draw_symbols(profile, n_symbols, rng)
     cm = ConfusionMatrix.empty(profile.tone_count)
-    for lo in range(0, n_symbols, _CHUNK):
-        sel = slice(lo, min(lo + _CHUNK, n_symbols))
+    for lo in range(0, n_symbols, _BLOCK_ROWS):
+        sel = slice(lo, lo + _BLOCK_ROWS)
         x = noisy_windows(profile, bins[sel], phases[sel], snr_db, rng)
         accumulate_many(cm, labels[sel], np.asarray(demod(x)))
     return cm
 
 
-def sweep_ber(demod, profile: ModemProfile, snr_points, n_per_point: int, seed: int):
+def sweep_ber(demod, profile: ModemProfile, snr_points, n_per_point: int, seed: int,
+              workers: int = 1):
     """Monte-Carlo symbol and bit error rates with the theory column.
 
     Each point runs on its own substream (seed, point index), so points
-    are independent and the sweep parallelizes without changing content.
-    Each point fills a ConfusionMatrix (a decision outside [0, M) raises
-    ValueError) whose ``metrics`` give SER (errors / n, as in demod reports),
-    measured BER (bit mismatches under the natural binary mapping) and
-    BER-from-SER; the theory column evaluates the non-coherent
-    orthogonal-MFSK limit at the point's Eb/N0.  Every row satisfies
-    BER <= SER <= k*BER exactly (each symbol error flips between 1 and k bits).
+    are independent: with ``workers`` > 1, a pool of min(workers, points)
+    threads runs whole points, and the rows, returned in point order, equal
+    the serial ones.  ``demod`` is then called from those threads.  An error
+    in one point cancels the points not yet started and is raised once the
+    running ones end.  Each point fills a ConfusionMatrix (a decision
+    outside [0, M) raises ValueError) whose ``metrics`` give SER (errors /
+    n, as in demod reports), measured BER (bit mismatches under the natural
+    binary mapping) and BER-from-SER; the theory column evaluates the
+    non-coherent orthogonal-MFSK limit at the point's Eb/N0.  Every row
+    satisfies BER <= SER <= k*BER exactly (each symbol error flips between
+    1 and k bits).
     """
     if n_per_point < 1:
         raise ValueError("n_per_point must be >= 1")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     k = profile.bits_per_symbol
     m = profile.tone_count
-    rows = []
-    for i, snr_db in enumerate(snr_points):
+
+    def row(i, snr_db):
         rng = np.random.default_rng([seed, i])
         report = metrics(_run_point(demod, profile, snr_db, n_per_point, rng))
         ser, ber = report.ser, report.ber_measured
         ebn0 = snr_to_ebn0(profile, float(snr_db))
         theory = ser_to_ber(m, ser_noncoherent_mfsk(m, ebn0_to_esn0(m, ebn0)))
         assert ber <= ser + 1e-15 and ser <= k * ber + 1e-15
-        rows.append(BerPoint(float(snr_db), ebn0, ber, report.ber_from_ser, theory,
-                             n_per_point, ser,
-                             float(np.sqrt(ser * (1.0 - ser) / n_per_point))))
-    return rows
+        return BerPoint(float(snr_db), ebn0, ber, report.ber_from_ser, theory, n_per_point,
+                        ser, float(np.sqrt(ser * (1.0 - ser) / n_per_point)))
+
+    workers = min(workers, len(snr_points))
+    if workers <= 1:
+        return [row(i, snr_db) for i, snr_db in enumerate(snr_points)]
+    pool = ThreadPoolExecutor(workers)
+    try:
+        return list(pool.map(row, range(len(snr_points)), snr_points))
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def write_ser_csv(rows, path) -> None:

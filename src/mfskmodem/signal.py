@@ -105,9 +105,9 @@ def tone_windows(profile: ModemProfile, bins, phases) -> np.ndarray:
 
 
 # The channel and the classical detector work through a batch this many rows
-# at a time: the noise draw and the rfft of a whole batch each peak at a
-# multiple of its output, while each row's bits are the same in a block of
-# any size.
+# at a time, and a sweep point through its symbols: the noise draw and the
+# rfft of a whole batch each peak at a multiple of its output, while each
+# row's bits are the same in a block of any size.
 _BLOCK_ROWS = 64
 
 
@@ -119,16 +119,6 @@ def window_batch(batch, symbol_len: int) -> np.ndarray:
         raise ValueError(f"batch must be (B, {symbol_len}), one symbol_len window per row, "
                          f"got {batch.shape}")
     return batch
-
-
-def synthesize_symbol(profile: ModemProfile, tone, phase: float = 0.0) -> np.ndarray:
-    """One symbol interval of ``tone``, the (symbol_len,) unit tone
-    sin(2*pi*f*n/fs + phase).
-
-    Because the tone is bin-aligned the window holds an integer number of
-    cycles and the mean power is exactly 1/2 (up to rounding).
-    """
-    return tone_windows(profile, [tone_bin(profile, tone)], phase)[0]
 
 
 def noise_variance(profile: ModemProfile, snr_db: float) -> float:

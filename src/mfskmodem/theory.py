@@ -89,12 +89,6 @@ def snr_to_esn0(profile, snr_db: float) -> float:
     return snr_db + 10.0 * math.log10(bt)
 
 
-def esn0_to_snr(profile, es_n0_db: float) -> float:
-    """Inverse of snr_to_esn0."""
-    bt = profile.ref_bandwidth_hz * profile.symbol_duration_s
-    return es_n0_db - 10.0 * math.log10(bt)
-
-
 def snr_to_ebn0(profile, snr_db: float) -> float:
     """Eb/N0 in dB from a reference-bandwidth SNR in dB.
 

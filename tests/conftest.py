@@ -1,4 +1,5 @@
 import contextlib
+import math
 import tracemalloc
 from types import SimpleNamespace
 
@@ -6,9 +7,23 @@ import numpy as np
 import pytest
 
 from mfskmodem.profiles import PROFILE_KEYS, get_profile
+from mfskmodem.signal import tone_bin, tone_windows
 
 # The README's desk-m4 profile, as profile-file keys and values.
 DESK_M4 = dict(zip(PROFILE_KEYS, (8000, 256, 4, 20, 2, 1000, 8, 8, 8)))
+
+
+def synthesize_symbol(profile, tone, phase=0.0):
+    """One symbol interval of ``tone`` (a data tone index or SYNC), the
+    (symbol_len,) unit tone sin(2*pi*f*n/fs + phase).  The tone is bin-aligned,
+    so the window holds an integer number of cycles and its mean power is
+    1/2 up to rounding."""
+    return tone_windows(profile, [tone_bin(profile, tone)], phase)[0]
+
+
+def esn0_to_snr(profile, es_n0_db):
+    """Reference-bandwidth SNR in dB of an Es/N0 in dB: theory.snr_to_esn0's inverse."""
+    return es_n0_db - 10.0 * math.log10(profile.ref_bandwidth_hz * profile.symbol_duration_s)
 
 
 def write_profiles(path, sections):

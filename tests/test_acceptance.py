@@ -12,6 +12,7 @@ import os
 import numpy as np
 import pytest
 
+from conftest import esn0_to_snr, synthesize_symbol
 from mfskmodem import dataset as ds
 from mfskmodem.analysis import classical_demodulator
 from mfskmodem.cli import main
@@ -29,10 +30,9 @@ from mfskmodem.nn import (
     train,
 )
 from mfskmodem.profiles import get_profile
-from mfskmodem.signal import measure_snr, noisy_windows, synthesize_symbol, tone_bin
+from mfskmodem.signal import measure_snr, noisy_windows, tone_bin
 from mfskmodem.theory import (
     ebn0_to_esn0,
-    esn0_to_snr,
     ser_noncoherent_mfsk,
     ser_noncoherent_mfsk_linear,
     ser_to_ber,

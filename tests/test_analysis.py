@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
+from conftest import synthesize_symbol
 from mfskmodem.analysis import (
     autocorrelation,
     classical_demodulator,
     energy_spectrum,
 )
-from mfskmodem.signal import SYNC, noisy_windows, synthesize_symbol, tone_bin
+from mfskmodem.signal import SYNC, noisy_windows, tone_bin
 
 
 class TestEnergySpectrum:

@@ -368,6 +368,22 @@ class TestSnrRange:
         assert not list(tmp_path.iterdir())
 
 
+class TestSeed:
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--classical", "--n", "1", "--snr", "-5", "--out", "s.csv"],
+        ["synth", "--count", "1", "--snr", "-5", "--out", "s.dset"],
+        ["analyze", "--tone", "3", "--snr-db", "-5", "--out-prefix", "a"],
+        ["train", "--dataset", "d.dset", "--out-weights", "w.bin", "--out-log", "l.csv"],
+    ])
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv[:1], "--profile", "reduced-m8", "--seed", "-1", *argv[1:]])
+        assert excinfo.value.code == 2
+        assert "argument --seed: value must be >= 0" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+
 class TestProfileCrossCheck:
     @pytest.mark.parametrize("argv", [
         ["demod", "--classical", "--out-report", "r.txt"],
@@ -588,6 +604,58 @@ class TestThreads:
             assert err == ("" if error is None else "error: handler failed\n")
             assert seen == [1]
             assert get() == before
+        finally:
+            set_(original)
+
+    def test_two_threads_sweep_like_one(self, tmp_path, capsys):
+        get, set_ = cli._openblas_thread_api()
+        original = get()
+        outputs = []
+        try:
+            for threads in ("1", "2"):
+                set_(3)
+                out = tmp_path / f"sweep-{threads}.csv"
+                code, stdout, _ = run(capsys, "--threads", threads, "sweep", "--profile",
+                                      "reduced-m8", "--classical", "--mode", "ber",
+                                      "--snr", "-12:0:4", "--n", "700", "--seed", "5",
+                                      "--out", str(out))
+                assert code == 0
+                assert get() == 3
+                outputs.append((out.read_text(), stdout))
+        finally:
+            set_(original)
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("error", [None, ValueError], ids=["success", "error"])
+    @pytest.mark.parametrize("argv, cpus, workers, blas", [
+        (["--threads", "2"], {0, 1}, 2, 1),
+        (["--threads", "2"], {0}, 1, 2),
+        ([], {0, 1}, 2, 1),  # the loaded OpenBLAS's count
+        (["--threads", "1"], {0, 1}, 1, 1),
+    ], ids=["two", "one-cpu", "blas-count", "one"])
+    def test_sweep_pool_is_capped_and_blas_restored(self, tmp_path, capsys, monkeypatch,
+                                                    argv, cpus, workers, blas, error):
+        get, set_ = cli._openblas_thread_api()
+        original = get()
+        seen = []
+
+        def spy(demod, profile, snr_points, n_per_point, seed, workers):
+            seen.append((workers, get()))
+            if error is not None:
+                raise error("sweep failed")
+            return []
+
+        monkeypatch.delenv("MFSKMODEM_THREADS", raising=False)
+        monkeypatch.setattr(cli, "sweep_ber", spy)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        try:
+            set_(2)
+            code, _, _ = run(capsys, *argv, "sweep", "--profile", "reduced-m8", "--classical",
+                             "--snr", "-10,-5,0", "--n", "10", "--seed", "1",
+                             "--out", str(tmp_path / "s.csv"))
+            assert code == (0 if error is None else 1)
+            assert seen == [(workers, blas)]
+            assert get() == 2
         finally:
             set_(original)
 

@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import synthesize_symbol
 from mfskmodem.dataset import (
     SYNC_LABEL,
     Dataset,
@@ -27,7 +28,6 @@ from mfskmodem.signal import (
     SYNC,
     measure_snr,
     noise_variance,
-    synthesize_symbol,
 )
 
 

@@ -1,9 +1,11 @@
 """Tests for confusion-matrix metrics, Monte-Carlo sweeps, and the benchmark."""
 
+import threading
+
 import numpy as np
 import pytest
 
-from conftest import DESK_M4, write_profiles
+from conftest import DESK_M4, esn0_to_snr, synthesize_symbol, write_profiles
 from mfskmodem.analysis import classical_demodulator
 from mfskmodem.evaluate import (
     BER_CSV_HEADER,
@@ -19,8 +21,7 @@ from mfskmodem.evaluate import (
 )
 from mfskmodem.nn import ModelConfig, build_model, forward, model_demodulator
 from mfskmodem.profiles import get_profile
-from mfskmodem.signal import synthesize_symbol
-from mfskmodem.theory import esn0_to_snr, ser_noncoherent_mfsk
+from mfskmodem.theory import ser_noncoherent_mfsk
 
 
 @pytest.mark.parametrize("detector", ["classical", "cnn"])
@@ -275,19 +276,80 @@ class TestSweeps:
             sweep_ber(demod, reduced_profile, [-10.0], 0, seed=1)
 
     @pytest.mark.parametrize("detector", ["classical", "cnn"])
-    def test_full_point_stays_near_one_chunk(self, full_profile, detector, traced_peak):
-        # A 2048-symbol jt65a-full point runs in 256-window chunks: 8 MiB of
-        # windows, plus a block of noise and of spectra or the CNN's float32
-        # cast at a time (about 18 MiB; 66 and 97 MiB in one 2048-window chunk).
-        if detector == "classical":
-            demod = classical_demodulator(full_profile)
-        else:
-            state = build_model(get_profile("jt65a-full").model, seed=0)
-            forward(state, np.zeros(full_profile.symbol_len))  # fold before tracing
-            demod = model_demodulator(state)
+    def test_full_point_stays_near_one_block(self, full_profile, detector, traced_peak):
+        # A 2048-symbol jt65a-full point runs in 64-row blocks: 2 MiB of
+        # windows plus a block of noise and of spectra or the CNN's float32
+        # cast (about 6 MiB; 18 MiB in 256-window chunks).
+        demod = _folded_full_demod(full_profile, detector)
         with traced_peak() as peak:
             sweep_ber(demod, full_profile, [-20.0], 2048, seed=1)
-        assert peak.bytes < 24 * 2**20
+        assert peak.bytes < 8 * 2**20
+
+    @pytest.mark.parametrize("detector", ["classical", "cnn"])
+    def test_two_workers_hold_two_blocks(self, full_profile, detector, traced_peak):
+        demod = _folded_full_demod(full_profile, detector)
+        with traced_peak() as peak:
+            sweep_ber(demod, full_profile, [-20.0, -22.0], 2048, seed=1, workers=2)
+        assert peak.bytes < 16 * 2**20
+
+
+def _folded_full_demod(profile, detector):
+    """A jt65a-full demodulator whose CNN state is folded before any tracing."""
+    if detector == "classical":
+        return classical_demodulator(profile)
+    state = build_model(get_profile("jt65a-full").model, seed=0)
+    forward(state, np.zeros(profile.symbol_len))
+    return model_demodulator(state)
+
+
+class TestSweepWorkers:
+    SNRS = [-14.0, -10.0, -6.0, -2.0, 2.0]
+
+    @pytest.mark.parametrize("n", [100, 2113])
+    @pytest.mark.parametrize("detector", ["classical", "cnn"])
+    def test_two_workers_give_the_serial_rows(self, reduced_profile, detector, n):
+        # 2113 = 33 blocks of 64 rows plus one row.
+        if detector == "classical":
+            demod = classical_demodulator(reduced_profile)
+        else:
+            state = build_model(get_profile("reduced-m8").model, seed=3)
+            forward(state, np.zeros(reduced_profile.symbol_len))
+            demod = model_demodulator(state)
+        serial = sweep_ber(demod, reduced_profile, self.SNRS, n, seed=9)
+        assert sweep_ber(demod, reduced_profile, self.SNRS, n, seed=9, workers=2) == serial
+
+    def test_unfolded_cnn_state_gives_the_serial_rows(self, reduced_profile):
+        # Both pool threads' first forward calls may fold the fresh state.
+        config = get_profile("reduced-m8").model
+        serial = sweep_ber(model_demodulator(build_model(config, seed=3)), reduced_profile,
+                           self.SNRS, 300, seed=9)
+        pooled = sweep_ber(model_demodulator(build_model(config, seed=3)), reduced_profile,
+                           self.SNRS, 300, seed=9, workers=2)
+        assert pooled == serial
+
+    def test_one_point_runs_on_the_calling_thread(self, reduced_profile):
+        callers = set()
+        demod = classical_demodulator(reduced_profile)
+
+        def spy(x):
+            callers.add(threading.current_thread())
+            return demod(x)
+
+        sweep_ber(spy, reduced_profile, [-5.0], 200, seed=1, workers=2)
+        assert callers == {threading.current_thread()}
+
+    def test_an_error_in_one_point_propagates_and_the_pool_shuts_down(self, reduced_profile):
+        before = set(threading.enumerate())
+        demod = classical_demodulator(reduced_profile)
+        with pytest.raises(ValueError, match="noise variance"):
+            sweep_ber(demod, reduced_profile, [-10.0, -10.0, 4000.0, -10.0, -10.0], 500,
+                      seed=1, workers=2)
+        assert set(threading.enumerate()) == before
+
+    def test_invalid_worker_count_rejected(self, reduced_profile):
+        demod = classical_demodulator(reduced_profile)
+        with pytest.raises(ValueError, match="workers"):
+            sweep_ber(demod, reduced_profile, [-10.0], 10, seed=1, workers=0)
 
 
 class TestCsvOutput:

@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from conftest import synthesize_symbol
 from mfskmodem.signal import (
     SNR_SATURATION_DB,
     SYNC,
@@ -13,7 +14,6 @@ from mfskmodem.signal import (
     _BLOCK_ROWS,
     noise_variance,
     noisy_windows,
-    synthesize_symbol,
     tone_bin,
     tone_windows,
 )

@@ -16,11 +16,11 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import i0e
 
+from conftest import esn0_to_snr
 from mfskmodem.signal import ModemProfile
 from mfskmodem.theory import (
     bits_per_symbol,
     ebn0_to_esn0,
-    esn0_to_snr,
     ser_noncoherent_mfsk,
     ser_noncoherent_mfsk_linear,
     ser_to_ber,

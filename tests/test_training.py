@@ -7,6 +7,7 @@ import threading
 import numpy as np
 import pytest
 
+from conftest import synthesize_symbol
 from mfskmodem.nn import (
     GRAD_CHECK_CONFIG,
     ModelConfig,
@@ -29,7 +30,7 @@ from mfskmodem.dataset import DatasetSpec, data_arrays, generate
 from mfskmodem.nn import training
 from mfskmodem.nn.model import _mutable
 from mfskmodem.nn.training import ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON
-from mfskmodem.signal import ModemProfile, synthesize_symbol
+from mfskmodem.signal import ModemProfile
 
 TINY = GRAD_CHECK_CONFIG  # N=64, F=4, K=8, H=8, M=4
 

@@ -4,8 +4,10 @@ Runs the CLI from the source directory ``--src`` (the one holding the
 ``mfskmodem`` package) at ``--threads 1``, inside the empty or new
 directory ``--out``, and prints one ``sha256  name`` line per file written
 and per command's standard output (``<run>.stdout``), then the exit code
-and standard-error hash of each run the CLI must refuse.  Two source trees
-that print the same lines wrote the same bytes and refused alike:
+and standard-error hash of each run the CLI must refuse.  The twins of
+``TWINS`` rerun a sweep at two threads, and the script fails unless each
+twin's file and standard output hash the same as its run's.  Two source
+trees that print the same lines wrote the same bytes and refused alike:
 
     python3 tools/seeded_artifacts.py --src old/src --out /tmp/old > old.txt
     python3 tools/seeded_artifacts.py --src src --out /tmp/new > new.txt
@@ -65,7 +67,7 @@ RUNS = [
     ("sweep-m8-ber", SWEEP_M8 + ["--mode", "ber", "--out", "sweep-m8-ber.csv"]),
     ("sweep-full-ser", SWEEP_FULL + ["--mode", "ser", "--out", "sweep-full-ser.csv"]),
     ("sweep-full-ber", SWEEP_FULL + ["--mode", "ber", "--out", "sweep-full-ber.csv"]),
-    # 2113 = 2048 + 65 symbols: the last chunk is one 64-row block plus one row.
+    # 2113 = 2048 + 65 symbols: the last two blocks are 64 rows and one row.
     ("sweep-full-edge-ser", ["sweep", "--profile", "jt65a-full", "--classical", "--snr", "-20",
                              "--n", "2113", "--seed", "5", "--mode", "ser",
                              "--out", "sweep-full-edge-ser.csv"]),
@@ -97,8 +99,7 @@ RUNS = [
     ("sweep-m8-cnn-ber", ["sweep", "--profile", "reduced-m8", "--weights", "m8.weights",
                           "--mode", "ber", "--snr", "-10,-5", "--n", "1000", "--seed", "4",
                           "--out", "sweep-m8-cnn-ber.csv"]),
-    # 2113 symbols: a point's CNN batches split as 8 x 256 + 65 rows, where a
-    # 2048-row chunk split them as 2048 + 65.
+    # 2113 symbols: a point's CNN batches are 33 blocks of 64 rows and one row.
     ("sweep-m8-cnn-edge-ber", ["sweep", "--profile", "reduced-m8", "--weights", "m8.weights",
                                "--mode", "ber", "--snr", "-12,-8,-4", "--n", "2113",
                                "--seed", "4", "--out", "sweep-m8-cnn-edge-ber.csv"]),
@@ -127,6 +128,14 @@ RUNS = [
                                      "--out-confusion", "demod-desk-classical.csv"]),
 ]
 
+# Reruns of RUNS at another thread count: twin name -> (run name, --threads).
+# A twin writes <twin name>.csv in place of its run's --out file; it runs after
+# RUNS, and its file and standard output must hash the same as its run's.
+TWINS = {
+    "sweep-full-ber-threads2": ("sweep-full-ber", 2),
+    "sweep-m8-cnn-ber-threads2": ("sweep-m8-cnn-ber", 2),
+}
+
 # Malformed copies of RUNS' outputs, written after RUNS for REFUSALS to read:
 # name -> (file RUNS wrote, what the copy does to its bytes).  They are left
 # out of the hashed listing, since the files they derive from are in it.
@@ -144,6 +153,9 @@ REFUSALS = [
     ("refuse-synth-snr", ["synth", "--profile", "reduced-m8", "--count", "3", "--snr", "4000",
                           "--seed", "1", "--out", "refused-synth.mfskdset"]),
     ("refuse-theory-m1", ["theory", "--m", "1", "--ebn0", "0", "--out", "refused-theory.csv"]),
+    # numpy's seeds are non-negative: a usage error that names --seed.
+    ("refuse-seed-negative", ["sweep", "--profile", "reduced-m8", "--classical", "--snr", "-10",
+                              "--n", "10", "--seed", "-1", "--out", "refused-seed.csv"]),
     # An Eb/N0 whose linear Es/N0 overflows a float: one error line, no file.
     ("refuse-theory-overflow", ["theory", "--ebn0", "4000", "--out", "refused-overflow.csv"]),
     # A grid of 10**300 points: refused as a usage error before any point runs.
@@ -209,16 +221,29 @@ def main(argv=None) -> int:
         (out / name).write_text(text)
     env = dict(os.environ, PYTHONPATH=str(Path(args.src).resolve()))
 
-    def cli(cli_args):
-        return subprocess.run([sys.executable, "-m", "mfskmodem.cli", "--threads", "1",
+    def cli(cli_args, threads=1):
+        return subprocess.run([sys.executable, "-m", "mfskmodem.cli", "--threads", str(threads),
                                *cli_args], cwd=out, env=env, capture_output=True)
 
-    for name, cli_args in RUNS:
-        run = cli(cli_args)
+    runs = {name: (cli_args, 1) for name, cli_args in RUNS}
+    for twin, (name, threads) in TWINS.items():
+        cli_args = list(runs[name][0])
+        cli_args[cli_args.index("--out") + 1] = f"{twin}.csv"
+        runs[twin] = (cli_args, threads)
+    stdout = {}
+    for name, (cli_args, threads) in runs.items():
+        run = cli(cli_args, threads)
         if run.returncode != 0:
             sys.stderr.write(f"{name} exited {run.returncode}:\n{run.stderr.decode()}")
             return 1
-        print(f"{_digest(run.stdout)}  {name}.stdout")
+        stdout[name] = _digest(run.stdout)
+        print(f"{stdout[name]}  {name}.stdout")
+    for twin, (name, _) in TWINS.items():
+        cli_args = runs[name][0]
+        file = out / cli_args[cli_args.index("--out") + 1]
+        if stdout[twin] != stdout[name] or (out / f"{twin}.csv").read_bytes() != file.read_bytes():
+            sys.stderr.write(f"{twin} does not reproduce {name}\n")
+            return 1
     for name, (source, corrupt) in MALFORMED.items():
         (out / name).write_bytes(corrupt((out / source).read_bytes()))
     for name, cli_args in REFUSALS:
