@@ -26,7 +26,7 @@ from . import dataset as ds
 from .analysis import autocorrelation, classical_demodulator, energy_spectrum
 from .errors import FileFormatError
 from .evaluate import (DEMOD_BATCH, ConfusionMatrix, accumulate_many, bench_latency, metrics,
-                       sweep_ber, write_ber_csv, write_lines, write_ser_csv)
+                       sweep_ber, write_lines)
 from .nn import TrainConfig, load_weights, model_demodulator, save_weights, train
 from .profiles import get_profile
 from .signal import SYNC, lowpass, noisy_windows, tone_bin, tone_windows
@@ -269,6 +269,20 @@ def _cmd_demod(args) -> int:
     return 0
 
 
+# Per sweep --mode: the CSV header, the format of each point's CSV row, and
+# that of its stdout line.
+_SWEEP_FORMATS = {
+    "ser": ("snr_db,ser,stderr,n",
+            "{r.snr_db:.6g},{r.ser:.10g},{r.stderr:.10g},{r.n}",
+            "snr_db={r.snr_db:.6g} ser={r.ser:.6g} n={r.n}"),
+    "ber": ("snr_db,ebn0_db,ber_measured,ber_from_ser,ber_theory,n",
+            "{r.snr_db:.6g},{r.ebn0_db:.6g},{r.ber_measured:.10g},{r.ber_from_ser:.10g},"
+            "{r.ber_theory:.10g},{r.n}",
+            "snr_db={r.snr_db:.6g} ebn0_db={r.ebn0_db:.4g} ber={r.ber_measured:.6g} "
+            "theory={r.ber_theory:.6g} n={r.n}"),
+}
+
+
 def _cmd_sweep(args) -> int:
     profile = _profile(args)
     demod = _build_demod(args, profile)
@@ -277,15 +291,10 @@ def _cmd_sweep(args) -> int:
     # Each pool thread runs whole points; OpenBLAS gets one thread per point.
     with _pinned_threads(1 if workers > 1 else None):
         rows = sweep_ber(demod, profile.modem, args.snr, args.n, seed, workers=workers)
-    if args.mode == "ser":
-        write_ser_csv(rows, args.out)
-        for row in rows:
-            print(f"snr_db={row.snr_db:.6g} ser={row.ser:.6g} n={row.n}")
-    else:
-        write_ber_csv(rows, args.out)
-        for row in rows:
-            print(f"snr_db={row.snr_db:.6g} ebn0_db={row.ebn0_db:.4g} "
-                  f"ber={row.ber_measured:.6g} theory={row.ber_theory:.6g} n={row.n}")
+    header, csv_row, stdout_line = _SWEEP_FORMATS[args.mode]
+    write_lines(args.out, [header] + [csv_row.format(r=row) for row in rows])
+    for row in rows:
+        print(stdout_line.format(r=row))
     return 0
 
 
@@ -380,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     which = p.add_mutually_exclusive_group(required=True)
     which.add_argument("--classical", action="store_true")
     which.add_argument("--weights")
-    p.add_argument("--mode", choices=("ser", "ber"), default="ser")
+    p.add_argument("--mode", choices=tuple(_SWEEP_FORMATS), default="ser")
     p.add_argument("--snr", type=_grid, required=True,
                    help="dB points: list (-25,-20) or range lo:hi:step")
     p.add_argument("--n", type=_positive_int, required=True,

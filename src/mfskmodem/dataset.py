@@ -91,12 +91,12 @@ class Dataset:
     """A dataset's header fields, each record's ``snr_db`` and ``label``, and the
     source of its rows.
 
-    ``records`` is a record array of ``record_dtype(symbol_len)`` held in
-    memory.  With ``file``, read's ``(source, start, payload offset)`` of a
-    checked file, ``records`` holds only the ``snr_db`` and ``label`` fields,
-    and every row is read from the file when it is gathered: a path is
-    reopened for each gather, and a caller's seekable file is used as given,
-    so it must stay open and unchanged.
+    The ``records`` argument is a record array of ``record_dtype(symbol_len)``
+    held in memory.  With ``file``, read's ``(source, start, payload offset)``
+    of a checked file, it holds only the ``snr_db`` and ``label`` fields, and
+    every row is read from the file when it is gathered: a path is reopened
+    for each gather, and a caller's seekable file is used as given, so it
+    must stay open and unchanged.
     """
 
     def __init__(self, sample_rate_hz: int, symbol_len: int, tone_count: int,
@@ -114,37 +114,19 @@ class Dataset:
         self.snr_db, self.label = records["snr_db"], records["label"]
         self._block = max(1, _BLOCK_BYTES // record_dtype(symbol_len).itemsize)
 
-    @property
-    def records(self) -> np.recarray:
-        """Every record: the array held in memory, or a read-only array of the
-        whole file's records, read for each access."""
-        if self._file is None:
-            return self._array.view(np.recarray)
-        count = len(self.label)
-        records = np.empty(count, record_dtype(self.symbol_len))
-        with self._fetcher(min(count, self._block)) as fetch:
-            for lo, hi in _spans(count, self._block):
-                records[lo:hi] = fetch(lo, hi)
-        records = records.view(np.recarray)
-        records.flags.writeable = False
-        return records
-
     def samples(self, rows) -> np.ndarray:
         """The float32 samples of record ``rows``, indexed as numpy indexes: an
         integer gives one read-only row, an integer array a new array of rows
         in the order asked.
 
         In memory that is one index of the read-only samples.  From a file
-        the rows are gathered one sorted run of consecutive records at a
-        time, each run at most one block, read into one reused buffer.
+        ``rows`` indexes the record numbers, so numpy's rules and IndexError
+        hold, and the rows are gathered one sorted run of consecutive records
+        at a time, each run at most one block, read into one reused buffer.
         """
         if self._file is None:
             return self._rows[rows]
-        wanted = np.asarray(rows, dtype=np.intp)
-        count = len(self.label)
-        if wanted.size and not (-count <= wanted.min() and wanted.max() < count):
-            raise IndexError(f"record index outside [-{count}, {count})")
-        wanted = np.where(wanted < 0, wanted + count, wanted)
+        wanted = np.arange(len(self.label))[rows]
         out = np.empty(wanted.shape + (self.symbol_len,), np.float32)
         flat = out.reshape(-1, self.symbol_len)
         with self._fetcher(min(wanted.size, self._block)) as fetch:

@@ -15,9 +15,6 @@ from .signal import _BLOCK_ROWS, ModemProfile, noisy_windows, tone_bin, tone_win
 from .theory import (bits_per_symbol, ebn0_to_esn0, ser_noncoherent_mfsk, ser_to_ber,
                      snr_to_ebn0)
 
-SER_CSV_HEADER = "snr_db,ser,stderr,n"
-BER_CSV_HEADER = "snr_db,ebn0_db,ber_measured,ber_from_ser,ber_theory,n"
-
 # Rows of a dataset file that `demod` gathers and demodulates per call.  The
 # gathered batch bounds demod's memory: at symbol_len 4096 it is 16 MiB of
 # float32 rows, whatever the file's size.
@@ -246,17 +243,6 @@ def sweep_ber(demod, profile: ModemProfile, snr_points, n_per_point: int, seed: 
         return list(pool.map(row, range(len(snr_points)), snr_points))
     finally:
         pool.shutdown(cancel_futures=True)
-
-
-def write_ser_csv(rows, path) -> None:
-    write_lines(path, [SER_CSV_HEADER] + [
-        f"{r.snr_db:.6g},{r.ser:.10g},{r.stderr:.10g},{r.n}" for r in rows])
-
-
-def write_ber_csv(rows, path) -> None:
-    write_lines(path, [BER_CSV_HEADER] + [
-        f"{r.snr_db:.6g},{r.ebn0_db:.6g},{r.ber_measured:.10g},"
-        f"{r.ber_from_ser:.10g},{r.ber_theory:.10g},{r.n}" for r in rows])
 
 
 def write_lines(path, lines) -> None:

@@ -104,10 +104,10 @@ def tone_windows(profile: ModemProfile, bins, phases) -> np.ndarray:
     return np.sin(angles, out=angles)
 
 
-# The channel and the classical detector work through a batch this many rows
-# at a time, and a sweep point through its symbols: the noise draw and the
-# rfft of a whole batch each peak at a multiple of its output, while each
-# row's bits are the same in a block of any size.
+# The classical detector works through a batch this many rows at a time, and a
+# sweep point through its symbols: the rfft of a whole batch peaks at a
+# multiple of its output, while each row's bits are the same in a block of
+# any size.
 _BLOCK_ROWS = 64
 
 
@@ -147,20 +147,14 @@ def noisy_windows(profile: ModemProfile, bins, phases, snr_db: float,
     white noise calibrated to ``snr_db``, drawn from ``rng`` after the caller's
     own draws.  Datasets, sweeps and ``analyze`` all go through here.
 
-    The noise is added one _BLOCK_ROWS block of rows at a time, through one
-    scratch block, so the only batch-sized array is the result.  Generator
-    draws keep no state between calls: block by block the standard normals,
-    scaled by sigma, are the same stream, and give the same bits, as one
-    ``rng.normal(0.0, sigma, (B, N))`` draw."""
+    The noise is one standard-normal draw scaled by sigma in place: the bits
+    of ``rng.normal(0.0, sigma, (B, N))``, and the stream left where it leaves
+    it."""
     x = tone_windows(profile, bins, phases)
     sigma = np.sqrt(noise_variance(profile, snr_db))
-    scratch = np.empty((min(x.shape[0], _BLOCK_ROWS),) + x.shape[1:])
-    for lo in range(0, x.shape[0], _BLOCK_ROWS):
-        rows = x[lo : lo + _BLOCK_ROWS]
-        noise = scratch[: rows.shape[0]]
-        rng.standard_normal(out=noise)
-        noise *= sigma
-        rows += noise
+    noise = rng.standard_normal(x.shape)
+    noise *= sigma
+    x += noise
     return x
 
 

@@ -224,15 +224,15 @@ class TestTrainAndDemod:
                            "--dataset", str(dataset), "--out-report", str(tmp_path / "r.txt"),
                            "--out-confusion", str(confusion))
         assert code == 0
-        records = ds.read(dataset).records
-        kept = records[records.label != ds.SYNC_LABEL]
-        assert f"skipped {len(records) - len(kept)} sync records" in out
+        loaded = ds.read(dataset)
+        kept = loaded.label != ds.SYNC_LABEL
+        assert f"skipped {kept.size - kept.sum()} sync records" in out
         modem = get_profile("reduced-m8").modem
         lo = tone_bin(modem, 0)
-        spectrum = np.fft.rfft(kept.samples, axis=-1)
+        spectrum = np.fft.rfft(loaded.samples(kept), axis=-1)
         predicted = np.argmax(np.abs(spectrum[:, lo : lo + modem.tone_count]), axis=-1)
         expected = np.zeros((modem.tone_count, modem.tone_count), np.int64)
-        np.add.at(expected, (kept.label, predicted), 1)
+        np.add.at(expected, (loaded.label[kept], predicted), 1)
         assert np.loadtxt(confusion, delimiter=",", dtype=np.int64).tolist() == expected.tolist()
 
     def test_trained_model_beats_chance_easily(self, workspace, tmp_path, capsys):
@@ -275,32 +275,45 @@ class TestFileBackedRows:
                                str(tmp_path / "a"))
         assert code == 0
         assert peak.bytes < 2 * 2**20
-        record = ds.read(full_file).records[5]
-        assert out.startswith(f"record=5 label={record.label} snr_db={record.snr_db:.2f}\n")
+        loaded = ds.read(full_file)
+        assert out.startswith(f"record=5 label={loaded.label[5]} "
+                              f"snr_db={loaded.snr_db[5]:.2f}\n")
         waveform = np.loadtxt(tmp_path / "a_waveform.csv", delimiter=",", skiprows=1)
-        assert np.allclose(waveform[:, 1], record.samples, rtol=1e-9, atol=0.0)  # %.10g
+        assert np.allclose(waveform[:, 1], loaded.samples(5), rtol=1e-9, atol=0.0)  # %.10g
 
 
 class TestSweep:
     def test_ser_sweep_csv(self, tmp_path, capsys):
         out = tmp_path / "ser.csv"
-        code, _, _ = run(capsys, "sweep", "--profile", "reduced-m8", "--classical",
-                         "--mode", "ser", "--snr", "-12,-10", "--n", "500",
-                         "--seed", "3", "--out", str(out))
+        code, stdout, _ = run(capsys, "sweep", "--profile", "reduced-m8", "--classical",
+                              "--mode", "ser", "--snr", "-12,-10", "--n", "500",
+                              "--seed", "3", "--out", str(out))
         assert code == 0
         lines = out.read_text().strip().split("\n")
         assert lines[0] == "snr_db,ser,stderr,n"
         assert len(lines) == 3
+        # Each stdout line is its CSV row's point at the stdout precision.
+        expected = []
+        for line in lines[1:]:
+            snr_db, ser, _, n = line.split(",")
+            expected.append(f"snr_db={snr_db} ser={float(ser):.6g} n={n}")
+        assert stdout.splitlines() == expected
 
     def test_ber_sweep_csv_with_theory_column(self, tmp_path, capsys):
         out = tmp_path / "ber.csv"
-        code, _, _ = run(capsys, "sweep", "--profile", "reduced-m8", "--classical",
-                         "--mode", "ber", "--snr", "-14:-10:2", "--n", "500",
-                         "--seed", "3", "--out", str(out))
+        code, stdout, _ = run(capsys, "sweep", "--profile", "reduced-m8", "--classical",
+                              "--mode", "ber", "--snr", "-14:-10:2", "--n", "500",
+                              "--seed", "3", "--out", str(out))
         assert code == 0
         lines = out.read_text().strip().split("\n")
         assert lines[0] == "snr_db,ebn0_db,ber_measured,ber_from_ser,ber_theory,n"
         assert len(lines) == 4
+        expected = []
+        for line in lines[1:]:
+            snr_db, ebn0_db, ber, _, theory, n = line.split(",")
+            expected.append(f"snr_db={snr_db} ebn0_db={float(ebn0_db):.4g} "
+                            f"ber={float(ber):.6g} theory={float(theory):.6g} n={n}")
+        assert stdout.splitlines() == expected
 
 
 class TestGrid:

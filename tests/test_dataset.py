@@ -70,18 +70,17 @@ class TestGenerate:
         bulk = generate(reduced_spec)
         for index in (0, 31, 95):
             alone = generate_record(reduced_spec, index)
-            assert alone.label == bulk.records[index].label
-            assert np.array_equal(alone.samples, bulk.records[index].samples)
+            assert alone.label == bulk.label[index]
+            assert np.array_equal(alone.samples, bulk.samples(index))
 
     def test_snr_range_respected(self, reduced_spec):
-        ds = generate(reduced_spec)
-        snrs = np.array([r.snr_db for r in ds.records])
+        snrs = generate(reduced_spec).snr_db
         assert snrs.min() >= -20.0 and snrs.max() <= -5.0
         assert snrs.std() > 0
 
     def test_fixed_snr_mode(self, reduced_spec):
         spec = DatasetSpec(reduced_spec.profile, 8, (-7.0, -7.0), seed=1)
-        assert all(r.snr_db == -7.0 for r in generate(spec).records)
+        assert np.all(generate(spec).snr_db == -7.0)
 
     def test_uniform_snr_distribution(self, reduced_spec):
         # 2000 draws over 15 dB in 5 bins: each within 5 sigma of 400.
@@ -104,7 +103,7 @@ class TestGenerate:
 
     def test_labels_within_alphabet(self, reduced_spec):
         ds = generate(reduced_spec)
-        labels = {r.label for r in ds.records}
+        labels = set(ds.label.tolist())
         assert labels <= set(range(8))
 
     def test_include_sync_draws_sync_records(self, reduced_spec):
@@ -190,10 +189,10 @@ class TestFileFormat:
         assert loaded.sample_rate_hz == 11025
         assert loaded.symbol_len == 512
         assert loaded.tone_count == 8
-        for a, b in zip(loaded.records, ds.records):
-            assert a.label == b.label
-            assert a.snr_db == np.float32(b.snr_db)
-            assert np.array_equal(a.samples, b.samples.astype(np.float32))
+        assert np.array_equal(loaded.label, ds.label)
+        assert np.array_equal(loaded.snr_db, ds.snr_db)
+        rows = np.arange(len(ds.label))
+        assert loaded.samples(rows).tobytes() == ds.samples(rows).tobytes()
 
     def test_truncated_records(self, reduced_spec):
         blob = written_bytes(generate(
@@ -218,9 +217,10 @@ class TestFileFormat:
     @staticmethod
     def mutated(spec, field, value):
         """A file of ``spec`` whose record 1 has ``field`` overwritten."""
-        ds = generate(spec)
-        ds.records[field][1] = value
-        return io.BytesIO(written_bytes(ds))
+        blob = written_bytes(generate(spec))
+        records = np.frombuffer(blob[32:], record_dtype(spec.profile.symbol_len)).copy()
+        records[field][1] = value
+        return io.BytesIO(blob[:32] + records.tobytes())
 
     def test_label_outside_alphabet_inconsistent(self, reduced_spec):
         spec = DatasetSpec(reduced_spec.profile, 3, (-9.0, -9.0), seed=5)
@@ -239,17 +239,22 @@ class TestFileFormat:
             read(self.mutated(spec, "samples", value))
 
     def test_opposite_infinities_raise_without_a_warning(self, reduced_spec):
-        ds = generate(DatasetSpec(reduced_spec.profile, 3, (-9.0, -9.0), seed=5))
-        ds.records.samples[1, :2] = np.inf, -np.inf
+        blob = written_bytes(generate(DatasetSpec(reduced_spec.profile, 3, (-9.0, -9.0), seed=5)))
+        records = np.frombuffer(blob[32:], record_dtype(512)).copy()
+        records["samples"][1, :2] = np.inf, -np.inf
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(InconsistencyError, match="record 1 has a non-finite sample"):
-                read(io.BytesIO(written_bytes(ds)))
+                read(io.BytesIO(blob[:32] + records.tobytes()))
 
     def test_records_are_the_file_layout(self, reduced_spec):
         ds = generate(DatasetSpec(reduced_spec.profile, 3, (-9.0, -9.0), seed=5))
-        assert ds.records.dtype == record_dtype(512)
-        assert ds.records.tobytes() == written_bytes(ds)[32:]
+        # frombuffer refuses a payload that is not whole records.
+        records = np.frombuffer(written_bytes(ds)[32:], record_dtype(512))
+        assert records["snr_db"].tobytes() == ds.snr_db.tobytes()
+        assert records["label"].tobytes() == ds.label.tobytes()
+        assert not records["reserved"].any()
+        assert records["samples"].tobytes() == ds.samples(np.arange(3)).tobytes()
 
     def test_sync_flag_round_trips(self, reduced_spec):
         spec = DatasetSpec(reduced_spec.profile, 40, (-9.0, -9.0), seed=3,
@@ -272,7 +277,7 @@ class TestReadMemory:
         with traced_peak() as peak:
             loaded = read(path)
         assert peak.bytes < _BLOCK_BYTES + 6 * len(records) + 128 * 1024
-        assert loaded.records.tobytes() == records.tobytes()
+        assert written_bytes(loaded)[32:] == records.tobytes()
 
     def test_huge_declared_count_allocates_nothing(self, traced_peak):
         # 2**30 records of 8 samples (40 GiB) declared by a 40-byte file.
@@ -282,13 +287,6 @@ class TestReadMemory:
                 read(io.BytesIO(blob + bytes(8)))
         assert peak.bytes < 64 * 1024
 
-    def test_records_are_read_only(self, reduced_spec):
-        loaded = read(io.BytesIO(written_bytes(generate(
-            DatasetSpec(reduced_spec.profile, 3, (-9.0, -9.0), seed=5)))))
-        assert not loaded.records.flags.writeable
-        with pytest.raises(ValueError):
-            loaded.records.samples[0, 0] = 1.0
-
 
 class TestDataArrays:
     def test_excludes_sync_records(self, reduced_spec):
@@ -297,7 +295,7 @@ class TestDataArrays:
         ds = generate(spec)
         x, y = data_arrays(ds)
         assert x.dtype == np.float32
-        assert y.size < len(ds.records)
+        assert y.size < len(ds.label)
         assert np.all(y < 8)
 
     def test_shapes_align(self, reduced_spec):
@@ -310,20 +308,20 @@ class TestDataArrays:
     def test_samples_are_the_record_bytes(self, reduced_spec, source, tmp_path):
         ds = generate(DatasetSpec(reduced_spec.profile, 12, (-12.0, -3.0), seed=6,
                                   include_sync=True))
+        records = np.frombuffer(written_bytes(ds)[32:], record_dtype(512))
         if source == "read":
             write(ds, tmp_path / "set.mfskdset")
             ds = read(tmp_path / "set.mfskdset")
         x, y = data_arrays(ds)
-        kept = [r for r in ds.records if r.label != SYNC_LABEL]
-        expected = np.stack([r.samples for r in kept]).astype(np.float32)
-        assert np.asarray(x).tobytes() == expected.tobytes()
-        assert y.tolist() == [r.label for r in kept]
+        kept = records[records["label"] != SYNC_LABEL]
+        assert np.asarray(x).tobytes() == kept["samples"].tobytes()
+        assert y.tolist() == kept["label"].tolist()
 
     def test_rows_index_as_the_dense_copy(self, reduced_spec):
         ds = generate(DatasetSpec(reduced_spec.profile, 40, (-9.0, -9.0), seed=4,
                                   include_sync=True))
         x, y = data_arrays(ds)
-        dense = ds.records.samples[ds.records.label != SYNC_LABEL]
+        dense = ds.samples(ds.label != SYNC_LABEL)
         assert (x.shape, x.dtype, x.ndim, len(x)) == (dense.shape, dense.dtype, 2, y.size)
         for key in (0, -1, slice(3, 17), slice(None, None, 5), np.array([5, 0, 5, 2])):
             assert np.array_equal(x[key], dense[key])
@@ -355,11 +353,29 @@ class TestDataArrays:
             with pytest.raises(IndexError):
                 source.samples([0, 1200])
 
+    def test_file_samples_take_numpy_indices(self, reduced_spec):
+        # Each index gives the memory rows' bytes from the file, or IndexError
+        # from both: a mask selects, a float array and an out-of-range index fail.
+        ds = generate(DatasetSpec(reduced_spec.profile, 4, (-9.0, -3.0), seed=5))
+        loaded = read(io.BytesIO(written_bytes(ds)))
+        for rows in (2, -1, np.array([3, -4, 3, 0]), np.array([False, False, True, False]),
+                     slice(1, 3), np.array([1.7]), 4):
+            try:
+                expected = ds.samples(rows).tobytes()
+            except IndexError:
+                with pytest.raises(IndexError):
+                    loaded.samples(rows)
+            else:
+                assert loaded.samples(rows).tobytes() == expected, rows
+        for source in (ds, loaded):
+            with pytest.raises(ValueError):
+                source.samples(2)[0] = 1.0
+
     def test_rows_are_not_copied(self, full_profile, tmp_path, traced_peak):
         spec = DatasetSpec(full_profile, 200, (-20.0, -20.0), seed=2, include_sync=True)
         write(generate(spec), tmp_path / "full.mfskdset")
         loaded = read(tmp_path / "full.mfskdset")
         with traced_peak() as peak:
             x, y = data_arrays(loaded)
-        assert peak.bytes < loaded.records.nbytes / 100
+        assert peak.bytes < len(loaded.label) * record_dtype(4096).itemsize / 100
         assert x.shape == (y.size, full_profile.symbol_len)

@@ -8,16 +8,12 @@ import pytest
 from conftest import DESK_M4, esn0_to_snr, synthesize_symbol, write_profiles
 from mfskmodem.analysis import classical_demodulator
 from mfskmodem.evaluate import (
-    BER_CSV_HEADER,
-    SER_CSV_HEADER,
     ConfusionMatrix,
     accumulate_many,
     bench_latency,
     metrics,
     sweep_ber,
-    write_ber_csv,
     write_lines,
-    write_ser_csv,
 )
 from mfskmodem.nn import ModelConfig, build_model, forward, model_demodulator
 from mfskmodem.profiles import get_profile
@@ -353,32 +349,10 @@ class TestSweepWorkers:
 
 
 class TestCsvOutput:
-    def test_ser_schema(self, reduced_profile, tmp_path):
-        demod = classical_demodulator(reduced_profile)
-        rows = sweep_ber(demod, reduced_profile, [-12.0], 50, seed=1)
-        write_ser_csv(rows, tmp_path / "ser.csv")
-        lines = (tmp_path / "ser.csv").read_text(encoding="utf-8").strip().split("\n")
-        assert lines[0] == SER_CSV_HEADER == "snr_db,ser,stderr,n"
-        assert len(lines) == 2
-        assert lines[1].endswith(",50")
-
-    def test_ber_schema(self, reduced_profile, tmp_path):
-        demod = classical_demodulator(reduced_profile)
-        rows = sweep_ber(demod, reduced_profile, [-12.0, -10.0], 50, seed=1)
-        write_ber_csv(rows, tmp_path / "ber.csv")
-        lines = (tmp_path / "ber.csv").read_text(encoding="utf-8").strip().split("\n")
-        assert lines[0] == BER_CSV_HEADER == (
-            "snr_db,ebn0_db,ber_measured,ber_from_ser,ber_theory,n")
-        assert len(lines) == 3
-
     def test_write_lines_to_a_path(self, tmp_path):
         path = tmp_path / "lines.csv"
         write_lines(path, (line for line in ["a,b", "1,2"]))
         assert path.read_text(encoding="utf-8") == "a,b\n1,2\n"
-
-    def test_no_rows_is_the_header_alone(self, tmp_path):
-        write_ser_csv([], tmp_path / "ser.csv")
-        assert (tmp_path / "ser.csv").read_text(encoding="utf-8") == SER_CSV_HEADER + "\n"
 
 
 class TestBenchLatency:

@@ -11,7 +11,6 @@ from mfskmodem.signal import (
     SYNC,
     ModemProfile,
     measure_snr,
-    _BLOCK_ROWS,
     noise_variance,
     noisy_windows,
     tone_bin,
@@ -163,56 +162,31 @@ class TestNoisyWindows:
         with pytest.raises(ValueError, match="noise variance"):
             noisy_windows(reduced_profile, [60], 0.0, 4000.0, rng)
 
-    @pytest.mark.parametrize("profile", ["full_profile", "reduced_profile"])
-    @pytest.mark.parametrize("rows", [0, 1, 63, 64, 65, 129, 2113])
-    @pytest.mark.parametrize("per_row_phases", [False, True])
-    def test_blocked_draws_are_the_one_shot_channel_bitwise(self, profile, rows,
-                                                            per_row_phases, request):
-        # With its noise drawn one _BLOCK_ROWS block at a time, the channel
-        # gives the bits of one (B, N) tone batch plus one (B, N) draw, and
-        # leaves the Generator where that draw leaves it.
-        assert _BLOCK_ROWS == 64
+    @pytest.mark.parametrize("seed, snr_db, rows, per_row_phases, profile", [
+        (11, -20.0, rows, per_row_phases, profile)
+        for profile in ("full_profile", "reduced_profile")
+        for rows in (0, 1, 63, 64, 65, 129, 2113) for per_row_phases in (False, True)
+    ] + [(seed, -30.0 + 1.5 * seed, 256, False, "full_profile") for seed in range(20)])
+    def test_channel_is_tones_plus_one_normal_draw(self, seed, snr_db, rows, per_row_phases,
+                                                   profile, request):
+        # Every batch shape at one seed, then 256 rows at each of 20 seeds and
+        # SNRs: the channel gives the bits of one (B, N) tone batch plus one
+        # Generator.normal (B, N) draw, and leaves the Generator where that
+        # draw leaves it.
         profile = request.getfixturevalue(profile)
         setup = np.random.default_rng(rows)
         bins = tone_bin(profile, 0) + setup.integers(0, profile.tone_count, rows)
         bins[:1] = tone_bin(profile, SYNC)  # the sync tone crosses the channel too
         phases = setup.uniform(0.0, 2.0 * np.pi, rows) if per_row_phases else 2.1
-        rng, twin = np.random.default_rng(11), np.random.default_rng(11)
-        channel = noisy_windows(profile, bins, phases, -20.0, rng)
-        sigma = np.sqrt(noise_variance(profile, -20.0))
+        rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+        channel = noisy_windows(profile, bins, phases, snr_db, rng)
+        sigma = np.sqrt(noise_variance(profile, snr_db))
         oracle = tone_windows(profile, bins, phases)
         oracle += twin.normal(0.0, sigma, (rows, profile.symbol_len))
         assert channel.shape == oracle.shape == (rows, profile.symbol_len)
         assert channel.dtype == oracle.dtype == np.float64
         assert channel.tobytes() == oracle.tobytes()
         assert rng.bit_generator.state == twin.bit_generator.state
-
-    def test_scaled_standard_normals_are_the_normal_draw_over_seeds(self, full_profile):
-        # Four blocks at each of 20 seeds and SNRs: the standard normals,
-        # scaled in place, give the bits of Generator.normal's draw and leave
-        # the stream where it leaves it.
-        rows = 4 * _BLOCK_ROWS
-        bins = tone_bin(full_profile, 0) + np.arange(rows) % full_profile.tone_count
-        for seed in range(20):
-            snr_db = -30.0 + 1.5 * seed
-            rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
-            channel = noisy_windows(full_profile, bins, 0.3, snr_db, rng)
-            oracle = tone_windows(full_profile, bins, 0.3)
-            oracle += twin.normal(0.0, np.sqrt(noise_variance(full_profile, snr_db)),
-                                  oracle.shape)
-            assert channel.tobytes() == oracle.tobytes(), seed
-            assert rng.bit_generator.state == twin.bit_generator.state, seed
-
-    def test_one_chunk_peaks_near_its_result(self, full_profile, traced_peak):
-        # One 2048-window sweep chunk: its 64 MiB result plus one block's
-        # noise, not a second batch-sized noise array.
-        rows = 2048
-        bins = tone_bin(full_profile, 0) + np.arange(rows) % full_profile.tone_count
-        phases = np.linspace(0.0, 2.0 * np.pi, rows)
-        result_bytes = rows * full_profile.symbol_len * 8
-        with traced_peak() as peak:
-            noisy_windows(full_profile, bins, phases, -20.0, np.random.default_rng(4))
-        assert peak.bytes < 1.1 * result_bytes
 
 
 class TestMeasureSnr:
