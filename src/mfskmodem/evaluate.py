@@ -186,13 +186,17 @@ def _draw_symbols(profile, n_symbols, rng):
 def _run_point(demod, profile, snr_db, n_symbols, rng) -> ConfusionMatrix:
     """Confusion counts of ``demod`` over n_symbols fresh random symbols,
     synthesized, made noisy, demodulated and counted one _BLOCK_ROWS block at
-    a time: at symbol_len 4096 a block is 2 MiB of windows, plus one block of
-    noise and of spectra or the CNN's float32 cast."""
+    a time.  The point allocates one block of windows and one of noise once
+    (2 MiB each at symbol_len 4096) and every block reuses them, the last one
+    through their leading rows; ``demod`` adds a block of spectra or the
+    CNN's float32 cast."""
     labels, bins, phases = _draw_symbols(profile, n_symbols, rng)
     cm = ConfusionMatrix.empty(profile.tone_count)
+    workspace = np.empty((2, min(n_symbols, _BLOCK_ROWS), profile.symbol_len))
     for lo in range(0, n_symbols, _BLOCK_ROWS):
         sel = slice(lo, lo + _BLOCK_ROWS)
-        x = noisy_windows(profile, bins[sel], phases[sel], snr_db, rng)
+        x = noisy_windows(profile, bins[sel], phases[sel], snr_db, rng,
+                          workspace=workspace[:, : n_symbols - lo])
         accumulate_many(cm, labels[sel], np.asarray(demod(x)))
     return cm
 
@@ -275,17 +279,18 @@ def bench_latency(demod, profile: ModemProfile, n_symbols: int) -> LatencyReport
     ``real_time`` compares the mean against the symbol interval N/fs
     (0.3715 s for the full profile).  _WARMUP extra calls, cycling over
     the first block, run first and are excluded from the statistics.  The
-    windows are synthesized one _BLOCK_ROWS block at a time, outside the
-    timed calls, so only one block is held.
+    windows are synthesized one _BLOCK_ROWS block at a time into one block
+    allocated once, outside the timed calls, so only one block is held.
     """
     if n_symbols < 100:
         raise ValueError("n_symbols must be >= 100 for stable percentiles")
     _, bins, phases = _draw_symbols(profile, n_symbols, np.random.default_rng(0))
 
     elapsed = np.empty(n_symbols)
+    windows = np.empty((min(n_symbols, _BLOCK_ROWS), profile.symbol_len))
     for lo in range(0, n_symbols, _BLOCK_ROWS):
-        block = tone_windows(profile, bins[lo : lo + _BLOCK_ROWS],
-                             phases[lo : lo + _BLOCK_ROWS])
+        sel = slice(lo, lo + _BLOCK_ROWS)
+        block = tone_windows(profile, bins[sel], phases[sel], out=windows[: n_symbols - lo])
         if lo == 0:
             for i in range(_WARMUP):
                 demod(block[i % len(block)][None, :])
@@ -293,7 +298,6 @@ def bench_latency(demod, profile: ModemProfile, n_symbols: int) -> LatencyReport
             start = time.perf_counter()
             demod(block[i][None, :])
             elapsed[lo + i] = time.perf_counter() - start
-        del block  # freed before the next block is made
 
     interval = profile.symbol_duration_s
     mean = float(elapsed.mean())

@@ -24,10 +24,6 @@ from .theory import bits_per_symbol
 # Marker accepted wherever a tone is expected, selecting the sync tone.
 SYNC = "sync"
 
-# measure_snr saturates here instead of returning +inf on a zero residual.
-SNR_SATURATION_DB = 300.0
-
-
 def _is_pow2(n: int) -> bool:
     return n > 0 and (n & (n - 1)) == 0
 
@@ -94,14 +90,30 @@ def tone_bin(profile: ModemProfile, tone) -> int:
     return profile.sync_bin + profile.tone_offset + index
 
 
-def tone_windows(profile: ModemProfile, bins, phases) -> np.ndarray:
+def tone_windows(profile: ModemProfile, bins, phases, *, out=None) -> np.ndarray:
     """(B, N) unit windows sin(2*pi*b*n/N + phi), one per bin, the bin-aligned
-    form of sin(2*pi*f*n/fs + phi); ``phases`` is one per bin or one for all."""
+    form of sin(2*pi*f*n/fs + phi); ``phases`` is one per bin or one for all.
+
+    The angles are built and ``sin`` runs in one (B, N) float64 array: a new
+    one, or ``out`` when given, which is then returned.  Either way the
+    windows have the same bits."""
     n = profile.symbol_len
+    bins = np.asarray(bins)
+    if out is not None:
+        _workspace(out, (len(bins), n))
     # N is a power of two: (2*pi/N)*b*n rounds exactly as 2*pi*b*n/N does.
-    angles = (2.0 * np.pi / n) * np.asarray(bins)[:, None] * np.arange(n)
+    angles = np.multiply((2.0 * np.pi / n) * bins[:, None], np.arange(n), out=out)
     angles += np.asarray(phases)[..., None]
     return np.sin(angles, out=angles)
+
+
+def _workspace(array, shape):
+    """``array`` if it is a float64 array of ``shape``, else ValueError."""
+    if not (isinstance(array, np.ndarray) and array.dtype == np.float64
+            and array.shape == shape):
+        raise ValueError(f"workspace must be a float64 array of shape {shape}, got "
+                         f"{getattr(array, 'dtype', type(array).__name__)} {np.shape(array)}")
+    return array
 
 
 # The classical detector works through a batch this many rows at a time, and a
@@ -142,43 +154,27 @@ def noise_variance(profile: ModemProfile, snr_db: float) -> float:
 
 
 def noisy_windows(profile: ModemProfile, bins, phases, snr_db: float,
-                  rng: np.random.Generator) -> np.ndarray:
+                  rng: np.random.Generator, *, workspace=None) -> np.ndarray:
     """The AWGN channel: tone_windows (unit tones, power 0.5) plus full-band
     white noise calibrated to ``snr_db``, drawn from ``rng`` after the caller's
     own draws.  Datasets, sweeps and ``analyze`` all go through here.
 
     The noise is one standard-normal draw scaled by sigma in place: the bits
     of ``rng.normal(0.0, sigma, (B, N))``, and the stream left where it leaves
-    it."""
-    x = tone_windows(profile, bins, phases)
+    it.  Without ``workspace`` the windows and the noise are new arrays.  A
+    caller that repeats the channel passes a float64 ``workspace`` of shape
+    (2, B, N): the windows are built in ``workspace[0]``, which is returned,
+    and the noise is drawn into ``workspace[1]``, with the same bits.  A
+    workspace of another shape or dtype raises ValueError before any draw."""
+    x = noise = None
+    if workspace is not None:
+        x, noise = _workspace(workspace, (2, len(bins), profile.symbol_len))
+    x = tone_windows(profile, bins, phases, out=x)
     sigma = np.sqrt(noise_variance(profile, snr_db))
-    noise = rng.standard_normal(x.shape)
+    noise = rng.standard_normal(x.shape, out=noise)
     noise *= sigma
     x += noise
     return x
-
-
-def measure_snr(noisy, clean, profile: ModemProfile) -> float:
-    """Reference-bandwidth SNR in dB of the samples ``noisy`` against the known
-    ``clean`` ones, both at ``profile``'s rate.
-
-    Inverse of noise_variance: the residual's variance is scaled by
-    B / (fs/2) before the ratio.  Saturates at SNR_SATURATION_DB instead
-    of returning +inf when the residual (or its variance) vanishes.
-    """
-    noisy = np.asarray(noisy, dtype=np.float64)
-    clean = np.asarray(clean, dtype=np.float64)
-    if noisy.size != clean.size:
-        raise ValueError("noisy and clean waveforms must have equal length")
-    clean_power = float(np.mean(clean**2))
-    if clean_power == 0.0:
-        raise ValueError("clean reference has zero power")
-    var = float(np.var(noisy - clean))
-    if var == 0.0:
-        return SNR_SATURATION_DB
-    snr = 10.0 * np.log10(clean_power / (var * profile.ref_bandwidth_hz
-                                         / (profile.sample_rate_hz / 2.0)))
-    return float(min(snr, SNR_SATURATION_DB))
 
 
 def lowpass(samples: np.ndarray, sample_rate_hz: float, cutoff_hz: float) -> np.ndarray:

@@ -26,6 +26,33 @@ def esn0_to_snr(profile, es_n0_db):
     return es_n0_db - 10.0 * math.log10(profile.ref_bandwidth_hz * profile.symbol_duration_s)
 
 
+# measure_snr saturates here instead of returning +inf on a zero residual.
+SNR_SATURATION_DB = 300.0
+
+
+def measure_snr(noisy, clean, profile) -> float:
+    """Reference-bandwidth SNR in dB of the samples ``noisy`` against the known
+    ``clean`` ones, both at ``profile``'s rate.
+
+    Inverse of noise_variance: the residual's variance is scaled by
+    B / (fs/2) before the ratio.  Saturates at SNR_SATURATION_DB instead
+    of returning +inf when the residual (or its variance) vanishes.
+    """
+    noisy = np.asarray(noisy, dtype=np.float64)
+    clean = np.asarray(clean, dtype=np.float64)
+    if noisy.size != clean.size:
+        raise ValueError("noisy and clean waveforms must have equal length")
+    clean_power = float(np.mean(clean**2))
+    if clean_power == 0.0:
+        raise ValueError("clean reference has zero power")
+    var = float(np.var(noisy - clean))
+    if var == 0.0:
+        return SNR_SATURATION_DB
+    snr = 10.0 * np.log10(clean_power / (var * profile.ref_bandwidth_hz
+                                         / (profile.sample_rate_hz / 2.0)))
+    return float(min(snr, SNR_SATURATION_DB))
+
+
 def write_profiles(path, sections):
     """Write a profile file of ``sections``, {name: {key: value}}, to ``path``."""
     path.write_text("".join(

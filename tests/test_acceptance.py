@@ -12,7 +12,7 @@ import os
 import numpy as np
 import pytest
 
-from conftest import esn0_to_snr, synthesize_symbol
+from conftest import esn0_to_snr, measure_snr, synthesize_symbol
 from mfskmodem import dataset as ds
 from mfskmodem.analysis import classical_demodulator
 from mfskmodem.cli import main
@@ -30,7 +30,7 @@ from mfskmodem.nn import (
     train,
 )
 from mfskmodem.profiles import get_profile
-from mfskmodem.signal import measure_snr, noisy_windows, tone_bin
+from mfskmodem.signal import noisy_windows, tone_bin
 from mfskmodem.theory import (
     ebn0_to_esn0,
     ser_noncoherent_mfsk,

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import synthesize_symbol
+from conftest import measure_snr, synthesize_symbol
 from mfskmodem.dataset import (
     SYNC_LABEL,
     Dataset,
@@ -24,11 +24,7 @@ from mfskmodem.dataset import (
 )
 from mfskmodem.dataset import _BLOCK_BYTES, _draw, _record_rng
 from mfskmodem.errors import InconsistencyError, TruncationError
-from mfskmodem.signal import (
-    SYNC,
-    measure_snr,
-    noise_variance,
-)
+from mfskmodem.signal import SYNC, noise_variance
 
 
 @pytest.fixture(scope="module")

@@ -1,5 +1,6 @@
 """Tests for confusion-matrix metrics, Monte-Carlo sweeps, and the benchmark."""
 
+import hashlib
 import threading
 
 import numpy as np
@@ -17,6 +18,7 @@ from mfskmodem.evaluate import (
 )
 from mfskmodem.nn import ModelConfig, build_model, forward, model_demodulator
 from mfskmodem.profiles import get_profile
+from mfskmodem.signal import noisy_windows, tone_bin
 from mfskmodem.theory import ser_noncoherent_mfsk
 
 
@@ -298,19 +300,68 @@ def _folded_full_demod(profile, detector):
     return model_demodulator(state)
 
 
+def _reduced_demod(profile, detector):
+    """A reduced-m8 demodulator whose CNN state is folded before it is used."""
+    if detector == "classical":
+        return classical_demodulator(profile)
+    state = build_model(get_profile("reduced-m8").model, seed=3)
+    forward(state, np.zeros(profile.symbol_len))
+    return model_demodulator(state)
+
+
+def _oracle_points(demod, profile, snrs, n, seed):
+    """sweep_ber's points by hand: each draws its labels and phases from its
+    substream, then sends each 64-row block through noisy_windows with no
+    workspace.  Returns each point's metrics and the sha256 of every block
+    ``demod`` saw, in order."""
+    reports, seen = [], []
+    for i, snr_db in enumerate(snrs):
+        rng = np.random.default_rng([seed, i])
+        labels = rng.integers(0, profile.tone_count, n)
+        phases = rng.uniform(0.0, 2.0 * np.pi, n)
+        cm = ConfusionMatrix.empty(profile.tone_count)
+        for lo in range(0, n, 64):
+            x = noisy_windows(profile, tone_bin(profile, 0) + labels[lo : lo + 64],
+                              phases[lo : lo + 64], snr_db, rng)
+            seen.append(hashlib.sha256(x.tobytes()).hexdigest())
+            accumulate_many(cm, labels[lo : lo + 64], demod(x))
+        reports.append(metrics(cm))
+    return reports, seen
+
+
 class TestSweepWorkers:
     SNRS = [-14.0, -10.0, -6.0, -2.0, 2.0]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
+    @pytest.mark.parametrize("detector", ["classical", "cnn"])
+    def test_points_equal_fresh_blocks_through_the_channel(self, reduced_profile, detector,
+                                                          n, workers):
+        # A point reuses one workspace for all its blocks, the last one (of 1,
+        # 63, 1 or 2 rows here) through its leading rows; pooled points each
+        # own theirs.  Every block demod sees, and every row, equals the
+        # channel's fresh arrays.
+        demod = _reduced_demod(reduced_profile, detector)
+        seen = []
+
+        def spy(x):
+            seen.append(hashlib.sha256(x.tobytes()).hexdigest())
+            return demod(x)
+
+        snrs = self.SNRS[:3]
+        rows = sweep_ber(spy, reduced_profile, snrs, n, seed=9, workers=workers)
+        reports, oracle_seen = _oracle_points(demod, reduced_profile, snrs, n, seed=9)
+        assert [(r.ser, r.ber_measured, r.ber_from_ser) for r in rows] == [
+            (r.ser, r.ber_measured, r.ber_from_ser) for r in reports]
+        # Pooled points interleave their blocks.
+        assert (seen if workers == 1 else sorted(seen)) == (
+            oracle_seen if workers == 1 else sorted(oracle_seen))
 
     @pytest.mark.parametrize("n", [100, 2113])
     @pytest.mark.parametrize("detector", ["classical", "cnn"])
     def test_two_workers_give_the_serial_rows(self, reduced_profile, detector, n):
         # 2113 = 33 blocks of 64 rows plus one row.
-        if detector == "classical":
-            demod = classical_demodulator(reduced_profile)
-        else:
-            state = build_model(get_profile("reduced-m8").model, seed=3)
-            forward(state, np.zeros(reduced_profile.symbol_len))
-            demod = model_demodulator(state)
+        demod = _reduced_demod(reduced_profile, detector)
         serial = sweep_ber(demod, reduced_profile, self.SNRS, n, seed=9)
         assert sweep_ber(demod, reduced_profile, self.SNRS, n, seed=9, workers=2) == serial
 

@@ -5,12 +5,10 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import synthesize_symbol
+from conftest import SNR_SATURATION_DB, measure_snr, synthesize_symbol
 from mfskmodem.signal import (
-    SNR_SATURATION_DB,
     SYNC,
     ModemProfile,
-    measure_snr,
     noise_variance,
     noisy_windows,
     tone_bin,
@@ -172,7 +170,9 @@ class TestNoisyWindows:
         # Every batch shape at one seed, then 256 rows at each of 20 seeds and
         # SNRs: the channel gives the bits of one (B, N) tone batch plus one
         # Generator.normal (B, N) draw, and leaves the Generator where that
-        # draw leaves it.
+        # draw leaves it.  So does the channel through a workspace: the
+        # leading rows of a larger NaN-filled one, as a sweep's last block
+        # uses its point's workspace.
         profile = request.getfixturevalue(profile)
         setup = np.random.default_rng(rows)
         bins = tone_bin(profile, 0) + setup.integers(0, profile.tone_count, rows)
@@ -187,6 +187,40 @@ class TestNoisyWindows:
         assert channel.dtype == oracle.dtype == np.float64
         assert channel.tobytes() == oracle.tobytes()
         assert rng.bit_generator.state == twin.bit_generator.state
+
+        reused = np.random.default_rng(seed)
+        workspace = np.full((2, rows + 3, profile.symbol_len), np.nan)
+        in_place = noisy_windows(profile, bins, phases, snr_db, reused,
+                                 workspace=workspace[:, :rows])
+        assert in_place.shape == (rows, profile.symbol_len)
+        assert in_place.tobytes() == channel.tobytes()
+        assert reused.bit_generator.state == rng.bit_generator.state
+        assert np.shares_memory(in_place, workspace) or rows == 0  # no bytes to share
+
+    @pytest.mark.parametrize("shape, dtype", [
+        ((2, 5, 512), np.float64),  # more rows than the call: not sliced
+        ((2, 4, 256), np.float64),
+        ((4, 512), np.float64),  # windows only, no noise block
+        ((1, 4, 512), np.float64),
+        ((2, 4, 512), np.float32),
+    ])
+    def test_workspace_of_another_shape_or_dtype_is_refused(self, reduced_profile, shape,
+                                                            dtype):
+        rng = np.random.default_rng(5)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match="workspace"):
+            noisy_windows(reduced_profile, [60, 61, 62, 63], 0.0, -10.0, rng,
+                          workspace=np.zeros(shape, dtype))
+        assert rng.bit_generator.state == before
+
+    @pytest.mark.parametrize("shape, dtype", [
+        ((5, 512), np.float64), ((4, 256), np.float64), ((2, 4, 512), np.float64),
+        ((4, 512), np.float32),
+    ])
+    def test_tone_windows_refuses_an_out_of_another_shape_or_dtype(self, reduced_profile,
+                                                                   shape, dtype):
+        with pytest.raises(ValueError, match="workspace"):
+            tone_windows(reduced_profile, [60, 61, 62, 63], 0.0, out=np.zeros(shape, dtype))
 
 
 class TestMeasureSnr:

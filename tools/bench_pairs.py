@@ -5,7 +5,8 @@ directory, then runs ``perfbench/run.py`` of each tree, each run in a fresh
 process, in ``--pairs`` alternating pairs: pair i uses seed ``--seed + i``
 for every workload, and the side that runs first alternates by pair
 (parent first in odd pairs).  Only the end-to-end metrics are read (no
-traced runs).  Run it from the repository root:
+traced runs), plus the user and system CPU seconds of each whole run from
+perfbench's ``run-record:`` line.  Run it from the repository root:
 
     python3 tools/bench_pairs.py --parent HEAD~1 --change HEAD \\
         --workload train-m8 --pairs 10 --seconds 15 --threads 1 --out BENCH_11.json
@@ -13,8 +14,8 @@ traced runs).  Run it from the repository root:
 ``--out`` gets the layout of the BENCH_*.json files: change, parent_commit,
 change_commit, machine, method, claim, one summary entry per workload and
 thread count (median and inclusive quartiles of each metric per side, the
-change/parent ratio of the medians, and in how many pairs the change was
-better), and every run.  When ``--out`` exists and compares the same two
+change/parent ratio of the medians, in how many pairs the change was
+better, and each side's median system CPU seconds), and every run.  When ``--out`` exists and compares the same two
 commits, the new summaries and runs are added to it; a workload and thread
 count it already holds is refused.  ``--key NAME`` keeps the comparison
 under that top-level key of ``--out`` instead, so one file can also hold
@@ -35,6 +36,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+RECORD = "run-record: "
 
 
 def _commit(rev: str) -> str:
@@ -50,8 +52,19 @@ def _export(commit: str, dest: Path) -> Path:
     return dest
 
 
+def parse_output(stdout: str) -> dict:
+    """The result object of a perfbench run (its last stdout line), with the
+    ``cpu_s`` (user and system seconds) of its ``run-record:`` line added."""
+    lines = stdout.strip().splitlines()
+    result = json.loads(lines[-1])
+    record = next(json.loads(line.removeprefix(RECORD)) for line in lines
+                  if line.startswith(RECORD))
+    result["cpu_s"] = record["cpu_s"]
+    return result
+
+
 def _run(tree: Path, workload: str, seed: int, seconds: int, threads: int) -> dict:
-    """One perfbench run; its last output line is the result object."""
+    """One perfbench run, read by parse_output."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
                            "--seed", str(seed), "--seconds", str(seconds),
@@ -60,7 +73,7 @@ def _run(tree: Path, workload: str, seed: int, seconds: int, threads: int) -> di
     if proc.returncode != 0:
         raise SystemExit(f"{tree.name} {workload} seed {seed} exited {proc.returncode}:\n"
                          f"{proc.stderr}")
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    return parse_output(proc.stdout)
 
 
 def _quartiles(values):
@@ -92,6 +105,11 @@ def summarize(runs, workload, threads, seconds, better):
         "all_correct": all(r["correct"] for r in runs),
         "failed_ops": {side: sum(r["failed"] for r in by_side[side]) for side in SIDES},
         "metrics": metrics,
+        "system_s_median": {side: statistics.median(r["cpu_s"]["system"] for r in by_side[side])
+                            for side in SIDES},
+        "system_s_note": ("system CPU seconds of the whole perfbench process (getrusage at "
+                          "its end: imports, setup, warm-up and the measured ops together), "
+                          "median per side"),
     }
 
 
@@ -141,7 +159,7 @@ def main(argv=None) -> int:
                         "side": side, "workload": workload, "threads": args.threads,
                         "pair": pair, "seed": seed, "first": order[0],
                         "correct": result["correct"], "attempted": result["attempted"],
-                        "failed": result["failed"],
+                        "failed": result["failed"], "cpu_s": result["cpu_s"],
                         "metrics": {k: v["value"] for k, v in result["metrics"].items()},
                     })
                     print(f"pair {pair} {workload} {side}: items_per_s "
@@ -160,7 +178,8 @@ def main(argv=None) -> int:
                        "--seconds N --threads T of each commit, exported with git archive, "
                        "each run a fresh process; one seed per pair, the same seed for every "
                        "workload of a pair; the side that runs first alternates by pair "
-                       "(column 'first'). End-to-end metrics only; no traced runs."),
+                       "(column 'first'). End-to-end metrics, plus each run's user and system "
+                       "CPU seconds from its run-record line; no traced runs."),
             "claim": args.claim,
             "summary": [],
             "runs": [],
