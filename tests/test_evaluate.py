@@ -275,37 +275,30 @@ class TestSweeps:
 
     @pytest.mark.parametrize("detector", ["classical", "cnn"])
     def test_full_point_stays_near_one_block(self, full_profile, detector, traced_peak):
-        # A 2048-symbol jt65a-full point runs in 64-row blocks: 2 MiB of
-        # windows plus a block of noise and of spectra or the CNN's float32
-        # cast (about 6 MiB; 18 MiB in 256-window chunks).
-        demod = _folded_full_demod(full_profile, detector)
+        # A 2048-symbol jt65a-full point runs in 64-row blocks through one
+        # 2 MiB block of windows and one of noise, plus a block of spectra or
+        # the CNN's float32 cast (about 6 MiB; 18 MiB in 256-window chunks).
+        demod = _folded_demod("jt65a-full", detector, seed=0)
         with traced_peak() as peak:
             sweep_ber(demod, full_profile, [-20.0], 2048, seed=1)
         assert peak.bytes < 8 * 2**20
 
     @pytest.mark.parametrize("detector", ["classical", "cnn"])
     def test_two_workers_hold_two_blocks(self, full_profile, detector, traced_peak):
-        demod = _folded_full_demod(full_profile, detector)
+        demod = _folded_demod("jt65a-full", detector, seed=0)
         with traced_peak() as peak:
             sweep_ber(demod, full_profile, [-20.0, -22.0], 2048, seed=1, workers=2)
         assert peak.bytes < 16 * 2**20
 
 
-def _folded_full_demod(profile, detector):
-    """A jt65a-full demodulator whose CNN state is folded before any tracing."""
+def _folded_demod(name, detector, seed):
+    """A demodulator of profile ``name`` whose CNN state is folded before it is
+    traced or used."""
+    profile = get_profile(name)
     if detector == "classical":
-        return classical_demodulator(profile)
-    state = build_model(get_profile("jt65a-full").model, seed=0)
-    forward(state, np.zeros(profile.symbol_len))
-    return model_demodulator(state)
-
-
-def _reduced_demod(profile, detector):
-    """A reduced-m8 demodulator whose CNN state is folded before it is used."""
-    if detector == "classical":
-        return classical_demodulator(profile)
-    state = build_model(get_profile("reduced-m8").model, seed=3)
-    forward(state, np.zeros(profile.symbol_len))
+        return classical_demodulator(profile.modem)
+    state = build_model(profile.model, seed=seed)
+    forward(state, np.zeros(profile.modem.symbol_len))
     return model_demodulator(state)
 
 
@@ -341,7 +334,7 @@ class TestSweepWorkers:
         # 63, 1 or 2 rows here) through its leading rows; pooled points each
         # own theirs.  Every block demod sees, and every row, equals the
         # channel's fresh arrays.
-        demod = _reduced_demod(reduced_profile, detector)
+        demod = _folded_demod("reduced-m8", detector, seed=3)
         seen = []
 
         def spy(x):
@@ -361,7 +354,7 @@ class TestSweepWorkers:
     @pytest.mark.parametrize("detector", ["classical", "cnn"])
     def test_two_workers_give_the_serial_rows(self, reduced_profile, detector, n):
         # 2113 = 33 blocks of 64 rows plus one row.
-        demod = _reduced_demod(reduced_profile, detector)
+        demod = _folded_demod("reduced-m8", detector, seed=3)
         serial = sweep_ber(demod, reduced_profile, self.SNRS, n, seed=9)
         assert sweep_ber(demod, reduced_profile, self.SNRS, n, seed=9, workers=2) == serial
 
