@@ -29,7 +29,11 @@ param_layout (trainables first, then the statistics); state.tensors holds
 read-only name -> array views of it.  backward() writes the gradients into
 a second arena with the layout of the trainable span, allocated by the
 state's first backward() and reused by every later one, so the views it
-returns are overwritten by the next backward() on the same state.
+returns are overwritten by the next backward() on the same state.  The
+five (B*N, ...) arrays of a training step (im2col columns, conv output,
+conv-norm output, dflat, dcols) live the same way in the state's training
+scratch, so a forward_train() cache is overwritten by the next
+forward_train() on the same state.  train() releases both when it returns.
 Training runs in float32, gradient checking rebuilds the same graph in
 float64.
 """
@@ -113,7 +117,11 @@ class ModelState:
 
     The gradient arena has the layout of the trainable span.  The first
     backward() allocates it and copy() leaves it behind, so a state that
-    only infers never holds one.
+    only infers never holds one.  The training scratch holds a step's
+    large arrays (see _buffer): the first forward_train() or backward()
+    allocates it, later calls reuse it, and copy() leaves it behind.
+    train() releases the scratch and the gradient arena when it returns,
+    so a trained state holds only its parameter arena.
     """
 
     def __init__(self, config: ModelConfig, dtype):
@@ -130,6 +138,8 @@ class ModelState:
         self._inference = None
         # backward()'s (flat arena, name views); see _gradients.
         self._grads = None
+        # forward_train()'s and backward()'s name -> step array; see _buffer.
+        self._scratch = None
 
     @property
     def trainable_names(self):
@@ -170,6 +180,26 @@ def _gradients(state: ModelState):
         views = _carve(arena, [entry for entry in param_layout(state.config) if entry[2]])
         state._grads = arena, MappingProxyType(views)
     return state._grads
+
+
+def _buffer(state: ModelState, name: str, rows: int, width: int):
+    """The leading ``rows`` rows of the state's (rows, width) training array ``name``.
+
+    Made on first use and kept in the state's training scratch; a smaller
+    batch reuses the leading rows, a larger one makes the array anew.
+    """
+    if state._scratch is None:
+        state._scratch = {}
+    array = state._scratch.get(name)
+    if array is None or array.shape[0] < rows:
+        array = state._scratch[name] = np.empty((rows, width), state.dtype)
+    return array[:rows]
+
+
+def _release_training(state: ModelState):
+    """Drop the state's training scratch and gradient arena; the next step makes them anew."""
+    state._scratch = None
+    state._grads = None
 
 
 def parameter_counts(state: ModelState):
@@ -217,7 +247,8 @@ def _fans(name, shape):
 # parameter gradients into the output buffers they are given.
 
 
-def _bn_train(x, gamma, beta):
+def _bn_train(x, gamma, beta, out=None):
+    """Batch-statistic norm of x; y goes into ``out`` when given, shaped as x's (-1, F) view."""
     x2 = x.reshape(-1, x.shape[-1])
     count = x2.shape[0]
     mean = np.einsum("ij->j", x2) / count
@@ -226,7 +257,7 @@ def _bn_train(x, gamma, beta):
     var = np.einsum("ij,ij->j", xhat, xhat) / count
     inv_std = 1.0 / np.sqrt(var + np.asarray(BN_EPS, dtype=x.dtype))
     xhat *= inv_std
-    y = xhat * gamma
+    y = np.multiply(xhat, gamma, out=out)
     y += beta
     return y.reshape(x.shape), (xhat, inv_std), mean, var
 
@@ -263,25 +294,26 @@ def _conv_pad(config: ModelConfig):
     return left, config.conv_kernel - 1 - left
 
 
-def _conv_forward(x, kernel, bias, config: ModelConfig):
-    """x: (B, N) -> (B, N, F); kernel: (K, F).
+def _conv_forward(x, kernel, bias, config: ModelConfig, cols, out):
+    """x: (B, N) -> (B, N, F) in ``out`` (B*N, F); kernel: (K, F).
 
     One im2col GEMM: each output position's K-sample input window becomes a
-    row of a (B*N, K) column matrix, which is returned for the kernel
+    row of the (B*N, K) column matrix ``cols``, kept for the kernel
     gradient.
     """
     left, right = _conv_pad(config)
     xp = np.pad(x, ((0, 0), (left, right)))
     b, n = x.shape
     k, f = kernel.shape
-    cols = sliding_window_view(xp, k, axis=1).reshape(b * n, k)
-    y = cols @ kernel
-    y += bias
-    return y.reshape(b, n, f), cols
+    np.copyto(cols.reshape(b, n, k), sliding_window_view(xp, k, axis=1))
+    np.matmul(cols, kernel, out=out)
+    out += bias
+    return out.reshape(b, n, f)
 
 
-def _conv_backward(dy, cols, kernel, config: ModelConfig, dkernel, dbias):
-    """dx (B, N) of _conv_forward; dkernel (K, F) and dbias (F,) go into the given buffers."""
+def _conv_backward(dy, cols, kernel, config: ModelConfig, dkernel, dbias, dcols):
+    """dx (B, N) of _conv_forward; dkernel (K, F), dbias (F,) and the (B*N, K)
+    column gradient go into the given buffers."""
     b, n, f = dy.shape
     k, _ = kernel.shape
     left, _ = _conv_pad(config)
@@ -289,7 +321,7 @@ def _conv_backward(dy, cols, kernel, config: ModelConfig, dkernel, dbias):
     np.matmul(cols.T, dy2, out=dkernel)
     np.einsum("ij->j", dy2, out=dbias)
     # col2im: scatter-add each tap's column gradient onto the padded input.
-    dcols = (dy2 @ kernel.T).reshape(b, n, k)
+    dcols = np.matmul(dy2, kernel.T, out=dcols).reshape(b, n, k)
     dxp = np.zeros((b, n + k - 1), dtype=dy.dtype)
     for j in range(k):
         dxp[:, j : j + n] += dcols[..., j]
@@ -368,20 +400,25 @@ def _fold(config: ModelConfig, t, dtype):
 def forward_train(state: ModelState, batch: np.ndarray):
     """Training-mode forward: batch-statistic normalization, cached intermediates.
 
-    Returns (probs, cache) for backward().  The batch-norm running
-    statistics are refreshed in place with momentum BN_MOMENTUM but never
-    read: probs, and backward()'s gradients, are a pure function of the
-    trainable tensors and the batch.
+    Returns (probs, cache) for backward().  The cache's im2col columns,
+    conv output and conv-norm output are rows of the state's training
+    scratch, so the cache is valid until the next forward_train() on the
+    same state; probs and the small arrays are fresh.  The batch-norm
+    running statistics are refreshed in place with momentum BN_MOMENTUM but
+    never read: probs, and backward()'s gradients, are a pure function of
+    the trainable tensors and the batch.
     """
     cfg = state.config
     t = _mutable(state)
     x0 = window_batch(batch, cfg.input_len).astype(state.dtype)[:, :, None]
-    cache = {}
+    rows = x0.shape[0] * cfg.input_len
+    cache = {"conv_cols": _buffer(state, "cols", rows, cfg.conv_kernel)}
 
     bn0, cache["bn0"], m0, v0 = _bn_train(x0, t["input_norm.gamma"], t["input_norm.beta"])
-    conv, cache["conv_cols"] = _conv_forward(bn0[..., 0], t["conv.kernel"][:, 0], t["conv.bias"],
-                                             cfg)
-    bn1, cache["bn1"], m1, v1 = _bn_train(conv, t["conv_norm.gamma"], t["conv_norm.beta"])
+    conv = _conv_forward(bn0[..., 0], t["conv.kernel"][:, 0], t["conv.bias"], cfg,
+                         cache["conv_cols"], _buffer(state, "conv", rows, cfg.conv_filters))
+    bn1, cache["bn1"], m1, v1 = _bn_train(conv, t["conv_norm.gamma"], t["conv_norm.beta"],
+                                          out=_buffer(state, "flat", rows, cfg.conv_filters))
     flat = bn1.reshape(bn1.shape[0], cfg.flat_features)
     cache["flat"] = flat
     pre_relu = flat @ t["hidden.weight"]
@@ -432,7 +469,10 @@ def backward(state: ModelState, cache: dict, labels) -> MappingProxyType:
     is (probs - onehot) / batch_size.  Returns a read-only name -> view
     mapping of the state's gradient arena: the next backward() on the same
     state overwrites those views, so copy what must outlive it.  The cache
-    is spent: the batch-norm passes overwrite its normalized inputs.
+    is spent: the batch-norm passes overwrite its normalized inputs.  Like
+    the cache, which is valid until the next forward_train() on its state,
+    dflat and the im2col column gradient are rows of the state's training
+    scratch, made by its first forward_train() or backward().
     """
     cfg = state.config
     t = state.tensors
@@ -451,13 +491,15 @@ def backward(state: ModelState, cache: dict, labels) -> MappingProxyType:
     dpre = drelu * cache["relu_mask"]
     np.matmul(cache["flat"].T, dpre, out=grads["hidden.weight"])
     np.sum(dpre, axis=0, out=grads["hidden.bias"])
-    dflat = dpre @ t["hidden.weight"].T
+    dflat = np.matmul(dpre, t["hidden.weight"].T,
+                      out=_buffer(state, "dflat", b, cfg.flat_features))
 
     dbn1 = dflat.reshape(b, cfg.input_len, cfg.conv_filters)
     dconv = _bn_backward(dbn1, t["conv_norm.gamma"], cache["bn1"],
                          grads["conv_norm.gamma"], grads["conv_norm.beta"])
     dbn0 = _conv_backward(dconv, cache["conv_cols"], t["conv.kernel"][:, 0], cfg,
-                          grads["conv.kernel"][:, 0], grads["conv.bias"])
+                          grads["conv.kernel"][:, 0], grads["conv.bias"],
+                          _buffer(state, "dcols", b * cfg.input_len, cfg.conv_kernel))
     # The input norm's dx has no consumer: only its parameter gradients.
     dbn0 = dbn0.reshape(-1, 1)
     np.einsum("ij,ij->j", dbn0, cache["bn0"][0], out=grads["input_norm.gamma"])

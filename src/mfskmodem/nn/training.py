@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import (ModelConfig, ModelState, _check_labels, _gradients, _mutable, _mutable_span,
-                    backward, build_model, forward, forward_train, loss_ce)
+                    _release_training, backward, build_model, forward, forward_train, loss_ce)
 
 # grad_check's architecture: small enough that central differences over
 # every layer type run in seconds, in float64.
@@ -130,9 +130,16 @@ def train(config: ModelConfig, cfg: TrainConfig, x, y: np.ndarray):
     The sample order is reshuffled each epoch from the seeded stream, and
     per-epoch loss/accuracy are sample-weighted running means over the
     epoch's batches.  Deterministic for fixed seed and thread configuration.
+    Rows of another width than config.input_len are refused before the
+    model is built.  The steps share one training scratch and gradient
+    arena on the state, released when train returns or raises, so the
+    returned state holds only its parameter arena.
     """
     if x.ndim != 2 or x.shape[0] == 0:
         raise ValueError("training data must be a non-empty (samples, input_len) array")
+    if x.shape[1] != config.input_len:
+        raise ValueError(f"training rows are {x.shape[1]} samples wide, "
+                         f"the model takes {config.input_len}")
     y = _check_labels(y, config.classes, x.shape[0])
 
     state = build_model(config, cfg.seed)
@@ -140,19 +147,22 @@ def train(config: ModelConfig, cfg: TrainConfig, x, y: np.ndarray):
     rng = np.random.default_rng(cfg.seed)
     log = TrainLog()
     count = x.shape[0]
-    for _ in range(cfg.epochs):
-        start = time.perf_counter()
-        order = rng.permutation(count)
-        loss_sum = 0.0
-        correct_sum = 0.0
-        for lo in range(0, count, cfg.batch_size):
-            idx = order[lo : lo + cfg.batch_size]
-            loss, acc = train_step(state, adam, x[idx], y[idx], cfg)
-            loss_sum += loss * idx.size
-            correct_sum += acc * idx.size
-        log.loss.append(loss_sum / count)
-        log.accuracy.append(correct_sum / count)
-        log.seconds.append(time.perf_counter() - start)
+    try:
+        for _ in range(cfg.epochs):
+            start = time.perf_counter()
+            order = rng.permutation(count)
+            loss_sum = 0.0
+            correct_sum = 0.0
+            for lo in range(0, count, cfg.batch_size):
+                idx = order[lo : lo + cfg.batch_size]
+                loss, acc = train_step(state, adam, x[idx], y[idx], cfg)
+                loss_sum += loss * idx.size
+                correct_sum += acc * idx.size
+            log.loss.append(loss_sum / count)
+            log.accuracy.append(correct_sum / count)
+            log.seconds.append(time.perf_counter() - start)
+    finally:
+        _release_training(state)
     return state, log
 
 

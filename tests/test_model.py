@@ -328,10 +328,12 @@ class TestLayerOracles:
         bias = rng.standard_normal(3)
         dy = rng.standard_normal((2, 11, 3))
 
-        y, cols = _conv_forward(x, kernel, bias, cfg)
+        # The layers write their (B*N, K) and (B*N, F) arrays into the given buffers.
+        cols, dcols = np.empty((22, kernel_len)), np.empty((22, kernel_len))
+        y = _conv_forward(x, kernel, bias, cfg, cols, np.empty((22, 3)))
         np.testing.assert_allclose(y, conv_oracle(x, kernel, bias, left), rtol=self.RTOL)
         dkernel, dbias = np.empty_like(kernel), np.empty_like(bias)
-        dx = _conv_backward(dy, cols, kernel, cfg, dkernel, dbias)
+        dx = _conv_backward(dy, cols, kernel, cfg, dkernel, dbias, dcols)
         want_dx, want_dkernel, want_dbias = conv_backward_oracle(x, kernel, dy, left)
         np.testing.assert_allclose(dx, want_dx, rtol=self.RTOL, atol=1e-12)
         np.testing.assert_allclose(dkernel, want_dkernel, rtol=self.RTOL)

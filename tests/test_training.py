@@ -30,6 +30,7 @@ from mfskmodem.dataset import DatasetSpec, data_arrays, generate
 from mfskmodem.nn import training
 from mfskmodem.nn.model import _mutable
 from mfskmodem.nn.training import ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON
+from mfskmodem.profiles import get_profile
 from mfskmodem.signal import ModemProfile
 
 TINY = GRAD_CHECK_CONFIG  # N=64, F=4, K=8, H=8, M=4
@@ -185,6 +186,42 @@ class TestArenas:
         backward(state, cache, rng.integers(0, TINY.classes, 4))
         assert state._grads is not None
         assert state.copy()._grads is None
+        assert state.copy()._scratch is None
+        trained, _ = train(TINY, TrainConfig(epochs=1, batch_size=3),
+                           rng.standard_normal((8, 64)), rng.integers(0, TINY.classes, 8))
+        assert trained._grads is None
+        assert trained._scratch is None
+
+    def test_reused_step_buffers_equal_fresh_ones(self):
+        # 100 records at batch 32 end each epoch in a 4-row batch, which runs
+        # on the leading rows of train()'s 32-row buffers.  The reference loop
+        # releases the scratch before every step, so each step makes its own.
+        x, labels = overfit_data(count=100)
+        cfg = TrainConfig(epochs=2, seed=4)
+        trained, _ = train(OVERFIT_MODEL, cfg, x, labels)
+
+        state = build_model(OVERFIT_MODEL, cfg.seed)
+        adam = adam_init(state)
+        rng = np.random.default_rng(cfg.seed)
+        for _ in range(cfg.epochs):
+            order = rng.permutation(labels.size)
+            for lo in range(0, labels.size, cfg.batch_size):
+                idx = order[lo : lo + cfg.batch_size]
+                state._scratch = None
+                train_step(state, adam, x[idx], labels[idx], cfg)
+        assert trained._arena.tobytes() == state._arena.tobytes()
+
+    def test_warm_step_allocates_no_large_array(self, rng, traced_peak):
+        # A reduced-m8 step's (B*N, ...) arrays are 8 MiB; a warm step reuses them.
+        config = get_profile("reduced-m8").model
+        state = build_model(config, seed=0)
+        adam = adam_init(state)
+        batch = rng.standard_normal((32, config.input_len)).astype(np.float32)
+        labels = rng.integers(0, config.classes, 32)
+        train_step(state, adam, batch, labels, TrainConfig())
+        with traced_peak() as peak:
+            train_step(state, adam, batch, labels, TrainConfig())
+        assert peak.bytes < 1 << 20
 
     def test_blocked_adam_equals_per_tensor_reference(self, monkeypatch):
         # 30-element blocks put block edges inside conv.kernel, hidden.weight,
@@ -226,12 +263,18 @@ class TestTrainStep:
         for name in state.trainable_names:
             assert np.array_equal(state.tensors[name], before[name])
 
-    def test_divergence_raises_diagnostic(self):
+    def test_divergence_raises_diagnostic(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(training, "build_model",
+                            lambda *args: built.append(build_model(*args)) or built[-1])
         x, labels = overfit_data(count=64)
         with np.errstate(all="ignore"):
             with pytest.raises(RuntimeError, match="diverged"):
                 train(OVERFIT_MODEL, TrainConfig(learning_rate=1e12, epochs=2, seed=2),
                       x, labels)
+        # The failed run released its step buffers and gradient arena.
+        assert built[0]._scratch is None
+        assert built[0]._grads is None
 
 
 class TestTrainConfig:
@@ -398,6 +441,13 @@ class TestTrain:
     def test_one_label_short_rejected(self, rng):
         with pytest.raises(ValueError, match="one label per batch row"):
             train(TINY, TrainConfig(), rng.standard_normal((8, 64)), np.zeros(7, dtype=int))
+
+    def test_row_width_refused_before_the_model_is_built(self, rng, monkeypatch):
+        def unbuilt(*args):
+            raise AssertionError("build_model ran")
+        monkeypatch.setattr(training, "build_model", unbuilt)
+        with pytest.raises(ValueError, match="rows are 65 samples wide, the model takes 64"):
+            train(TINY, TrainConfig(), rng.standard_normal((8, 65)), np.zeros(8, dtype=int))
 
 
     @pytest.mark.parametrize("labels", [np.arange(8) % 4 * 1.0, np.arange(8) % 2 == 0],

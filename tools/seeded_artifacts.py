@@ -5,9 +5,10 @@ Runs the CLI from the source directory ``--src`` (the one holding the
 directory ``--out``, and prints one ``sha256  name`` line per file written
 and per command's standard output (``<run>.stdout``), then the exit code
 and standard-error hash of each run the CLI must refuse.  The twins of
-``TWINS`` rerun a sweep at two threads, and the script fails unless each
-twin's file and standard output hash the same as its run's.  Two source
-trees that print the same lines wrote the same bytes and refused alike:
+``TWINS`` rerun a sweep or a training run at two threads, and the script
+fails unless each twin's files and standard output equal its run's.  Two
+source trees that print the same lines wrote the same bytes and refused
+alike:
 
     python3 tools/seeded_artifacts.py --src old/src --out /tmp/old > old.txt
     python3 tools/seeded_artifacts.py --src src --out /tmp/new > new.txt
@@ -129,12 +130,17 @@ RUNS = [
 ]
 
 # Reruns of RUNS at another thread count: twin name -> (run name, --threads).
-# A twin writes <twin name>.csv in place of its run's --out file; it runs after
-# RUNS, and its file and standard output must hash the same as its run's.
+# A twin runs after RUNS and writes its own file for each output option of its
+# run, named by TWIN_OUTPUTS.  Each file must equal its run's (a training log
+# without its seconds column), and so must its standard output once the twin's
+# file names in it are put back to the run's.
 TWINS = {
     "sweep-full-ber-threads2": ("sweep-full-ber", 2),
     "sweep-m8-cnn-ber-threads2": ("sweep-m8-cnn-ber", 2),
+    "train-m8-threads2": ("train-m8", 2),
 }
+# Output option -> the suffix of the twin's file, after the twin's name.
+TWIN_OUTPUTS = {"--out": ".csv", "--out-weights": ".weights", "--out-log": "-log.csv"}
 
 # Malformed copies of RUNS' outputs, written after RUNS for REFUSALS to read:
 # name -> (file RUNS wrote, what the copy does to its bytes).  They are left
@@ -196,7 +202,7 @@ REFUSALS = [
 
 
 # Files whose last column is wall-clock seconds.
-TRAIN_LOGS = ("train-m8-log.csv", "train-full-log.csv")
+TRAIN_LOGS = ("train-m8-log.csv", "train-full-log.csv", "train-m8-threads2-log.csv")
 
 
 def _digest(data: bytes) -> str:
@@ -206,6 +212,12 @@ def _digest(data: bytes) -> str:
 def _without_seconds(log: bytes) -> bytes:
     """The training log minus its last (wall-clock) column."""
     return b"".join(line.rsplit(b",", 1)[0] + b"\n" for line in log.splitlines())
+
+
+def _listed(path: Path) -> bytes:
+    """The bytes of ``path`` as the listing hashes them."""
+    data = path.read_bytes()
+    return _without_seconds(data) if path.name in TRAIN_LOGS else data
 
 
 def main(argv=None) -> int:
@@ -226,9 +238,16 @@ def main(argv=None) -> int:
                                *cli_args], cwd=out, env=env, capture_output=True)
 
     runs = {name: (cli_args, 1) for name, cli_args in RUNS}
+    # twin -> [(run's file, twin's file)]
+    twin_files = {}
     for twin, (name, threads) in TWINS.items():
         cli_args = list(runs[name][0])
-        cli_args[cli_args.index("--out") + 1] = f"{twin}.csv"
+        twin_files[twin] = []
+        for option, suffix in TWIN_OUTPUTS.items():
+            if option in cli_args:
+                at = cli_args.index(option) + 1
+                twin_files[twin].append((cli_args[at], twin + suffix))
+                cli_args[at] = twin + suffix
         runs[twin] = (cli_args, threads)
     stdout = {}
     for name, (cli_args, threads) in runs.items():
@@ -236,12 +255,14 @@ def main(argv=None) -> int:
         if run.returncode != 0:
             sys.stderr.write(f"{name} exited {run.returncode}:\n{run.stderr.decode()}")
             return 1
-        stdout[name] = _digest(run.stdout)
-        print(f"{stdout[name]}  {name}.stdout")
+        stdout[name] = run.stdout
+        print(f"{_digest(run.stdout)}  {name}.stdout")
     for twin, (name, _) in TWINS.items():
-        cli_args = runs[name][0]
-        file = out / cli_args[cli_args.index("--out") + 1]
-        if stdout[twin] != stdout[name] or (out / f"{twin}.csv").read_bytes() != file.read_bytes():
+        twin_stdout = stdout[twin]
+        for file, twin_file in twin_files[twin]:
+            twin_stdout = twin_stdout.replace(twin_file.encode(), file.encode())
+        if twin_stdout != stdout[name] or any(_listed(out / file) != _listed(out / twin_file)
+                                              for file, twin_file in twin_files[twin]):
             sys.stderr.write(f"{twin} does not reproduce {name}\n")
             return 1
     for name, (source, corrupt) in MALFORMED.items():
@@ -252,10 +273,7 @@ def main(argv=None) -> int:
     for path in sorted(out.iterdir()):
         if path.name in MALFORMED:
             continue
-        data = path.read_bytes()
-        if path.name in TRAIN_LOGS:
-            data = _without_seconds(data)
-        print(f"{_digest(data)}  {path.name}")
+        print(f"{_digest(_listed(path))}  {path.name}")
     return 0
 
 
