@@ -9,7 +9,7 @@ Monte-Carlo acceptance check in this package.
 
 import numpy as np
 
-from .signal import _BLOCK_ROWS, ModemProfile, _is_pow2, tone_bin, window_batch
+from .signal import _SLICE_ROWS, ModemProfile, _is_pow2, tone_bin, window_batch
 
 
 def energy_spectrum(samples: np.ndarray) -> np.ndarray:
@@ -47,7 +47,8 @@ def classical_demodulator(profile: ModemProfile):
     """The classical detector: ``demod(batch)`` maps (B, symbol_len) windows, or
     one window, to the (B,) argmax of the M data-bin DFT magnitudes; ties break
     toward the lowest tone (an all-zero window decodes as tone 0).  A batch of
-    more than _BLOCK_ROWS rows is transformed one block of rows at a time."""
+    more than _SLICE_ROWS rows is transformed that many rows at a time, so its
+    spectra stay small whatever the batch size; each row decides alike."""
     lo = tone_bin(profile, 0)
 
     def decide(rows):
@@ -56,9 +57,9 @@ def classical_demodulator(profile: ModemProfile):
 
     def demod(batch: np.ndarray) -> np.ndarray:
         batch = window_batch(batch, profile.symbol_len)
-        if batch.shape[0] <= _BLOCK_ROWS:
+        if batch.shape[0] <= _SLICE_ROWS:
             return decide(batch)
-        return np.concatenate([decide(batch[start : start + _BLOCK_ROWS])
-                               for start in range(0, batch.shape[0], _BLOCK_ROWS)])
+        return np.concatenate([decide(batch[start : start + _SLICE_ROWS])
+                               for start in range(0, batch.shape[0], _SLICE_ROWS)])
 
     return demod

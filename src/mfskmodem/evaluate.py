@@ -11,7 +11,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .signal import _BLOCK_ROWS, ModemProfile, noisy_windows, tone_bin, tone_windows
+from .signal import (_BLOCK_ROWS, _SLICE_ROWS, ModemProfile, noisy_windows, tone_bin,
+                     tone_windows)
 from .theory import (bits_per_symbol, ebn0_to_esn0, ser_noncoherent_mfsk, ser_to_ber,
                      snr_to_ebn0)
 
@@ -175,29 +176,59 @@ class BerPoint:
     stderr: float  # binomial standard error of ser
 
 
-def _draw_symbols(profile, n_symbols, rng):
-    """(labels, bins, phases) of n_symbols random data tones: the labels,
-    then the phases, drawn from ``rng``."""
-    labels = rng.integers(0, profile.tone_count, n_symbols)
-    phases = rng.uniform(0.0, 2.0 * np.pi, n_symbols)
-    return labels, tone_bin(profile, 0) + labels, phases
+# The most symbols sweep_ber runs per point.  A point's memory is one block
+# whatever its size, so only time limits it: 10**9 jt65a-full symbols take more
+# than a day at about 8,000 classical symbols/s on one core.
+MAX_POINT_SYMBOLS = 10**9
+
+
+def _symbol_blocks(profile, n_symbols, rng):
+    """(labels, bins, phases) of n_symbols random data tones, one _BLOCK_ROWS
+    block at a time, with the bits of drawing all the labels and then all the
+    phases from ``rng`` up front; ``rng`` is moved past both at once, to
+    where the point's noise starts.
+
+    Each label takes one 32-bit half of a PCG64 output (Lemire's bounded
+    draw never rejects for a power-of-two M), so the labels span (n + 1) // 2
+    outputs and the phases, one output each, the n after them.  The labels
+    come from a copy of ``rng``'s bit generator, and the phases from a copy
+    moved ahead with ``advance``; every block but the last has an even number
+    of rows, so each block's labels start on a whole output.  An odd n leaves
+    one label half unused: the up-front draws keep it in ``rng`` (PCG64's
+    ``has_uint32``), while ``advance`` drops it, which changes no draw, since
+    nothing after the labels draws 32 bits."""
+    def stream(delta):
+        bit_generator = np.random.PCG64()
+        bit_generator.state = rng.bit_generator.state
+        return np.random.Generator(bit_generator.advance(delta))
+
+    def blocks():
+        for lo in range(0, n_symbols, _BLOCK_ROWS):
+            rows = min(_BLOCK_ROWS, n_symbols - lo)
+            labels = label_rng.integers(0, profile.tone_count, rows)
+            phases = phase_rng.uniform(0.0, 2.0 * np.pi, rows)
+            yield labels, tone_bin(profile, 0) + labels, phases
+
+    label_outputs = (n_symbols + 1) // 2
+    label_rng, phase_rng = stream(0), stream(label_outputs)
+    rng.bit_generator.advance(label_outputs + n_symbols)
+    return blocks()
 
 
 def _run_point(demod, profile, snr_db, n_symbols, rng) -> ConfusionMatrix:
     """Confusion counts of ``demod`` over n_symbols fresh random symbols,
-    synthesized, made noisy, demodulated and counted one _BLOCK_ROWS block at
-    a time.  The point allocates one block of windows and one of noise once
-    (2 MiB each at symbol_len 4096) and every block reuses them, the last one
-    through their leading rows; ``demod`` adds a block of spectra or the
-    CNN's float32 cast."""
-    labels, bins, phases = _draw_symbols(profile, n_symbols, rng)
+    drawn, synthesized, made noisy, demodulated and counted one _BLOCK_ROWS
+    block at a time.  The point allocates one block of windows (2 MiB at
+    symbol_len 4096) and one _SLICE_ROWS noise slice once, and every block
+    reuses them, the last one through the leading rows; ``demod`` adds its
+    spectra or the CNN's float32 cast.  Nothing it holds grows with n."""
     cm = ConfusionMatrix.empty(profile.tone_count)
-    workspace = np.empty((2, min(n_symbols, _BLOCK_ROWS), profile.symbol_len))
-    for lo in range(0, n_symbols, _BLOCK_ROWS):
-        sel = slice(lo, lo + _BLOCK_ROWS)
-        x = noisy_windows(profile, bins[sel], phases[sel], snr_db, rng,
-                          workspace=workspace[:, : n_symbols - lo])
-        accumulate_many(cm, labels[sel], np.asarray(demod(x)))
+    windows = np.empty((min(n_symbols, _BLOCK_ROWS), profile.symbol_len))
+    noise = np.empty((min(n_symbols, _SLICE_ROWS), profile.symbol_len))
+    for labels, bins, phases in _symbol_blocks(profile, n_symbols, rng):
+        x = noisy_windows(profile, bins, phases, snr_db, rng, out=windows[: len(bins)],
+                          noise=noise)
+        accumulate_many(cm, labels, np.asarray(demod(x)))
     return cm
 
 
@@ -216,10 +247,12 @@ def sweep_ber(demod, profile: ModemProfile, snr_points, n_per_point: int, seed: 
     binary mapping) and BER-from-SER; the theory column evaluates the
     non-coherent orthogonal-MFSK limit at the point's Eb/N0.  Every row
     satisfies BER <= SER <= k*BER exactly (each symbol error flips between
-    1 and k bits).
+    1 and k bits).  An ``n_per_point`` outside [1, MAX_POINT_SYMBOLS] raises
+    ValueError before any point runs.
     """
-    if n_per_point < 1:
-        raise ValueError("n_per_point must be >= 1")
+    if not 1 <= n_per_point <= MAX_POINT_SYMBOLS:
+        raise ValueError(f"n_per_point must be between 1 and {MAX_POINT_SYMBOLS:,}, "
+                         f"got {n_per_point:,}")
     if workers < 1:
         raise ValueError("workers must be >= 1")
     k = profile.bits_per_symbol
@@ -272,6 +305,9 @@ class LatencyReport:
 # Untimed calls before bench_latency's timed ones.
 _WARMUP = 100
 
+# The most symbols bench_latency times: their float64 timings take 1 GiB.
+MAX_BENCH_SYMBOLS = 2**27
+
 
 def bench_latency(demod, profile: ModemProfile, n_symbols: int) -> LatencyReport:
     """Wall-clock per single-symbol demodulation, batch size 1.
@@ -279,18 +315,20 @@ def bench_latency(demod, profile: ModemProfile, n_symbols: int) -> LatencyReport
     ``real_time`` compares the mean against the symbol interval N/fs
     (0.3715 s for the full profile).  _WARMUP extra calls, cycling over
     the first block, run first and are excluded from the statistics.  The
-    windows are synthesized one _BLOCK_ROWS block at a time into one block
-    allocated once, outside the timed calls, so only one block is held.
+    symbols are drawn and their windows synthesized one _BLOCK_ROWS block at
+    a time, into one block allocated once, outside the timed calls; only the
+    timings grow with n, which is at most MAX_BENCH_SYMBOLS.
     """
     if n_symbols < 100:
         raise ValueError("n_symbols must be >= 100 for stable percentiles")
-    _, bins, phases = _draw_symbols(profile, n_symbols, np.random.default_rng(0))
-
+    if n_symbols > MAX_BENCH_SYMBOLS:
+        raise ValueError(f"n_symbols must be <= {MAX_BENCH_SYMBOLS:,}, whose timings take "
+                         f"1 GiB, got {n_symbols:,}")
     elapsed = np.empty(n_symbols)
     windows = np.empty((min(n_symbols, _BLOCK_ROWS), profile.symbol_len))
-    for lo in range(0, n_symbols, _BLOCK_ROWS):
-        sel = slice(lo, lo + _BLOCK_ROWS)
-        block = tone_windows(profile, bins[sel], phases[sel], out=windows[: n_symbols - lo])
+    lo = 0
+    for _, bins, phases in _symbol_blocks(profile, n_symbols, np.random.default_rng(0)):
+        block = tone_windows(profile, bins, phases, out=windows[: len(bins)])
         if lo == 0:
             for i in range(_WARMUP):
                 demod(block[i % len(block)][None, :])
@@ -298,6 +336,7 @@ def bench_latency(demod, profile: ModemProfile, n_symbols: int) -> LatencyReport
             start = time.perf_counter()
             demod(block[i][None, :])
             elapsed[lo + i] = time.perf_counter() - start
+        lo += len(block)
 
     interval = profile.symbol_duration_s
     mean = float(elapsed.mean())

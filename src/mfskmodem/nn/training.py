@@ -73,14 +73,13 @@ def adam_step(state: ModelState, adam: AdamState, grads, cfg: TrainConfig):
 
     p -= lr * (m / c1) / (sqrt(v / c2) + eps), through ``out=`` ufuncs over
     the flat trainable span, one _BLOCK-element block at a time with one
-    block-sized scratch.  ``grads`` is what backward() returned for this
-    state; any other name -> array mapping is first copied into the
-    state's gradient arena, overwriting backward()'s views.
+    block-sized scratch.  ``grads`` must be what backward() returned for
+    this state, the views of its gradient arena; any other mapping raises
+    ValueError before any parameter moves.
     """
     g, views = _gradients(state)
     if grads is not views:
-        for name in state.trainable_names:
-            views[name][...] = grads[name]
+        raise ValueError("grads must be the mapping backward() returned for this state")
     p = _mutable_span(state)
     adam.step += 1
     t = adam.step

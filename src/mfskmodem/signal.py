@@ -116,11 +116,15 @@ def _workspace(array, shape):
     return array
 
 
-# The classical detector works through a batch this many rows at a time, and a
-# sweep point through its symbols: the rfft of a whole batch peaks at a
-# multiple of its output, while each row's bits are the same in a block of
-# any size.
+# A sweep point synthesizes, demodulates and counts its symbols this many rows
+# at a time, so every demod call sees the same batches whatever the point's size.
 _BLOCK_ROWS = 64
+
+# The channel draws its noise, and the classical detector transforms its rows,
+# this many rows at a time: the rfft of a whole batch peaks at a multiple of its
+# output, and a noise block need not outlive its rows, while each row's bits
+# and the Generator's stream are the same in a slice of any size.
+_SLICE_ROWS = 16
 
 
 def window_batch(batch, symbol_len: int) -> np.ndarray:
@@ -154,26 +158,36 @@ def noise_variance(profile: ModemProfile, snr_db: float) -> float:
 
 
 def noisy_windows(profile: ModemProfile, bins, phases, snr_db: float,
-                  rng: np.random.Generator, *, workspace=None) -> np.ndarray:
+                  rng: np.random.Generator, *, out=None, noise=None) -> np.ndarray:
     """The AWGN channel: tone_windows (unit tones, power 0.5) plus full-band
     white noise calibrated to ``snr_db``, drawn from ``rng`` after the caller's
     own draws.  Datasets, sweeps and ``analyze`` all go through here.
 
-    The noise is one standard-normal draw scaled by sigma in place: the bits
-    of ``rng.normal(0.0, sigma, (B, N))``, and the stream left where it leaves
-    it.  Without ``workspace`` the windows and the noise are new arrays.  A
-    caller that repeats the channel passes a float64 ``workspace`` of shape
-    (2, B, N): the windows are built in ``workspace[0]``, which is returned,
-    and the noise is drawn into ``workspace[1]``, with the same bits.  A
-    workspace of another shape or dtype raises ValueError before any draw."""
-    x = noise = None
-    if workspace is not None:
-        x, noise = _workspace(workspace, (2, len(bins), profile.symbol_len))
-    x = tone_windows(profile, bins, phases, out=x)
+    The tones are built in ``out`` as tone_windows does, or in a new array.
+    The noise is drawn a slice of rows at a time into ``noise``, a float64
+    (R, N) scratch of any R >= 1 rows (by default a new one of at most
+    _SLICE_ROWS rows), scaled by sigma in place and added to the slice's
+    rows.  Generator.standard_normal fills any split of the rows with the
+    same stream, so the result has the bits of ``rng.normal(0.0, sigma, (B,
+    N))`` added to the tones, and ``rng`` is left where that draw leaves
+    it.  A ``noise`` or ``out`` of another shape or dtype raises ValueError
+    before any draw."""
+    n = profile.symbol_len
+    if noise is not None and not (isinstance(noise, np.ndarray) and noise.dtype == np.float64
+                                  and noise.ndim == 2 and noise.shape[0] >= 1
+                                  and noise.shape[1] == n and noise.flags.c_contiguous):
+        raise ValueError(f"noise workspace must be a C-contiguous float64 (R, {n}) array with "
+                         f"R >= 1, got {getattr(noise, 'dtype', type(noise).__name__)} "
+                         f"{np.shape(noise)}")
+    x = tone_windows(profile, bins, phases, out=out)
     sigma = np.sqrt(noise_variance(profile, snr_db))
-    noise = rng.standard_normal(x.shape, out=noise)
-    noise *= sigma
-    x += noise
+    if noise is None:
+        noise = np.empty((min(len(x), _SLICE_ROWS) or 1, n))
+    for lo in range(0, len(x), len(noise)):
+        rows = x[lo : lo + len(noise)]
+        slab = rng.standard_normal(rows.shape, out=noise[: len(rows)])
+        slab *= sigma
+        rows += slab
     return x
 
 

@@ -6,6 +6,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from mfskmodem.nn import adam_step
+from mfskmodem.nn.model import _gradients
 from mfskmodem.profiles import PROFILE_KEYS, get_profile
 from mfskmodem.signal import tone_bin, tone_windows
 
@@ -51,6 +53,15 @@ def measure_snr(noisy, clean, profile) -> float:
     snr = 10.0 * np.log10(clean_power / (var * profile.ref_bandwidth_hz
                                          / (profile.sample_rate_hz / 2.0)))
     return float(min(snr, SNR_SATURATION_DB))
+
+
+def adam_step_with(state, adam, grads, cfg):
+    """adam_step on any name -> array mapping ``grads``: copies it into the
+    state's gradient arena, where backward() leaves its gradients, first."""
+    _, views = _gradients(state)
+    for name in state.trainable_names:
+        views[name][...] = grads[name]
+    adam_step(state, adam, views, cfg)
 
 
 def write_profiles(path, sections):

@@ -100,7 +100,7 @@ class TestClassicalDemod:
         assert classical_demodulator(full_profile)(w).tolist() == [0]
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("rows", [0, 1, 63, 64, 65, 1024])
+    @pytest.mark.parametrize("rows", [0, 1, 15, 16, 17, 63, 64, 65, 1024])
     def test_blocks_decide_as_the_one_shot_transform(self, full_profile, dtype, rows):
         batch = np.random.default_rng(rows).standard_normal(
             (rows, full_profile.symbol_len)).astype(dtype)
@@ -117,7 +117,8 @@ class TestClassicalDemod:
         demod = classical_demodulator(full_profile)
         with traced_peak() as peak:
             demod(batch)
-        assert peak.bytes < 8 * 2**20  # the one-shot rfft peaks at 80 MiB
+        # The one-shot rfft peaks at 80 MiB, 64-row slices at 5 MiB.
+        assert peak.bytes < 2 * 2**20
 
     def test_length_mismatch_rejected(self, full_profile):
         with pytest.raises(ValueError, match="symbol_len"):

@@ -9,7 +9,10 @@ import pytest
 from conftest import DESK_M4, esn0_to_snr, synthesize_symbol, write_profiles
 from mfskmodem.analysis import classical_demodulator
 from mfskmodem.evaluate import (
+    MAX_BENCH_SYMBOLS,
+    MAX_POINT_SYMBOLS,
     ConfusionMatrix,
+    _symbol_blocks,
     accumulate_many,
     bench_latency,
     metrics,
@@ -18,7 +21,7 @@ from mfskmodem.evaluate import (
 )
 from mfskmodem.nn import ModelConfig, build_model, forward, model_demodulator
 from mfskmodem.profiles import get_profile
-from mfskmodem.signal import noisy_windows, tone_bin
+from mfskmodem.signal import ModemProfile, noisy_windows, tone_bin
 from mfskmodem.theory import ser_noncoherent_mfsk
 
 
@@ -273,15 +276,41 @@ class TestSweeps:
         with pytest.raises(ValueError, match="n_per_point"):
             sweep_ber(demod, reduced_profile, [-10.0], 0, seed=1)
 
-    @pytest.mark.parametrize("detector", ["classical", "cnn"])
-    def test_full_point_stays_near_one_block(self, full_profile, detector, traced_peak):
+    def test_a_point_past_the_bound_is_refused_before_any_draw(self, reduced_profile,
+                                                              traced_peak):
+        calls = []
+        with traced_peak() as peak:
+            with pytest.raises(ValueError, match="n_per_point must be between 1 and "
+                                                 "1,000,000,000, got 1,000,000,001"):
+                sweep_ber(calls.append, reduced_profile, [-10.0, -5.0],
+                          MAX_POINT_SYMBOLS + 1, seed=1, workers=2)
+        assert calls == []
+        assert peak.bytes < 64 * 2**10
+
+    @pytest.mark.parametrize("detector, bound", [("classical", 4), ("cnn", 5)])
+    def test_full_point_stays_near_one_block(self, full_profile, detector, bound,
+                                             traced_peak):
         # A 2048-symbol jt65a-full point runs in 64-row blocks through one
-        # 2 MiB block of windows and one of noise, plus a block of spectra or
-        # the CNN's float32 cast (about 6 MiB; 18 MiB in 256-window chunks).
+        # 2 MiB block of windows and a 0.5 MiB slice of noise, plus 16-row
+        # slices of spectra or the CNN's float32 cast (about 3 MiB; 6 MiB
+        # with a 64-row noise block and 64-row spectra).
         demod = _folded_demod("jt65a-full", detector, seed=0)
         with traced_peak() as peak:
             sweep_ber(demod, full_profile, [-20.0], 2048, seed=1)
-        assert peak.bytes < 8 * 2**20
+        assert peak.bytes < bound * 2**20
+
+    def test_a_point_holds_nothing_that_grows_with_n(self, reduced_profile, traced_peak):
+        # 131,072 symbols drawn up front would take 24 B each, 3 MiB: three
+        # times the bound.  Drawn per block, the point peaks near one
+        # 64-row block whatever its size (about 0.45 MiB at symbol_len 512).
+        demod = classical_demodulator(reduced_profile)
+        peaks = []
+        for n in (2**17, 2048):
+            with traced_peak() as peak:
+                sweep_ber(demod, reduced_profile, [-10.0], n, seed=1)
+            peaks.append(peak.bytes)
+        assert peaks[0] < 2**20
+        assert abs(peaks[0] - peaks[1]) < 16 * 2**10
 
     @pytest.mark.parametrize("detector", ["classical", "cnn"])
     def test_two_workers_hold_two_blocks(self, full_profile, detector, traced_peak):
@@ -302,6 +331,47 @@ def _folded_demod(name, detector, seed):
     return model_demodulator(state)
 
 
+def _draw_symbols(profile, n_symbols, rng):
+    """(labels, bins, phases) of n_symbols random data tones drawn up front,
+    the labels and then the phases: the stream a point's blocks reproduce."""
+    labels = rng.integers(0, profile.tone_count, n_symbols)
+    phases = rng.uniform(0.0, 2.0 * np.pi, n_symbols)
+    return labels, tone_bin(profile, 0) + labels, phases
+
+
+class TestSymbolBlocks:
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 130, 1001, 4097])
+    @pytest.mark.parametrize("m", [2, 8, 64, 1024])
+    def test_blocks_equal_the_up_front_draws(self, m, n):
+        profile = ModemProfile(8000.0, 4096, m, 20, 2, 1000.0)
+        seed = [7, m, n]
+        up_front, blocked = np.random.default_rng(seed), np.random.default_rng(seed)
+        want = _draw_symbols(profile, n, up_front)
+        blocks = list(_symbol_blocks(profile, n, blocked))
+        assert [len(labels) for labels, _, _ in blocks] == [
+            min(64, n - lo) for lo in range(0, n, 64)]
+        for got, expected in zip(zip(*blocks), want):
+            got = np.concatenate(got)
+            assert got.dtype == expected.dtype
+            assert got.tobytes() == expected.tobytes()
+        # Any block can be drawn alone: its labels start at output lo // 2,
+        # its phases at (n + 1) // 2 + lo.
+        for lo, (labels, _, phases) in zip(range(0, n, 64), blocks):
+            at = [np.random.Generator(np.random.PCG64(seed).advance(delta))
+                  for delta in (lo // 2, (n + 1) // 2 + lo)]
+            assert np.array_equal(at[0].integers(0, m, len(labels)), labels)
+            assert np.array_equal(at[1].uniform(0.0, 2.0 * np.pi, len(phases)), phases)
+        # The noise starts where the up-front draws leave the 128-bit state.
+        # An odd n leaves one 32-bit label half unused: the up-front draws
+        # keep it (has_uint32), advance drops it, and nothing after the
+        # labels draws 32 bits, so no draw sees the difference.
+        a, b = up_front.bit_generator.state, blocked.bit_generator.state
+        assert a["state"] == b["state"]
+        assert (a["has_uint32"], b["has_uint32"]) == (n % 2, 0)
+        assert up_front.standard_normal(16).tobytes() == blocked.standard_normal(16).tobytes()
+        assert up_front.bit_generator.state["state"] == blocked.bit_generator.state["state"]
+
+
 def _oracle_points(demod, profile, snrs, n, seed):
     """sweep_ber's points by hand: each draws its labels and phases from its
     substream, then sends each 64-row block through noisy_windows with no
@@ -310,12 +380,10 @@ def _oracle_points(demod, profile, snrs, n, seed):
     reports, seen = [], []
     for i, snr_db in enumerate(snrs):
         rng = np.random.default_rng([seed, i])
-        labels = rng.integers(0, profile.tone_count, n)
-        phases = rng.uniform(0.0, 2.0 * np.pi, n)
+        labels, bins, phases = _draw_symbols(profile, n, rng)
         cm = ConfusionMatrix.empty(profile.tone_count)
         for lo in range(0, n, 64):
-            x = noisy_windows(profile, tone_bin(profile, 0) + labels[lo : lo + 64],
-                              phases[lo : lo + 64], snr_db, rng)
+            x = noisy_windows(profile, bins[lo : lo + 64], phases[lo : lo + 64], snr_db, rng)
             seen.append(hashlib.sha256(x.tobytes()).hexdigest())
             accumulate_many(cm, labels[lo : lo + 64], demod(x))
         reports.append(metrics(cm))
@@ -409,13 +477,24 @@ class TestBenchLatency:
         assert report.symbol_interval_s == pytest.approx(512 / 11025)
 
     def test_full_profile_holds_one_block(self, full_profile, traced_peak):
-        # 1000 jt65a-full windows are 31 MiB; one 64-row block is 2 MiB.
+        # 1000 jt65a-full windows are 31 MiB; one 64-row block is 2 MiB, and
+        # the timings and one block of draws add 9 KiB.
         demod = classical_demodulator(full_profile)
+        np.percentile(np.ones(2), 50)  # numpy's first percentile call imports about 1 MiB
         with traced_peak() as peak:
             bench_latency(demod, full_profile, 1000)
-        assert peak.bytes < 4 * 2**20
+        assert peak.bytes < 2.5 * 2**20
 
     def test_minimum_symbol_count_enforced(self, reduced_profile):
         demod = classical_demodulator(reduced_profile)
         with pytest.raises(ValueError, match=">= 100"):
             bench_latency(demod, reduced_profile, 99)
+
+    def test_a_count_past_the_bound_is_refused_before_any_draw(self, reduced_profile,
+                                                              traced_peak):
+        calls = []
+        with traced_peak() as peak:
+            with pytest.raises(ValueError, match="n_symbols must be <= 134,217,728"):
+                bench_latency(calls.append, reduced_profile, MAX_BENCH_SYMBOLS + 1)
+        assert calls == []
+        assert peak.bytes < 64 * 2**10

@@ -170,9 +170,10 @@ class TestNoisyWindows:
         # Every batch shape at one seed, then 256 rows at each of 20 seeds and
         # SNRs: the channel gives the bits of one (B, N) tone batch plus one
         # Generator.normal (B, N) draw, and leaves the Generator where that
-        # draw leaves it.  So does the channel through a workspace: the
-        # leading rows of a larger NaN-filled one, as a sweep's last block
-        # uses its point's workspace.
+        # draw leaves it.  So does the channel through caller-owned arrays:
+        # the leading rows of a larger NaN-filled window block, as a sweep's
+        # last block uses its point's, and a noise workspace of 1, 5 or 16
+        # rows, whose slices split the rows anywhere.
         profile = request.getfixturevalue(profile)
         setup = np.random.default_rng(rows)
         bins = tone_bin(profile, 0) + setup.integers(0, profile.tone_count, rows)
@@ -188,29 +189,46 @@ class TestNoisyWindows:
         assert channel.tobytes() == oracle.tobytes()
         assert rng.bit_generator.state == twin.bit_generator.state
 
-        reused = np.random.default_rng(seed)
-        workspace = np.full((2, rows + 3, profile.symbol_len), np.nan)
-        in_place = noisy_windows(profile, bins, phases, snr_db, reused,
-                                 workspace=workspace[:, :rows])
-        assert in_place.shape == (rows, profile.symbol_len)
-        assert in_place.tobytes() == channel.tobytes()
-        assert reused.bit_generator.state == rng.bit_generator.state
-        assert np.shares_memory(in_place, workspace) or rows == 0  # no bytes to share
+        for slice_rows in (1, 5, 16):
+            reused = np.random.default_rng(seed)
+            windows = np.full((rows + 3, profile.symbol_len), np.nan)
+            noise = np.full((slice_rows, profile.symbol_len), np.nan)
+            in_place = noisy_windows(profile, bins, phases, snr_db, reused,
+                                     out=windows[:rows], noise=noise)
+            assert in_place.shape == (rows, profile.symbol_len)
+            assert in_place.tobytes() == channel.tobytes()
+            assert reused.bit_generator.state == rng.bit_generator.state
+            assert np.shares_memory(in_place, windows) or rows == 0  # no bytes to share
 
     @pytest.mark.parametrize("shape, dtype", [
-        ((2, 5, 512), np.float64),  # more rows than the call: not sliced
-        ((2, 4, 256), np.float64),
-        ((4, 512), np.float64),  # windows only, no noise block
-        ((1, 4, 512), np.float64),
-        ((2, 4, 512), np.float32),
+        ((0, 512), np.float64),  # no rows to draw into
+        ((4, 256), np.float64),
+        ((512,), np.float64),
+        ((2, 4, 512), np.float64),
+        ((4, 512), np.float32),
+        ((4, 1024), np.float64),  # strided: every other sample of 4 rows
     ])
-    def test_workspace_of_another_shape_or_dtype_is_refused(self, reduced_profile, shape,
-                                                            dtype):
+    def test_noise_workspace_of_another_shape_or_dtype_is_refused(self, reduced_profile,
+                                                                  shape, dtype):
+        rng = np.random.default_rng(5)
+        before = rng.bit_generator.state
+        noise = np.zeros(shape, dtype)
+        if shape == (4, 1024):
+            noise = noise[:, ::2]
+        windows = np.zeros((4, 512))
+        with pytest.raises(ValueError, match="noise workspace"):
+            noisy_windows(reduced_profile, [60, 61, 62, 63], 0.0, -10.0, rng, out=windows,
+                          noise=noise)
+        assert rng.bit_generator.state == before
+        assert not windows.any()
+
+    @pytest.mark.parametrize("shape", [(5, 512), (4, 256), (2, 4, 512)])
+    def test_window_block_of_another_shape_is_refused(self, reduced_profile, shape):
         rng = np.random.default_rng(5)
         before = rng.bit_generator.state
         with pytest.raises(ValueError, match="workspace"):
             noisy_windows(reduced_profile, [60, 61, 62, 63], 0.0, -10.0, rng,
-                          workspace=np.zeros(shape, dtype))
+                          out=np.zeros(shape))
         assert rng.bit_generator.state == before
 
     @pytest.mark.parametrize("shape, dtype", [

@@ -7,7 +7,7 @@ import threading
 import numpy as np
 import pytest
 
-from conftest import synthesize_symbol
+from conftest import adam_step_with, synthesize_symbol
 from mfskmodem.nn import (
     GRAD_CHECK_CONFIG,
     ModelConfig,
@@ -72,7 +72,7 @@ class TestAdam:
         grads["hidden.bias"] = np.full_like(state.tensors["hidden.bias"], g)
         before = {n: state.tensors[n].copy() for n in state.trainable_names}
 
-        adam_step(state, adam, grads, cfg)
+        adam_step_with(state, adam, grads, cfg)
 
         delta = state.tensors["hidden.bias"] - before["hidden.bias"]
         expected = -cfg.learning_rate * g / (abs(g) + ADAM_EPSILON)
@@ -87,7 +87,18 @@ class TestAdam:
         adam = adam_init(state)
         grads = {n: np.zeros_like(state.tensors[n]) for n in state.trainable_names}
         before = {n: state.tensors[n].copy() for n in state.trainable_names}
-        adam_step(state, adam, grads, TrainConfig())
+        adam_step_with(state, adam, grads, TrainConfig())
+        for name in state.trainable_names:
+            assert np.array_equal(state.tensors[name], before[name])
+
+    def test_a_foreign_gradient_mapping_is_refused(self):
+        state = build_model(TINY, seed=0)
+        adam = adam_init(state)
+        grads = {n: np.ones_like(state.tensors[n]) for n in state.trainable_names}
+        before = {n: state.tensors[n].copy() for n in state.trainable_names}
+        with pytest.raises(ValueError, match="backward"):
+            adam_step(state, adam, grads, TrainConfig())
+        assert adam.step == 0
         for name in state.trainable_names:
             assert np.array_equal(state.tensors[name], before[name])
 
@@ -104,7 +115,7 @@ class TestAdam:
         for step in range(1, 6):
             grads = {n: rng.standard_normal(state.tensors[n].shape)
                      for n in state.trainable_names}
-            adam_step(state, adam, grads, cfg)
+            adam_step_with(state, adam, grads, cfg)
             for n in names:
                 for i, g in enumerate(grads[n].ravel().tolist()):
                     m[n][i] = ADAM_BETA1 * m[n][i] + (1 - ADAM_BETA1) * g
@@ -237,7 +248,7 @@ class TestArenas:
         for step in range(1, 4):
             grads = {n: rng.standard_normal(p.shape).astype(np.float32)
                      for n, p in params.items()}
-            adam_step(state, adam, grads, cfg)
+            adam_step_with(state, adam, grads, cfg)
             per_tensor_adam(params, m, v, grads, step, cfg.learning_rate)
         for name in state.trainable_names:
             assert np.array_equal(state.tensors[name], params[name])
@@ -361,7 +372,7 @@ class TestFoldCacheAfterTraining:
         batch = rng.standard_normal((6, 64))
         before = forward(state, batch)
         grads = {n: np.ones_like(state.tensors[n]) for n in state.trainable_names}
-        adam_step(state, adam_init(state), grads, TrainConfig(learning_rate=0.05))
+        adam_step_with(state, adam_init(state), grads, TrainConfig(learning_rate=0.05))
         after = forward(state, batch)
         assert not np.array_equal(after, before)
         assert np.array_equal(after, forward(state.copy(), batch))
@@ -391,7 +402,7 @@ class TestFoldCacheAfterTraining:
         for probs in results:
             assert np.array_equal(probs, want)
         grads = {n: np.ones_like(state.tensors[n]) for n in state.trainable_names}
-        adam_step(state, adam_init(state), grads, TrainConfig())
+        adam_step_with(state, adam_init(state), grads, TrainConfig())
         assert np.array_equal(forward(state, batch), forward(state.copy(), batch))
 
 

@@ -68,6 +68,11 @@ RUNS = [
     ("sweep-m8-ber", SWEEP_M8 + ["--mode", "ber", "--out", "sweep-m8-ber.csv"]),
     ("sweep-full-ser", SWEEP_FULL + ["--mode", "ser", "--out", "sweep-full-ser.csv"]),
     ("sweep-full-ber", SWEEP_FULL + ["--mode", "ber", "--out", "sweep-full-ber.csv"]),
+    # One symbol per point: its label leaves the other 32-bit half of its
+    # generator output unused.
+    ("sweep-m8-one-ber", ["sweep", "--profile", "reduced-m8", "--classical", "--snr", "-10,0",
+                          "--n", "1", "--seed", "5", "--mode", "ber",
+                          "--out", "sweep-m8-one-ber.csv"]),
     # 2113 = 2048 + 65 symbols: the last two blocks are 64 rows and one row.
     ("sweep-full-edge-ser", ["sweep", "--profile", "jt65a-full", "--classical", "--snr", "-20",
                              "--n", "2113", "--seed", "5", "--mode", "ser",
@@ -182,7 +187,7 @@ REFUSALS = [
     ("refuse-profile-no-header", ["--profiles-file", "nohdr.ini", "synth", "--profile",
                                   "desk-m4", "--count", "1", "--snr", "0", "--seed", "1",
                                   "--out", "refused-nohdr.mfskdset"]),
-    # 10**11 symbols: refused when the up-front draws cannot be allocated.
+    # 10**11 symbols: past the point and bench bounds, refused before any draw.
     ("refuse-sweep-huge", ["sweep", "--profile", "reduced-m8", "--classical", "--snr", "-10",
                            "--n", "100000000000", "--seed", "1", "--out", "refused-huge.csv"]),
     ("refuse-bench-huge", ["bench", "--profile", "reduced-m8", "--classical",
