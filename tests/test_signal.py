@@ -200,6 +200,14 @@ class TestNoisyWindows:
             assert reused.bit_generator.state == rng.bit_generator.state
             assert np.shares_memory(in_place, windows) or rows == 0  # no bytes to share
 
+    def test_a_large_batch_holds_one_noise_slice(self, reduced_profile, traced_peak):
+        # 2113 reduced-m8 rows are 8.3 MiB; a 16-row noise slice is 64 KiB,
+        # where one (B, N) noise draw would double the peak.
+        bins = [tone_bin(reduced_profile, 3)] * 2113
+        with traced_peak() as peak:
+            x = noisy_windows(reduced_profile, bins, 0.5, -10.0, np.random.default_rng(2))
+        assert peak.bytes < x.nbytes + 256 * 2**10
+
     @pytest.mark.parametrize("shape, dtype", [
         ((0, 512), np.float64),  # no rows to draw into
         ((4, 256), np.float64),
