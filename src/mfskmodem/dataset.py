@@ -37,6 +37,7 @@ rows, not the file.
 """
 
 import contextlib
+import functools
 import os
 import struct
 from dataclasses import dataclass
@@ -58,8 +59,11 @@ _HEADER = "<II HH Q"  # after the magic and the u32 version
 _BLOCK_BYTES = 1 << 20
 
 
+# Bounded: read builds a record dtype from each file's own symbol length.
+@functools.lru_cache(maxsize=8)
 def record_dtype(symbol_len: int) -> np.dtype:
-    """One record exactly as the file stores it."""
+    """One record exactly as the file stores it; dtypes are immutable, so one
+    is shared per symbol length."""
     return np.dtype([("snr_db", "<f4"), ("label", "<u2"), ("reserved", "<u2"),
                      ("samples", "<f4", (symbol_len,))])
 

@@ -30,10 +30,13 @@ read-only name -> array views of it.  backward() writes the gradients into
 a second arena with the layout of the trainable span, allocated by the
 state's first backward() and reused by every later one, so the views it
 returns are overwritten by the next backward() on the same state.  The
-five (B*N, ...) arrays of a training step (im2col columns, conv output,
-conv-norm output, dflat, dcols) live the same way in the state's training
-scratch, so a forward_train() cache is overwritten by the next
-forward_train() on the same state.  train() releases both when it returns.
+three (B*N, ...) arrays of a training step (im2col columns, conv output,
+conv-norm output) live the same way in the state's training scratch, so a
+forward_train() cache is overwritten by the next forward_train() on the
+same state.  backward() writes each of the two large gradients over the
+forward array it has read for the last time: dflat over the conv-norm
+output, the column gradient over the im2col columns.  train() releases
+the scratch and the gradient arena when it returns.
 Training runs in float32, gradient checking rebuilds the same graph in
 float64.
 """
@@ -118,8 +121,10 @@ class ModelState:
     The gradient arena has the layout of the trainable span.  The first
     backward() allocates it and copy() leaves it behind, so a state that
     only infers never holds one.  The training scratch holds a step's
-    large arrays (see _buffer): the first forward_train() or backward()
-    allocates it, later calls reuse it, and copy() leaves it behind.
+    three large arrays, "cols", "conv" and "flat" (see _buffer): the first
+    forward_train() allocates it, later calls reuse it, and copy() leaves
+    it behind.  backward() makes no scratch array of its own; it writes its
+    large gradients over the cache's spent arrays.
     train() releases the scratch and the gradient arena when it returns,
     so a trained state holds only its parameter arena.
     """
@@ -138,7 +143,7 @@ class ModelState:
         self._inference = None
         # backward()'s (flat arena, name views); see _gradients.
         self._grads = None
-        # forward_train()'s and backward()'s name -> step array; see _buffer.
+        # forward_train()'s name -> step array; see _buffer.
         self._scratch = None
 
     @property
@@ -241,10 +246,11 @@ def _fans(name, shape):
 # ---------------------------------------------------------------------------
 # Layer primitives.  x is (batch, ..., features); batch norm reduces over all
 # axes except the last, working on the (-1, features) view.  The training
-# passes reuse the buffers they are handed: _bn_train centres x in place and
-# _bn_backward builds dx in dy's buffer and overwrites the cached xhat, so
-# each caller passes arrays it no longer reads.  Gradient helpers write the
-# parameter gradients into the output buffers they are given.
+# passes reuse the buffers they are handed: _bn_train centres x in place,
+# _bn_backward builds dx in dy's buffer and overwrites the cached xhat, and
+# _conv_backward writes the column gradient over cols, so each caller passes
+# arrays it no longer reads.  Gradient helpers write the parameter gradients
+# into the output buffers they are given.
 
 
 def _bn_train(x, gamma, beta, out=None):
@@ -311,9 +317,10 @@ def _conv_forward(x, kernel, bias, config: ModelConfig, cols, out):
     return out.reshape(b, n, f)
 
 
-def _conv_backward(dy, cols, kernel, config: ModelConfig, dkernel, dbias, dcols):
-    """dx (B, N) of _conv_forward; dkernel (K, F), dbias (F,) and the (B*N, K)
-    column gradient go into the given buffers."""
+def _conv_backward(dy, cols, kernel, config: ModelConfig, dkernel, dbias):
+    """dx (B, N) of _conv_forward; dkernel (K, F) and dbias (F,) go into the
+    given buffers.  The (B*N, K) column gradient overwrites ``cols`` once
+    dkernel has read it, so the caller passes columns it no longer reads."""
     b, n, f = dy.shape
     k, _ = kernel.shape
     left, _ = _conv_pad(config)
@@ -321,7 +328,7 @@ def _conv_backward(dy, cols, kernel, config: ModelConfig, dkernel, dbias, dcols)
     np.matmul(cols.T, dy2, out=dkernel)
     np.einsum("ij->j", dy2, out=dbias)
     # col2im: scatter-add each tap's column gradient onto the padded input.
-    dcols = np.matmul(dy2, kernel.T, out=dcols).reshape(b, n, k)
+    dcols = np.matmul(dy2, kernel.T, out=cols).reshape(b, n, k)
     dxp = np.zeros((b, n + k - 1), dtype=dy.dtype)
     for j in range(k):
         dxp[:, j : j + n] += dcols[..., j]
@@ -403,7 +410,9 @@ def forward_train(state: ModelState, batch: np.ndarray):
     Returns (probs, cache) for backward().  The cache's im2col columns,
     conv output and conv-norm output are rows of the state's training
     scratch, so the cache is valid until the next forward_train() on the
-    same state; probs and the small arrays are fresh.  The batch-norm
+    same state; probs and the small arrays are fresh.  backward() spends
+    the cache: it writes its gradients over these arrays, so each cache
+    feeds one backward().  The batch-norm
     running statistics are refreshed in place with momentum BN_MOMENTUM but
     never read: probs, and backward()'s gradients, are a pure function of
     the trainable tensors and the batch.
@@ -469,10 +478,11 @@ def backward(state: ModelState, cache: dict, labels) -> MappingProxyType:
     is (probs - onehot) / batch_size.  Returns a read-only name -> view
     mapping of the state's gradient arena: the next backward() on the same
     state overwrites those views, so copy what must outlive it.  The cache
-    is spent: the batch-norm passes overwrite its normalized inputs.  Like
-    the cache, which is valid until the next forward_train() on its state,
-    dflat and the im2col column gradient are rows of the state's training
-    scratch, made by its first forward_train() or backward().
+    is spent afterwards: the batch-norm passes overwrite its normalized
+    inputs, dflat overwrites its conv-norm output once the hidden-weight
+    gradient has read it, and the im2col column gradient overwrites its
+    columns once the kernel gradient has read them.  backward() makes no
+    array of the training scratch.
     """
     cfg = state.config
     t = state.tensors
@@ -491,15 +501,13 @@ def backward(state: ModelState, cache: dict, labels) -> MappingProxyType:
     dpre = drelu * cache["relu_mask"]
     np.matmul(cache["flat"].T, dpre, out=grads["hidden.weight"])
     np.sum(dpre, axis=0, out=grads["hidden.bias"])
-    dflat = np.matmul(dpre, t["hidden.weight"].T,
-                      out=_buffer(state, "dflat", b, cfg.flat_features))
+    dflat = np.matmul(dpre, t["hidden.weight"].T, out=cache["flat"])
 
     dbn1 = dflat.reshape(b, cfg.input_len, cfg.conv_filters)
     dconv = _bn_backward(dbn1, t["conv_norm.gamma"], cache["bn1"],
                          grads["conv_norm.gamma"], grads["conv_norm.beta"])
     dbn0 = _conv_backward(dconv, cache["conv_cols"], t["conv.kernel"][:, 0], cfg,
-                          grads["conv.kernel"][:, 0], grads["conv.bias"],
-                          _buffer(state, "dcols", b * cfg.input_len, cfg.conv_kernel))
+                          grads["conv.kernel"][:, 0], grads["conv.bias"])
     # The input norm's dx has no consumer: only its parameter gradients.
     dbn0 = dbn0.reshape(-1, 1)
     np.einsum("ij,ij->j", dbn0, cache["bn0"][0], out=grads["input_norm.gamma"])

@@ -252,6 +252,15 @@ class TestFileFormat:
         assert not records["reserved"].any()
         assert records["samples"].tobytes() == ds.samples(np.arange(3)).tobytes()
 
+    def test_record_dtype_is_shared_and_its_cache_bounded(self):
+        # read asks for the dtype of each file's own symbol length.
+        assert record_dtype(512) is record_dtype(512)
+        for symbol_len in range(1, 100):
+            record_dtype(symbol_len)
+        info = record_dtype.cache_info()
+        assert info.currsize <= info.maxsize <= 16
+        assert record_dtype(7).itemsize == 8 + 4 * 7
+
     def test_sync_flag_round_trips(self, reduced_spec):
         spec = DatasetSpec(reduced_spec.profile, 40, (-9.0, -9.0), seed=3,
                            include_sync=True)

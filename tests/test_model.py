@@ -328,12 +328,14 @@ class TestLayerOracles:
         bias = rng.standard_normal(3)
         dy = rng.standard_normal((2, 11, 3))
 
-        # The layers write their (B*N, K) and (B*N, F) arrays into the given buffers.
-        cols, dcols = np.empty((22, kernel_len)), np.empty((22, kernel_len))
+        # The layers write their (B*N, K) and (B*N, F) arrays into the given
+        # buffers; the backward pass writes the column gradient over cols.
+        cols = np.empty((22, kernel_len))
         y = _conv_forward(x, kernel, bias, cfg, cols, np.empty((22, 3)))
         np.testing.assert_allclose(y, conv_oracle(x, kernel, bias, left), rtol=self.RTOL)
         dkernel, dbias = np.empty_like(kernel), np.empty_like(bias)
-        dx = _conv_backward(dy, cols, kernel, cfg, dkernel, dbias, dcols)
+        dx = _conv_backward(dy, cols, kernel, cfg, dkernel, dbias)
+        np.testing.assert_allclose(cols, dy.reshape(22, 3) @ kernel.T, rtol=self.RTOL)
         want_dx, want_dkernel, want_dbias = conv_backward_oracle(x, kernel, dy, left)
         np.testing.assert_allclose(dx, want_dx, rtol=self.RTOL, atol=1e-12)
         np.testing.assert_allclose(dkernel, want_dkernel, rtol=self.RTOL)

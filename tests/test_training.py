@@ -234,6 +234,41 @@ class TestArenas:
             train_step(state, adam, batch, labels, TrainConfig())
         assert peak.bytes < 1 << 20
 
+    def test_cold_step_holds_three_step_arrays(self, rng, traced_peak):
+        # backward writes dflat over the conv-norm output and the column
+        # gradient over the im2col columns, so a reduced-m8 step at batch 32
+        # holds cols (1 MiB), conv (2 MiB) and flat (2 MiB) beside the 2 MiB
+        # gradient arena; two more step arrays would bring it to 10 MiB.
+        config = get_profile("reduced-m8").model
+        state = build_model(config, seed=0)
+        batch = rng.standard_normal((32, config.input_len)).astype(np.float32)
+        labels = rng.integers(0, config.classes, 32)
+        with traced_peak() as peak:
+            _, cache = forward_train(state, batch)
+            backward(state, cache, labels)
+        assert peak.bytes <= 8 << 20
+        assert set(state._scratch) == {"cols", "conv", "flat"}
+
+    def test_regrown_step_arrays_equal_fresh_ones(self):
+        # Batch 8, then 32, then 8: the second step makes every step array
+        # anew, the third runs on the leading rows of the 32-row arrays.
+        # The reference releases the scratch before every step.
+        x, labels = overfit_data(count=48)
+        cfg = TrainConfig(seed=3)
+        states = []
+        for release in (False, True):
+            state = build_model(OVERFIT_MODEL, cfg.seed)
+            adam = adam_init(state)
+            for lo, hi in ((0, 8), (8, 40), (40, 48)):
+                if release:
+                    state._scratch = None
+                train_step(state, adam, x[lo:hi], labels[lo:hi], cfg)
+            states.append((state, adam))
+        (reused, adam_reused), (fresh, adam_fresh) = states
+        assert reused._arena.tobytes() == fresh._arena.tobytes()
+        assert adam_reused.m.tobytes() == adam_fresh.m.tobytes()
+        assert adam_reused.v.tobytes() == adam_fresh.v.tobytes()
+
     def test_blocked_adam_equals_per_tensor_reference(self, monkeypatch):
         # 30-element blocks put block edges inside conv.kernel, hidden.weight,
         # hidden.bias and output.weight, and leave a partial last block.

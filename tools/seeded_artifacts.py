@@ -23,6 +23,11 @@ weights file the runs made, which must be refused too.  The
 training logs are hashed without their wall-clock ``seconds`` column.
 Compare hashes made on one machine: ``sin`` may round differently on
 another CPU's SIMD path.
+
+Standard error gets one ``<run>: peak RSS <MB> MB`` line per CLI run, the
+run's own ru_maxrss (10**6 bytes to the MB, as perfbench reports it), so
+a log of two trees' listings also shows what each tree's ``train-full``
+held.  The listing on standard output leaves it out.
 """
 
 import argparse
@@ -30,6 +35,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 SWEEP_M8 = ["sweep", "--profile", "reduced-m8", "--classical", "--snr", "-15:0:3",
@@ -238,9 +244,20 @@ def main(argv=None) -> int:
         (out / name).write_text(text)
     env = dict(os.environ, PYTHONPATH=str(Path(args.src).resolve()))
 
-    def cli(cli_args, threads=1):
-        return subprocess.run([sys.executable, "-m", "mfskmodem.cli", "--threads", str(threads),
-                               *cli_args], cwd=out, env=env, capture_output=True)
+    def cli(name, cli_args, threads=1):
+        # The outputs go to files, not pipes, so nothing needs draining and
+        # wait4 can reap the child itself and report its resource usage.
+        with tempfile.TemporaryFile() as stdout, tempfile.TemporaryFile() as stderr:
+            child = subprocess.Popen([sys.executable, "-m", "mfskmodem.cli",
+                                      "--threads", str(threads), *cli_args],
+                                     cwd=out, env=env, stdout=stdout, stderr=stderr)
+            _, status, usage = os.wait4(child.pid, 0)
+            child.returncode = os.waitstatus_to_exitcode(status)
+            sys.stderr.write(f"{name}: peak RSS {usage.ru_maxrss * 1024 / 1e6:.1f} MB\n")
+            stdout.seek(0)
+            stderr.seek(0)
+            return subprocess.CompletedProcess(child.args, child.returncode,
+                                               stdout.read(), stderr.read())
 
     runs = {name: (cli_args, 1) for name, cli_args in RUNS}
     # twin -> [(run's file, twin's file)]
@@ -256,7 +273,7 @@ def main(argv=None) -> int:
         runs[twin] = (cli_args, threads)
     stdout = {}
     for name, (cli_args, threads) in runs.items():
-        run = cli(cli_args, threads)
+        run = cli(name, cli_args, threads)
         if run.returncode != 0:
             sys.stderr.write(f"{name} exited {run.returncode}:\n{run.stderr.decode()}")
             return 1
@@ -273,7 +290,7 @@ def main(argv=None) -> int:
     for name, (source, corrupt) in MALFORMED.items():
         (out / name).write_bytes(corrupt((out / source).read_bytes()))
     for name, cli_args in REFUSALS:
-        run = cli(cli_args)
+        run = cli(name, cli_args)
         print(f"{_digest(run.stderr)}  {name}.stderr exit={run.returncode}")
     for path in sorted(out.iterdir()):
         if path.name in MALFORMED:
